@@ -37,6 +37,10 @@ DEFAULT_POOL: Tuple[Fraction, ...] = (
 )
 
 
+# weight of the lightest term a normal-form F can have: bidegree (2,2), no u
+MIN_WEIGHT = 4
+
+
 @dataclass(frozen=True)
 class CensusConfig:
     ns: Tuple[int, ...]
@@ -45,6 +49,12 @@ class CensusConfig:
     samples: int = 200
     seed: int = 0
     pool: Tuple[Fraction, ...] = DEFAULT_POOL
+
+    def __post_init__(self):
+        if self.max_weight < MIN_WEIGHT:
+            raise ValueError(
+                f"max weight {self.max_weight} admits no surface: the smallest "
+                f"normal-form term, bidegree (2,2) at u^0, has weight {MIN_WEIGHT}")
 
     def pairs(self) -> List[Tuple[int, int]]:
         out = [(n, m) for n in self.ns for m in self.ms

@@ -107,7 +107,11 @@ class HermitianForm:
         for a in range(self.n):
             for b in range(self.n):
                 h = self.matrix[a, b]
-                if not h.is_zero():
+                if h == 1:
+                    acc = acc + left[a].mul(rbar[b], max_weight)
+                elif h == -1:
+                    acc = acc - left[a].mul(rbar[b], max_weight)
+                elif not h.is_zero():
                     acc = acc + left[a].mul(rbar[b], max_weight).scale(h)
         return acc
 

@@ -8,10 +8,13 @@ arithmetic is exact; there is no floating-point mode anywhere.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -23,10 +26,13 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a reduced 'p/q' or 'p' string (no decimals accepted)."""
-    if not isinstance(text, str) or "." in text:
-        raise ValueError(f"rational must be a decimal-free string, got {text!r}")
-    return Fraction(text)
+    """Parse a 'p/q' or 'p' string of ASCII digits with an optional sign."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"rational must be a decimal-free string 'p' or 'p/q', got {text!r}")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError(f"rational has a zero denominator: {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(value: Fraction) -> str:
@@ -60,21 +66,20 @@ def rational_root(value: Fraction, k: int) -> Optional[Fraction]:
 
 
 def _integer_root(n: int, k: int) -> Optional[int]:
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    # float guess can be far off for big n; fall back to bisection
-    lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == n else None
+    """The exact k-th root of a non-negative integer n, or None."""
+    if k == 1 or n < 2:
+        return n
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # integer Newton iteration from above: r decreases to floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == n else None
 
 
 class GaussianRational:

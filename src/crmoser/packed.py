@@ -1,0 +1,218 @@
+"""The packed integer form of a polynomial, and the arithmetic run on it.
+
+A packed form is (bits, den, data): `data` holds three columns of equal
+length end to end, the term keys in increasing order and the integer
+numerators of the real and imaginary parts over the least common
+denominator `den`.  A key packs the 2n+1 exponents of a monomial (z_1
+lowest, u highest) into fields of `bits` bits with the weight above them,
+so adding keys multiplies monomials and key order is weight order.  `data`
+is an array of 64-bit integers when every entry fits, else a tuple.  Every
+operation returns a reduced form with sorted keys and no zero term, so two
+forms of one field width are equal exactly when their polynomials are.
+"""
+
+from __future__ import annotations
+
+from array import array
+from bisect import bisect_left
+from fractions import Fraction
+from itertools import islice
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from .gaussrat import GaussianRational
+
+Packed = Tuple[int, int, Sequence[int]]
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def field_bits(top_weight: int) -> int:
+    """Field width for the exponents of monomials of weight <= top_weight."""
+    # no exponent exceeds the weight of its monomial
+    return max(1, top_weight.bit_length())
+
+
+def size(packed: Packed) -> int:
+    return len(packed[2]) // 3
+
+
+def columns(packed: Packed):
+    """(keys, res, ims)."""
+    data = packed[2]
+    k = len(data) // 3
+    return data[:k], data[k:2 * k], data[2 * k:]
+
+
+def weight(packed: Packed, index: int, n: int) -> int:
+    """Weight of the term at `index` (0 or -1)."""
+    return packed[2][index % size(packed)] >> (packed[0] * (2 * n + 1))
+
+
+def pack(n: int, terms) -> Packed:
+    """The packed form of a nonempty dict monomial -> GaussianRational."""
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    bits = field_bits(max(sum(z) + sum(zb) + 2 * u for z, zb, u in terms))
+    shift = bits * (2 * n + 1)
+    acc = {}
+    for (z, zb, u), c in terms.items():
+        key = u
+        for e in reversed(z + zb):
+            key = (key << bits) | e
+        re, im = c.re, c.im
+        acc[key | ((sum(z) + sum(zb) + 2 * u) << shift)] = [
+            re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)]
+    return collect(bits, den, acc)
+
+
+def unpack_key(key: int, bits: int, n: int) -> tuple:
+    """The monomial (zexp, zbexp, uexp) of a key."""
+    mask = (1 << bits) - 1
+    fields = []
+    for _ in range(2 * n + 1):
+        fields.append(key & mask)
+        key >>= bits
+    return (tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n])
+
+
+def unpack(n: int, packed: Packed) -> Iterator[Tuple[tuple, GaussianRational]]:
+    """(monomial, coefficient) pairs in key order."""
+    bits, den, _data = packed
+    for key, re, im in zip(*columns(packed)):
+        yield unpack_key(key, bits, n), GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def collect(bits: int, den: int, acc: Dict[int, List[int]]) -> Packed:
+    """The packed form of an accumulator key -> [re, im] over denominator den."""
+    keys = sorted(acc)
+    cells = list(map(acc.__getitem__, keys))
+    if [0, 0] in cells:  # drop the terms that cancelled
+        keys = [key for key, cell in zip(keys, cells) if cell != [0, 0]]
+        cells = list(map(acc.__getitem__, keys))
+    return reduced(bits, den, keys, list(map(_first, cells)), list(map(_second, cells)))
+
+
+def reduced(bits: int, den: int, keys, res, ims) -> Packed:
+    """The form with den brought down to the least common denominator."""
+    g = gcd(den, *res, *ims) if den != 1 else 1
+    if g != 1:
+        res = [re // g for re in res]
+        ims = [im // g for im in ims]
+    return bits, den // g, column([*keys, *res, *ims])
+
+
+def column(values: List[int]) -> Sequence[int]:
+    """An array of 64-bit integers when every value fits, else a tuple.
+
+    The choice depends on the values alone, so equal data compare equal.
+    """
+    try:
+        return array("q", values)
+    except OverflowError:
+        return tuple(values)
+
+
+def widen(packed: Packed, n: int, bits: int) -> Packed:
+    """The same polynomial with fields of `bits` >= packed[0] bits."""
+    old_bits, den, data = packed
+    if old_bits == bits:
+        return packed
+    keys, res, ims = columns(packed)
+    nfields = 2 * n + 1
+    mask = (1 << old_bits) - 1
+    widened = []
+    for key in keys:
+        new = (key >> (old_bits * nfields)) << (bits * nfields)
+        for i in range(nfields):
+            new |= (key & mask) << (bits * i)
+            key >>= old_bits
+        widened.append(new)
+    return bits, den, column([*widened, *res, *ims])
+
+
+def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:
+    """a * b without the terms of weight > max_weight; a and b share one field width.
+
+    The width must hold every exponent of the product (see field_bits).
+    """
+    bits, den_a, _ = a
+    den_b = b[1]
+    keys_b, res_b, ims_b = columns(b)
+    shift = bits * (2 * n + 1)
+    min_wb = keys_b[0] >> shift
+    rows_b = list(zip(keys_b, res_b, ims_b))
+    acc: Dict[int, List[int]] = {}
+    for ka, ra, ia in zip(*columns(a)):
+        part = rows_b
+        if max_weight is not None:
+            cap = max_weight - (ka >> shift)
+            if cap < min_wb:
+                break
+            # the terms of b that keep the product within the cap
+            part = islice(rows_b, bisect_left(keys_b, (cap + 1) << shift))
+        for kb, rb, ib in part:
+            key = ka + kb
+            re = ra * rb - ia * ib
+            im = ra * ib + ia * rb
+            cell = acc.get(key)
+            if cell is None:
+                acc[key] = [re, im]
+            else:
+                cell[0] += re
+                cell[1] += im
+    return collect(bits, den_a * den_b, acc)
+
+
+def combine(a: Packed, b: Packed, subtract: bool) -> Packed:
+    """a + b, or a - b when `subtract`; a and b share one field width."""
+    bits, den_a, _ = a
+    den_b = b[1]
+    den = lcm(den_a, den_b)
+    fa = den // den_a
+    fb = -(den // den_b) if subtract else den // den_b
+    acc = {ka: [ra * fa, ia * fa] for ka, ra, ia in zip(*columns(a))}
+    for kb, rb, ib in zip(*columns(b)):
+        cell = acc.get(kb)
+        if cell is None:
+            acc[kb] = [rb * fb, ib * fb]
+        else:
+            cell[0] += rb * fb
+            cell[1] += ib * fb
+    return collect(bits, den, acc)
+
+
+def scale(packed: Packed, c: GaussianRational) -> Packed:
+    """The form times a nonzero scalar c."""
+    bits, den, _data = packed
+    keys, res, ims = columns(packed)
+    cd = lcm(c.re.denominator, c.im.denominator)
+    cr = c.re.numerator * (cd // c.re.denominator)
+    ci = c.im.numerator * (cd // c.im.denominator)
+    return reduced(bits, den * cd, keys,
+                   [re * cr - im * ci for re, im in zip(res, ims)],
+                   [re * ci + im * cr for re, im in zip(res, ims)])
+
+
+def conjugate(packed: Packed, n: int) -> Packed:
+    """Coefficient conjugation combined with the z <-> conj(z) swap."""
+    bits, den, _data = packed
+    span = bits * n
+    mask = (1 << span) - 1
+    high = -1 << (2 * span)  # the u field and the weight stay in place
+    return collect(bits, den, {
+        (key & high) | ((key & mask) << span) | ((key >> span) & mask): [re, -im]
+        for key, re, im in zip(*columns(packed))})
+
+
+def truncate(packed: Packed, n: int, max_weight: int) -> Packed:
+    """The terms of weight <= max_weight."""
+    bits, den, data = packed
+    k = size(packed)
+    end = bisect_left(data, (max_weight + 1) << (bits * (2 * n + 1)), 0, k)
+    if end == k:
+        return packed
+    return reduced(bits, den, data[:end], data[k:k + end], data[2 * k:2 * k + end])

@@ -1,12 +1,12 @@
 """Exact sparse polynomials in z_1..z_n, conj(z_1)..conj(z_n), u.
 
-A polynomial is a dictionary mapping monomial keys to GaussianRational
-coefficients.  A monomial key is the triple
+A polynomial maps monomial keys to GaussianRational coefficients.  A
+monomial key is the triple
 
     (zexp, zbexp, uexp)   with zexp, zbexp tuples of length n
 
 so z_a and its conjugate are independent variables and u is real.  The zero
-polynomial is the empty dictionary; zero coefficients are never stored.
+polynomial has no terms; zero coefficients are never stored.
 
 Two gradings run through everything:
 
@@ -17,18 +17,23 @@ Conjugation swaps zexp and zbexp and conjugates the coefficient; a
 polynomial is *real* (real-valued on the real locus) exactly when it is
 fixed by that involution.
 
-Multiplication packs exponent vectors into single integers so that the
-convolution inner loop is integer addition, and runs on cleared
-denominators; products can be truncated by weight on the fly, which keeps
-truncated series composition exact for every weight below the cap.
+A Poly stores one of two forms: the term dict, or the packed integer form
+of `crmoser.packed` (numerators over one shared denominator, one integer key
+per monomial, keys in weight order).  Products run on the packed form and
+are born packed; a polynomial built from terms is packed the first time it
+is a factor, and sums, scalings and conjugates of packed polynomials stay
+packed.  Reading `terms` builds the term dict, which then replaces the
+packed form.  A weight cap reads a prefix of the packed keys, which keeps
+truncated series composition exact for every weight below it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import packed as pk
 from .gaussrat import (
     GaussianLike,
     GaussianRational,
@@ -56,9 +61,12 @@ def conj_mono(mono: Mono) -> Mono:
 
 
 class Poly:
-    """Exact polynomial over Q(i) in (z, conj z, u); immutable by convention."""
+    """Exact polynomial over Q(i) in (z, conj z, u); immutable by convention.
 
-    __slots__ = ("n", "terms")
+    Exactly one of `_terms` (the term dict) and `_packed` is set.
+    """
+
+    __slots__ = ("n", "_terms", "_packed")
 
     def __init__(self, n: int, terms: Optional[Mapping[Mono, GaussianLike]] = None):
         if n < 0:
@@ -75,7 +83,8 @@ class Poly:
                 if not c.is_zero():
                     clean[(tuple(z), tuple(zb), u)] = c
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -85,8 +94,61 @@ class Poly:
         # internal: terms already canonical (no zeros, valid keys)
         p = object.__new__(cls)
         object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_packed", None)
         return p
+
+    @classmethod
+    def _from_packed(cls, n: int, packed: pk.Packed) -> "Poly":
+        # internal: packed form already reduced, with sorted keys and no zero terms
+        if not packed[2]:
+            return cls.zero(n)
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "_terms", None)
+        object.__setattr__(p, "_packed", packed)
+        return p
+
+    # -- the two stored forms ----------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Mono, GaussianRational]:
+        """Read-only mapping monomial -> coefficient.
+
+        Its length and iteration over its monomials never convert the stored
+        form; any other read builds the term dict once, which then replaces
+        the packed form.
+        """
+        return _TermsView(self)
+
+    def _size(self) -> int:
+        t = self._terms
+        return len(t) if t is not None else pk.size(self._packed)
+
+    def _dict(self) -> Dict[Mono, GaussianRational]:
+        """The term dict, converting the stored form to it if needed."""
+        t = self._terms
+        if t is None:
+            t = dict(pk.unpack(self.n, self._packed))
+            object.__setattr__(self, "_terms", t)
+            object.__setattr__(self, "_packed", None)
+        return t
+
+    def _items(self) -> Iterable[Tuple[Mono, GaussianRational]]:
+        """(monomial, coefficient) pairs of either form, converting neither."""
+        t = self._terms
+        if t is not None:
+            return t.items()
+        return pk.unpack(self.n, self._packed)
+
+    def _packed_form(self) -> pk.Packed:
+        """The packed form, converting the stored form to it if needed."""
+        packed = self._packed
+        if packed is None:
+            packed = pk.pack(self.n, self._terms)
+            object.__setattr__(self, "_packed", packed)
+            object.__setattr__(self, "_terms", None)
+        return packed
 
     # -- constructors ----------------------------------------------------------
 
@@ -132,27 +194,33 @@ class Poly:
     # -- basic queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._size()
 
     def coeff(self, mono: Mono) -> GaussianRational:
-        return self.terms.get(mono, GaussianRational(0))
+        return self._dict().get(mono, GaussianRational(0))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._size())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Poly.constant(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        if self.n != other.n or self._size() != other._size():
+            return False
+        if self._packed is not None and other._packed is not None:
+            # packed forms are canonical once their field widths agree
+            bits = max(self._packed[0], other._packed[0])
+            return self._widen(bits)[1:] == other._widen(bits)[1:]
+        return dict(self._items()) == dict(other._items())
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self._dict().items())))
 
     def sorted_terms(self) -> List[Tuple[Mono, GaussianRational]]:
         """Canonical order: lexicographic on (uexp, zexp, zbexp)."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
+        return sorted(self._items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
 
     # -- ring operations ---------------------------------------------------------
 
@@ -165,16 +233,7 @@ class Poly:
             other = Poly.constant(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_dim(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return Poly._raw(self.n, out)
+        return self._combine(other, False)
 
     __radd__ = __add__
 
@@ -183,19 +242,49 @@ class Poly:
             other = Poly.constant(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _combine(self, other: "Poly", subtract: bool) -> "Poly":
+        """self + other, or self - other when `subtract`.
+
+        The sum is packed when either operand is: the other one is then
+        packed too, as if it were a factor.
+        """
+        self._check_dim(other)
+        if not other._size():
+            return self
+        if not self._size():
+            return -other if subtract else other
+        if self._packed is not None or other._packed is not None:
+            bits = max(self._packed_form()[0], other._packed_form()[0])
+            return Poly._from_packed(
+                self.n, pk.combine(self._widen(bits), other._widen(bits), subtract))
+        out = dict(self._terms)
+        for mono, c in other._terms.items():
+            s = out.get(mono)
+            if s is None:
+                s = -c if subtract else c
+            else:
+                s = s - c if subtract else s + c
+            if s.is_zero():
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+        return Poly._raw(self.n, out)
+
     def __neg__(self):
-        return Poly._raw(self.n, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c: GaussianLike) -> "Poly":
         c = GaussianRational.of(c)
         if c.is_zero():
             return Poly.zero(self.n)
-        return Poly._raw(self.n, {m: v * c for m, v in self.terms.items()})
+        if self._packed is not None:
+            return Poly._from_packed(self.n, pk.scale(self._packed, c))
+        return Poly._raw(self.n, {m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -213,46 +302,25 @@ class Poly:
         on every monomial of weight <= max_weight.
         """
         self._check_dim(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.n)
-        if len(self.terms) > len(other.terms):
-            return other.mul(self, max_weight)
-        items_a, den_a, maxes_a = _packed_items(self, max_weight)
-        items_b, den_b, maxes_b = _packed_items(other, max_weight)
-        if not items_a or not items_b:
-            return Poly.zero(self.n)
-        bits = max(
-            (ma + mb).bit_length() for ma, mb in zip(maxes_a, maxes_b)
-        )
-        items_a = _repack(items_a, maxes_a, bits)
-        items_b = _repack(items_b, maxes_b, bits)
-        min_wb = items_b[0][0]
-        acc: Dict[int, List[int]] = {}
-        for wa, ka, ra, ia in items_a:
-            if max_weight is not None and wa + min_wb > max_weight:
-                break
-            cap = None if max_weight is None else max_weight - wa
-            for wb, kb, rb, ib in items_b:
-                if cap is not None and wb > cap:
-                    break
-                key = ka + kb
-                re = ra * rb - ia * ib
-                im = ra * ib + ia * rb
-                cell = acc.get(key)
-                if cell is None:
-                    acc[key] = [re, im]
-                else:
-                    cell[0] += re
-                    cell[1] += im
-        den = den_a * den_b
         n = self.n
-        out: Dict[Mono, GaussianRational] = {}
-        for key, (re, im) in acc.items():
-            if re or im:
-                out[_unpack_key(key, bits, n)] = GaussianRational(
-                    Fraction(re, den), Fraction(im, den)
-                )
-        return Poly._raw(n, out)
+        if not self._size() or not other._size():
+            return Poly.zero(n)
+        a, b = (other, self) if self._size() > other._size() else (self, other)
+        pa, pb = a._packed_form(), b._packed_form()
+        top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
+        if max_weight is not None:
+            if pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > max_weight:
+                return Poly.zero(n)
+            top = min(top, max_weight)
+        bits = max(pa[0], pb[0], pk.field_bits(top))
+        return Poly._from_packed(
+            n, pk.product(n, a._widen(bits), b._widen(bits), max_weight))
+
+    def _widen(self, bits: int) -> pk.Packed:
+        """The packed form, re-stored with fields of at least `bits` bits."""
+        if self._packed[0] < bits:
+            object.__setattr__(self, "_packed", pk.widen(self._packed, self.n, bits))
+        return self._packed
 
     def __pow__(self, exp: int):
         return self.pow(exp)
@@ -275,19 +343,21 @@ class Poly:
 
     def conjugate(self) -> "Poly":
         """Coefficient conjugation combined with the z <-> conj(z) swap."""
+        if self._packed is not None:
+            return Poly._from_packed(self.n, pk.conjugate(self._packed, self.n))
         return Poly._raw(
-            self.n, {conj_mono(m): c.conjugate() for m, c in self.terms.items()}
+            self.n, {conj_mono(m): c.conjugate() for m, c in self._terms.items()}
         )
 
     def is_real(self) -> bool:
-        return self.terms == self.conjugate().terms
+        return self == self.conjugate()
 
     def real_violation(self) -> Optional[Mono]:
-        """A monomial witnessing broken coefficient symmetry, or None."""
-        for mono, c in self.terms.items():
-            if self.coeff(conj_mono(mono)) != c.conjugate():
-                return mono
-        return None
+        """A monomial witnessing broken coefficient symmetry, or None.
+
+        The witness is the first violating monomial in the stored order.
+        """
+        return next(iter((self - self.conjugate()).terms), None)
 
     def real_part(self) -> "Poly":
         return (self + self.conjugate()).scale(Fraction(1, 2))
@@ -299,7 +369,7 @@ class Poly:
 
     def bidegree_component(self, k: int, l: int) -> "Poly":
         out = {
-            m: c for m, c in self.terms.items()
+            m: c for m, c in self._items()
             if sum(m[0]) == k and sum(m[1]) == l
         }
         return Poly._raw(self.n, out)
@@ -309,27 +379,33 @@ class Poly:
 
     def weight_decompose(self) -> Dict[int, "Poly"]:
         buckets: Dict[int, Dict[Mono, GaussianRational]] = {}
-        for m, c in self.terms.items():
+        for m, c in self._items():
             buckets.setdefault(mono_weight(m), {})[m] = c
         return {w: Poly._raw(self.n, t) for w, t in sorted(buckets.items())}
 
     def weight_component(self, w: int) -> "Poly":
-        out = {m: c for m, c in self.terms.items() if mono_weight(m) == w}
+        out = {m: c for m, c in self._items() if mono_weight(m) == w}
         return Poly._raw(self.n, out)
 
     def min_weight(self) -> Optional[int]:
         """Lowest weight present (gamma when applied to a defining function)."""
-        if not self.terms:
+        if not self._size():
             return None
-        return min(mono_weight(m) for m in self.terms)
+        if self._packed is not None:
+            return pk.weight(self._packed, 0, self.n)
+        return min(mono_weight(m) for m in self._terms)
 
     def max_weight(self) -> Optional[int]:
-        if not self.terms:
+        if not self._size():
             return None
-        return max(mono_weight(m) for m in self.terms)
+        if self._packed is not None:
+            return pk.weight(self._packed, -1, self.n)
+        return max(mono_weight(m) for m in self._terms)
 
     def truncate_weight(self, max_weight: int) -> "Poly":
-        out = {m: c for m, c in self.terms.items() if mono_weight(m) <= max_weight}
+        if self._packed is not None:
+            return Poly._from_packed(self.n, pk.truncate(self._packed, self.n, max_weight))
+        out = {m: c for m, c in self._terms.items() if mono_weight(m) <= max_weight}
         return Poly._raw(self.n, out)
 
     # -- calculus ----------------------------------------------------------------
@@ -338,14 +414,14 @@ class Poly:
         """Formal partial derivative; kind is 'z', 'zbar' or 'u'."""
         out: Dict[Mono, GaussianRational] = {}
         if kind == "u":
-            for (z, zb, u), c in self.terms.items():
+            for (z, zb, u), c in self._items():
                 if u:
                     out[(z, zb, u - 1)] = c * u
         elif kind in ("z", "zbar"):
             slot = 0 if kind == "z" else 1
             if not 0 <= idx < self.n:
                 raise ValueError(f"variable index {idx} out of range for n={self.n}")
-            for mono, c in self.terms.items():
+            for mono, c in self._items():
                 e = mono[slot][idx]
                 if e:
                     vec = list(mono[slot])
@@ -400,7 +476,7 @@ class Poly:
             return got
 
         total = Poly.zero(n_out)
-        for (z, zb, u), c in self.terms.items():
+        for (z, zb, u), c in self._items():
             acc = Poly.constant(n_out, c)
             for i, e in enumerate(z):
                 if e:
@@ -442,7 +518,7 @@ class Poly:
         return self.substitute(zsubs, zbarsubs, Poly.u(n).scale(u_scale))
 
     def at_u_zero(self) -> "Poly":
-        out = {m: c for m, c in self.terms.items() if m[2] == 0}
+        out = {m: c for m, c in self._items() if m[2] == 0}
         return Poly._raw(self.n, out)
 
     # -- serialization ---------------------------------------------------------------
@@ -485,7 +561,7 @@ class Poly:
     # -- display ------------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._size():
             return "0"
         parts = []
         for (z, zb, u), c in self.sorted_terms():
@@ -503,52 +579,35 @@ class Poly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"Poly(n={self.n}, terms={len(self.terms)})"
+        return f"Poly(n={self.n}, terms={self._size()})"
 
 
-# -- packed-key helpers for multiplication -------------------------------------
+class _TermsView(Mapping):
+    """`Poly.terms`: a read-only mapping over whichever form the Poly stores."""
 
+    __slots__ = ("_poly",)
 
-def _packed_items(p: Poly, max_weight: Optional[int]):
-    """Terms as (weight, exponent-vector, int re, int im), denominator cleared.
+    def __init__(self, poly: Poly):
+        self._poly = poly
 
-    The exponent vector is returned unpacked (tuple of 2n+1 ints); _repack
-    folds it into a single integer once the field width for the product is
-    known.  Terms are sorted by weight so capped products can break early.
-    """
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    items = []
-    nfields = 2 * p.n + 1
-    maxes = [0] * nfields
-    for (z, zb, u), c in p.terms.items():
-        w = sum(z) + sum(zb) + 2 * u
-        if max_weight is not None and w > max_weight:
-            continue
-        fields = z + zb + (u,)
-        for i, e in enumerate(fields):
-            if e > maxes[i]:
-                maxes[i] = e
-        items.append((w, fields, int(c.re * den), int(c.im * den)))
-    items.sort(key=lambda t: t[0])
-    return items, den, maxes
+    def __len__(self):
+        return self._poly._size()
 
+    def __getitem__(self, mono):
+        return self._poly._dict()[mono]
 
-def _repack(items, maxes, bits):
-    out = []
-    for w, fields, re, im in items:
-        key = 0
-        for e in reversed(fields):
-            key = (key << bits) | e
-        out.append((w, key, re, im))
-    return out
+    def __iter__(self):
+        poly = self._poly
+        if poly._packed is not None:
+            bits, keys = poly._packed[0], pk.columns(poly._packed)[0]
+            return (pk.unpack_key(key, bits, poly.n) for key in keys)
+        return iter(poly._terms)
 
+    def get(self, mono, default=None):
+        return self._poly._dict().get(mono, default)
 
-def _unpack_key(key: int, bits: int, n: int) -> Mono:
-    mask = (1 << bits) - 1
-    fields = []
-    for _ in range(2 * n + 1):
-        fields.append(key & mask)
-        key >>= bits
-    return (tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n])
+    def items(self):
+        return self._poly._dict().items()
+
+    def __repr__(self):
+        return repr(self._poly._dict())

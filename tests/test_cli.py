@@ -120,6 +120,15 @@ def test_census_command(tmp_path, capsys):
     assert report["pairs"][0]["samples"] == 10
 
 
+def test_census_rejects_weight_below_every_surface(capsys):
+    code, report = run(capsys, "census", "--n", "2,3", "--m", "0,1", "--max-weight", "3")
+    assert code == 2
+    assert report["command"] == "census" and "max weight 3" in report["error"]
+    code, report = run(capsys, "census", "--n", "2", "--m", "0", "--max-weight", "4",
+                       "--samples", "3", "--seed", "1")
+    assert code == 0 and report["pairs"][0]["samples"] == 3
+
+
 def test_exit_codes(tmp_path, capsys):
     # usage
     assert main([]) == 1

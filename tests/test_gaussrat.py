@@ -5,6 +5,7 @@ import pytest
 
 from crmoser.gaussrat import (
     GaussianRational,
+    _integer_root,
     format_rational,
     parse_rational,
     rational_root,
@@ -63,6 +64,40 @@ def test_rational_root():
     assert rational_root(Fraction(2), 2) is None
     big = Fraction(10**30)
     assert rational_root(big, 2) == 10**15
+
+
+def test_integer_root_beyond_float_range():
+    assert _integer_root(10**400, 2) == 10**200
+    assert _integer_root(10**400 + 1, 2) is None
+    base = int("9" * 500)
+    assert _integer_root(base**3, 3) == base
+    assert _integer_root(base**3 - 1, 3) is None
+    assert _integer_root(2**4000 * 3**5, 5) == 2**800 * 3
+    assert rational_root(Fraction(10**400, 3**600), 2) == Fraction(10**200, 3**300)
+
+
+def test_integer_root_small_values():
+    for k in (1, 2, 3, 4, 7):
+        for r in range(40):
+            assert _integer_root(r**k, k) == r
+            if r > 1 and k > 1:
+                assert _integer_root(r**k + 1, k) is None
+                assert _integer_root(r**k - 1, k) is None
+
+
+@pytest.mark.parametrize("text", [
+    "1e5", "1e-3", "1_0", " 3 ", "3\n", "1.5", "", "/2", "1/", "1/-2", "++1", "\u0661", "1/0", "-7/00",
+])
+def test_parse_rational_rejects(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+def test_parse_rational_accepts_signed_fractions():
+    assert parse_rational("+3") == 3
+    assert parse_rational("-0") == 0
+    assert parse_rational("6/4") == Fraction(3, 2)
+    assert parse_rational("-12/8") == Fraction(-3, 2)
 
 
 def test_json_round_trip():

@@ -1,0 +1,115 @@
+"""Property tests for Poly in both of its stored forms.
+
+A polynomial built from terms holds the term dict; a product holds the
+packed integer form.  Every strategy below yields both kinds, so the laws
+are checked on the packed arithmetic, on the dict arithmetic and across the
+two.  Coefficients include numerators beyond 64 bits, which the packed form
+keeps in tuples instead of machine-integer arrays.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crmoser.gaussrat import GaussianRational
+from crmoser.poly import Poly
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+numerators = st.one_of(st.integers(-6, 6), st.integers(-10**25, 10**25))
+rationals = st.builds(Fraction, numerators, st.integers(1, 4))
+coefficients = st.builds(GaussianRational, rationals, rationals)
+
+
+@st.composite
+def polys(draw, n):
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    monos = st.tuples(exps, exps, st.integers(0, 2))
+    p = Poly(n, draw(st.dictionaries(monos, coefficients, max_size=5)))
+    if draw(st.booleans()):
+        p = p.mul(Poly.constant(n, 1))  # the same polynomial, packed
+    return p
+
+
+@st.composite
+def poly_tuples(draw, count):
+    n = draw(st.integers(1, 3))
+    return tuple(draw(polys(n)) for _ in range(count))
+
+
+@SETTINGS
+@given(poly_tuples(2))
+def test_commutativity(ab):
+    a, b = ab
+    assert a * b == b * a
+    assert a + b == b + a
+
+
+@SETTINGS
+@given(poly_tuples(3))
+def test_associativity_and_distributivity(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert a * (b - c) == a * b - a * c
+
+
+@SETTINGS
+@given(poly_tuples(2), st.integers(0, 12))
+def test_capped_product_is_truncated_product(ab, cap):
+    a, b = ab
+    assert a.mul(b, cap) == (a * b).truncate_weight(cap)
+
+
+@SETTINGS
+@given(poly_tuples(2))
+def test_conjugate_of_product(ab):
+    a, b = ab
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert (a * b).conjugate().conjugate() == a * b
+
+
+@SETTINGS
+@given(poly_tuples(2))
+def test_product_equals_and_hashes_like_its_terms(ab):
+    a, b = ab
+    product = a * b
+    rebuilt = Poly(a.n, dict((a * b).terms))
+    assert product == rebuilt
+    assert hash(product) == hash(rebuilt)
+    assert len(product.terms) == len(rebuilt.terms)
+    assert (a * b).conjugate() == rebuilt.conjugate()
+    assert ((a * b).real_violation() is None) == rebuilt.is_real()
+    real = a * a.conjugate()
+    assert real.real_violation() is None and real.is_real()
+
+
+@SETTINGS
+@given(poly_tuples(2), st.integers(-3, 3), rationals)
+def test_scale_and_subtract(ab, k, q):
+    a, b = ab
+    assert (a * b).scale(q) == (a.scale(q)) * b
+    assert a - a == Poly.zero(a.n)
+    assert (a * b).scale(GaussianRational(k, 1)) == a * b.scale(GaussianRational(k, 1))
+
+
+@SETTINGS
+@given(poly_tuples(2))
+def test_json_round_trip_of_product(ab):
+    a, b = ab
+    product = a * b
+    assert Poly.from_json(product.to_json()) == product
+
+
+@SETTINGS
+@given(poly_tuples(2))
+def test_identity_substitution(ab):
+    a, b = ab
+    n = a.n
+    zs = [Poly.z(n, i) for i in range(n)]
+    zbs = [Poly.zbar(n, i) for i in range(n)]
+    for p in (a, a * b):
+        assert p.substitute(zs, zbs, Poly.u(n)) == p
+        assert p.substitute(zs, zbs, Poly.u(n), max_weight=6) == p.truncate_weight(6)
