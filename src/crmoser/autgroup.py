@@ -224,8 +224,11 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
     columns.append(direction(None, 1))
     monos = sorted(set().union(*(set(c.terms) for c in columns)))
     rows: List[List[Fraction]] = []
+    zero = GaussianRational(0)
+    # every column is read at every monomial: look up in term dicts
+    terms = [c.terms for c in columns]
     for mono in monos:
-        coeffs = [c.coeff(mono) for c in columns]
+        coeffs = [t.get(mono, zero) for t in terms]
         rows.append([c.re for c in coeffs])
         rows.append([c.im for c in coeffs])
     kernel = rational_nullspace(rows, len(columns))

@@ -64,11 +64,14 @@ class CliInputError(ValueError):
 def _read_json(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
+            doc = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliInputError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _sha256(path: str) -> Optional[str]:

@@ -188,20 +188,20 @@ def is_in_lie_algebra(x_mat: Matrix, form: HermitianForm) -> bool:
     return defect.is_zero()
 
 
-def u_basis(form: HermitianForm) -> List[Matrix]:
-    """Real basis of u(H), found by exact rational nullspace computation.
+def x_column(n: int, a: int, b: int) -> int:
+    """Column of Re X_ab among the 2n^2 real unknowns of X; Im X_ab follows it."""
+    return 2 * (a * n + b)
 
-    Each complex entry X_ab is split into real unknowns x_ab + i*y_ab
-    (2n^2 of them); the n^2 complex equations of X^t H + H conj(X) = 0
-    contribute two rational rows apiece.  The kernel always has real
-    dimension n^2.
+
+def pseudounitarity_rows(form: HermitianForm) -> List[List[Fraction]]:
+    """The linearized pseudounitarity system X^t H + H conj(X) = 0.
+
+    Each complex entry X_ab is split into real unknowns x_ab + i*y_ab at
+    columns x_column(n, a, b) and the one after it; the n^2 complex
+    equations contribute two rational rows apiece, real part first.
     """
     n = form.n
     nv = 2 * n * n
-
-    def xcol(a: int, b: int) -> int:
-        return 2 * (a * n + b)
-
     rows: List[List[Fraction]] = []
     for alpha in range(n):
         for beta in range(n):
@@ -211,7 +211,7 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
             for k in range(n):
                 h = form.matrix[k, beta]
                 if not h.is_zero():
-                    c = xcol(k, alpha)
+                    c = x_column(n, k, alpha)
                     # coefficient of X_{k alpha} is h
                     row_re[c] += h.re
                     row_re[c + 1] += -h.im
@@ -219,7 +219,7 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
                     row_im[c + 1] += h.re
                 g = form.matrix[alpha, k]
                 if not g.is_zero():
-                    c = xcol(k, beta)
+                    c = x_column(n, k, beta)
                     # coefficient of conj(X_{k beta}) is g
                     row_re[c] += g.re
                     row_re[c + 1] += g.im
@@ -227,10 +227,19 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
                     row_im[c + 1] += -g.re
             rows.append(row_re)
             rows.append(row_im)
-    basis_vecs = rational_nullspace(rows, nv)
+    return rows
+
+
+def u_basis(form: HermitianForm) -> List[Matrix]:
+    """Real basis of u(H), found by exact rational nullspace computation.
+
+    The kernel of `pseudounitarity_rows` always has real dimension n^2.
+    """
+    n = form.n
+    basis_vecs = rational_nullspace(pseudounitarity_rows(form), 2 * n * n)
     out = []
     for vec in basis_vecs:
-        entries = [[GaussianRational(vec[xcol(a, b)], vec[xcol(a, b) + 1])
+        entries = [[GaussianRational(vec[x_column(n, a, b)], vec[x_column(n, a, b) + 1])
                     for b in range(n)] for a in range(n)]
         out.append(Matrix(entries))
     return out

@@ -1,240 +1,94 @@
 """Truncated holomorphic polynomial maps (f, g) in the variables (z, w).
 
 Jets are graded by weight with z of weight 1 and w of weight 2, matching
-the surface-side grading once w is replaced by u + i(<z,z> + F).  A JetMap
-carries its truncation weight D: monomials of weight > D are dropped and
-identities involving the jet are exact for all weights < D.
+the surface-side grading once w is replaced by u + i(<z,z> + F).  Because
+w and u share that weight, a holomorphic polynomial in (z, w) is a Poly
+with no conj(z) and w held in the u slot: `HoloPoly` is that Poly, viewed
+through (zexp, wexp) keys, and it inherits all of Poly's arithmetic.  A
+JetMap carries its truncation weight D: monomials of weight > D are dropped
+and identities involving the jet are exact for all weights < D.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
-from .gaussrat import GaussianLike, GaussianRational, format_rational, parse_rational
-from .poly import Poly
+from .gaussrat import GaussianLike, GaussianRational
+from .poly import Poly, term_list
 
 HoloMono = Tuple[Tuple[int, ...], int]
 
 
-class HoloPoly:
-    """Sparse polynomial in z_1..z_n and w over Q(i); immutable by convention."""
+class HoloPoly(Poly):
+    """Polynomial in z_1..z_n and w over Q(i): a Poly with w in the u slot."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Optional[Mapping[HoloMono, GaussianLike]] = None):
-        clean: Dict[HoloMono, GaussianRational] = {}
-        if terms:
-            for (z, w), coeff in terms.items():
-                if len(z) != n:
-                    raise ValueError(f"monomial {(z, w)} does not match n={n}")
-                if w < 0 or any(e < 0 for e in z):
-                    raise ValueError(f"negative exponent in monomial {(z, w)}")
-                c = GaussianRational.of(coeff)
-                if not c.is_zero():
-                    clean[(tuple(z), w)] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        zeros = (0,) * n
+        super().__init__(n, {(z, zeros, w): c for (z, w), c in (terms or {}).items()})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HoloPoly is immutable")
-
-    @classmethod
-    def _raw(cls, n: int, terms: Dict[HoloMono, GaussianRational]) -> "HoloPoly":
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", terms)
-        return p
-
-    @classmethod
-    def zero(cls, n: int) -> "HoloPoly":
-        return cls._raw(n, {})
-
-    @classmethod
-    def constant(cls, n: int, c: GaussianLike) -> "HoloPoly":
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            return cls.zero(n)
-        return cls._raw(n, {((0,) * n, 0): c})
-
-    @classmethod
-    def z(cls, n: int, idx: int) -> "HoloPoly":
-        if not 0 <= idx < n:
-            raise ValueError(f"variable index {idx} out of range")
-        e = tuple(1 if i == idx else 0 for i in range(n))
-        return cls._raw(n, {(e, 0): GaussianRational(1)})
+    @property
+    def terms(self) -> Mapping[HoloMono, GaussianRational]:
+        """Read-only mapping (zexp, wexp) -> coefficient."""
+        return _HoloTermsView(self)
 
     @classmethod
     def w(cls, n: int) -> "HoloPoly":
-        return cls._raw(n, {((0,) * n, 1): GaussianRational(1)})
+        return cls.u(n)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    weight_truncate = Poly.truncate_weight
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, HoloPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def coeff(self, zexp: Tuple[int, ...], wexp: int) -> GaussianRational:
-        return self.terms.get((tuple(zexp), wexp), GaussianRational(0))
+    def _zw_coeff(self, zexp: Tuple[int, ...], wexp: int) -> GaussianRational:
+        return self.coeff((zexp, (0,) * self.n, wexp))
 
     def constant_term(self) -> GaussianRational:
-        return self.coeff((0,) * self.n, 0)
+        return self._zw_coeff((0,) * self.n, 0)
 
     def z_linear_coeff(self, idx: int) -> GaussianRational:
-        e = tuple(1 if i == idx else 0 for i in range(self.n))
-        return self.coeff(e, 0)
+        return self._zw_coeff(tuple(1 if i == idx else 0 for i in range(self.n)), 0)
 
     def w_linear_coeff(self) -> GaussianRational:
-        return self.coeff((0,) * self.n, 1)
+        return self._zw_coeff((0,) * self.n, 1)
 
     def w_quadratic_coeff(self) -> GaussianRational:
-        return self.coeff((0,) * self.n, 2)
-
-    def __add__(self, other):
-        if isinstance(other, (int, GaussianRational)):
-            other = HoloPoly.constant(self.n, other)
-        if not isinstance(other, HoloPoly):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return HoloPoly._raw(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HoloPoly._raw(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c: GaussianLike) -> "HoloPoly":
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            return HoloPoly.zero(self.n)
-        return HoloPoly._raw(self.n, {m: v * c for m, v in self.terms.items()})
-
-    def mul(self, other: "HoloPoly", max_weight: Optional[int] = None) -> "HoloPoly":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        out: Dict[HoloMono, GaussianRational] = {}
-        for (za, wa), ca in self.terms.items():
-            wta = sum(za) + 2 * wa
-            for (zb, wb), cb in other.terms.items():
-                if max_weight is not None and wta + sum(zb) + 2 * wb > max_weight:
-                    continue
-                key = (tuple(x + y for x, y in zip(za, zb)), wa + wb)
-                add = ca * cb
-                prev = out.get(key)
-                s = add if prev is None else prev + add
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return HoloPoly._raw(self.n, out)
-
-    def __mul__(self, other):
-        if isinstance(other, HoloPoly):
-            return self.mul(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def pow(self, exp: int, max_weight: Optional[int] = None) -> "HoloPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        result = HoloPoly.constant(self.n, 1)
-        base = self
-        e = exp
-        while e:
-            if e & 1:
-                result = result.mul(base, max_weight)
-            e >>= 1
-            if e:
-                base = base.mul(base, max_weight)
-        return result
-
-    def weight_truncate(self, max_weight: int) -> "HoloPoly":
-        out = {m: c for m, c in self.terms.items()
-               if sum(m[0]) + 2 * m[1] <= max_weight}
-        return HoloPoly._raw(self.n, out)
-
-    def min_weight(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(sum(z) + 2 * w for z, w in self.terms)
+        return self._zw_coeff((0,) * self.n, 2)
 
     def substitute_w(self, wpoly: Poly, max_weight: Optional[int] = None) -> Poly:
         """Evaluate with z_i kept and w replaced by a mixed polynomial."""
-        n = self.n
-        if wpoly.n != n:
-            raise ValueError("dimension mismatch")
-        by_w: Dict[int, Dict] = {}
-        for (z, w), c in self.terms.items():
-            by_w.setdefault(w, {})[(z, (0,) * n, 0)] = c
-        result = Poly.zero(n)
-        wpow = Poly.constant(n, 1)
-        level = 0
-        for w in sorted(by_w):
-            while level < w:
-                wpow = wpow.mul(wpoly, max_weight)
-                level += 1
-            part = Poly(n, by_w[w])
-            result = result + part.mul(wpow, max_weight)
-        if max_weight is not None:
-            result = result.truncate_weight(max_weight)
-        return result
+        return self.substitute(usub=wpoly, max_weight=max_weight)
 
     def terms_to_json(self) -> list:
-        items = sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        return [{
-            "z": list(z),
-            "w": w,
-            "re": format_rational(c.re),
-            "im": format_rational(c.im),
-        } for (z, w), c in items]
+        return [{"z": t["z"], "w": t["u"], "re": t["re"], "im": t["im"]}
+                for t in super().terms_to_json()]
 
     @classmethod
-    def terms_from_json(cls, n: int, items: Iterable[dict]) -> "HoloPoly":
-        terms: Dict[HoloMono, GaussianRational] = {}
-        for item in items:
-            z = tuple(int(e) for e in item.get("z", [0] * n))
-            w = int(item.get("w", 0))
-            c = GaussianRational(
-                parse_rational(str(item.get("re", "0"))),
-                parse_rational(str(item.get("im", "0"))),
-            )
-            prev = terms.get((z, w))
-            terms[(z, w)] = c if prev is None else prev + c
-        return cls(n, terms)
+    def terms_from_json(cls, n: int, items) -> "HoloPoly":
+        """Poly's term-list parser with w read as u; other keys are ignored."""
+        renamed = [{("u" if key == "w" else key): value for key, value in item.items()
+                    if key in ("z", "w", "re", "im")} for item in term_list(items)]
+        return Poly.terms_from_json(n, renamed)._as(cls)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (z, w), c in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            factors = [f"z{i+1}" + (f"^{e}" if e > 1 else "")
-                       for i, e in enumerate(z) if e]
-            if w:
-                factors.append("w" + (f"^{w}" if w > 1 else ""))
-            parts.append(f"({c}) " + (" ".join(factors) if factors else "1"))
-        return " + ".join(parts)
 
-    def __repr__(self):
-        return f"HoloPoly(n={self.n}, terms={len(self.terms)})"
+class _HoloTermsView(Mapping):
+    """`HoloPoly.terms`: the Poly terms keyed by (zexp, wexp)."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, poly: HoloPoly):
+        self._terms = super(HoloPoly, poly).terms
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __iter__(self):
+        return ((z, w) for z, _zb, w in self._terms)
+
+    def __getitem__(self, key):
+        z, w = key
+        return self._terms[(tuple(z), (0,) * len(z), w)]
 
 
 @dataclass(frozen=True)
@@ -277,6 +131,8 @@ class JetMap:
     def from_json(cls, obj: dict) -> "JetMap":
         d = int(obj["D"])
         fts = obj["f"]
+        if not isinstance(fts, list):
+            raise ValueError("jet field 'f' must be a list of term lists")
         n = len(fts)
         f = tuple(HoloPoly.terms_from_json(n, items) for items in fts)
         g = HoloPoly.terms_from_json(n, obj["g"])

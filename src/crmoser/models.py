@@ -38,7 +38,9 @@ from .forms import (
     DIAGONAL,
     HermitianForm,
     is_pseudounitary,
+    pseudounitarity_rows,
     standard_form,
+    x_column,
 )
 from .gaussrat import GaussianLike, GaussianRational, as_fraction, rational_root
 from .linalg import Matrix, rational_nullspace
@@ -199,41 +201,16 @@ def s_dimension(n: int, m: int) -> int:
         raise ModelError(f"S is defined for m >= 1 and n >= 2m, got ({n},{m})")
     form = standard_form(n, m, ANTIDIAGONAL)
     nv = 2 * n * n
-
-    def xcol(a: int, b: int) -> int:
-        return 2 * (a * n + b)
-
-    rows = []
-    for alpha in range(n):
-        for beta in range(n):
-            row_re = [Fraction(0)] * nv
-            row_im = [Fraction(0)] * nv
-            for k in range(n):
-                h = form.matrix[k, beta]
-                if not h.is_zero():
-                    col = xcol(k, alpha)
-                    row_re[col] += h.re
-                    row_re[col + 1] += -h.im
-                    row_im[col] += h.im
-                    row_im[col + 1] += h.re
-                g = form.matrix[alpha, k]
-                if not g.is_zero():
-                    col = xcol(k, beta)
-                    row_re[col] += g.re
-                    row_re[col + 1] += g.im
-                    row_im[col] += g.im
-                    row_im[col + 1] += -g.re
-            rows.append(row_re)
-            rows.append(row_im)
+    rows = pseudounitarity_rows(form)
     for i in range(1, n):
         for part in (0, 1):
             row = [Fraction(0)] * nv
-            row[xcol(i, 0) + part] = Fraction(1)
+            row[x_column(n, i, 0) + part] = Fraction(1)
             rows.append(row)
     for j in range(n - 1):
         for part in (0, 1):
             row = [Fraction(0)] * nv
-            row[xcol(n - 1, j) + part] = Fraction(1)
+            row[x_column(n, n - 1, j) + part] = Fraction(1)
             rows.append(row)
     return len(rational_nullspace(rows, nv))
 

@@ -51,22 +51,27 @@ def weight(packed: Packed, index: int, n: int) -> int:
     return packed[2][index % size(packed)] >> (packed[0] * (2 * n + 1))
 
 
-def pack(n: int, terms) -> Packed:
+def pack(terms) -> Packed:
     """The packed form of a nonempty dict monomial -> GaussianRational."""
     den = 1
     for c in terms.values():
         den = lcm(den, c.re.denominator, c.im.denominator)
     bits = field_bits(max(sum(z) + sum(zb) + 2 * u for z, zb, u in terms))
-    shift = bits * (2 * n + 1)
     acc = {}
-    for (z, zb, u), c in terms.items():
-        key = u
-        for e in reversed(z + zb):
-            key = (key << bits) | e
+    for mono, c in terms.items():
         re, im = c.re, c.im
-        acc[key | ((sum(z) + sum(zb) + 2 * u) << shift)] = [
+        acc[pack_key(mono, bits)] = [
             re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)]
     return collect(bits, den, acc)
+
+
+def pack_key(mono: tuple, bits: int) -> int:
+    """The key of a monomial (zexp, zbexp, uexp) whose exponents fit in `bits` bits."""
+    z, zb, u = mono
+    key = u
+    for e in reversed(z + zb):
+        key = (key << bits) | e
+    return key | ((sum(z) + sum(zb) + 2 * u) << (bits * (2 * len(z) + 1)))
 
 
 def unpack_key(key: int, bits: int, n: int) -> tuple:
@@ -77,6 +82,20 @@ def unpack_key(key: int, bits: int, n: int) -> tuple:
         fields.append(key & mask)
         key >>= bits
     return (tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n])
+
+
+def coeff(packed: Packed, mono: tuple) -> GaussianRational:
+    """The coefficient of a monomial, zero when it is absent."""
+    bits, den, data = packed
+    z, zb, u = mono
+    if max(*z, *zb, u) >> bits:
+        return GaussianRational(0)  # too large for a field, so absent
+    key = pack_key(mono, bits)
+    k = size(packed)
+    i = bisect_left(data, key, 0, k)
+    if i == k or data[i] != key:
+        return GaussianRational(0)
+    return GaussianRational(Fraction(data[k + i], den), Fraction(data[2 * k + i], den))
 
 
 def unpack(n: int, packed: Packed) -> Iterator[Tuple[tuple, GaussianRational]]:
@@ -216,3 +235,30 @@ def truncate(packed: Packed, n: int, max_weight: int) -> Packed:
     if end == k:
         return packed
     return reduced(bits, den, data[:end], data[k:k + end], data[2 * k:2 * k + end])
+
+
+def split(packed: Packed, n: int, fields: Sequence[int]) -> Dict[Tuple[int, ...], Packed]:
+    """The terms grouped by their exponents in `fields`, those exponents cleared.
+
+    Field i < 2n holds a z or conj(z) exponent (weight 1), field 2n the u
+    exponent (weight 2).  Clearing fields subtracts one constant from every
+    key of a group, so each group's keys stay in order.
+    """
+    bits, den, _data = packed
+    mask = (1 << bits) - 1
+    shift = bits * (2 * n + 1)
+    offsets = [bits * i for i in fields]
+    weights = [2 if i == 2 * n else 1 for i in fields]
+    groups: Dict[Tuple[int, ...], list] = {}
+    for key, re, im in zip(*columns(packed)):
+        exps = tuple([(key >> off) & mask for off in offsets])
+        group = groups.get(exps)
+        if group is None:
+            drop = sum(e << off for e, off in zip(exps, offsets))
+            drop += sum(e * w for e, w in zip(exps, weights)) << shift
+            group = groups[exps] = [drop, [], [], []]
+        group[1].append(key - group[0])
+        group[2].append(re)
+        group[3].append(im)
+    return {exps: reduced(bits, den, keys, res, ims)
+            for exps, (_drop, keys, res, ims) in groups.items()}

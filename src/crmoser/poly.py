@@ -21,10 +21,17 @@ A Poly stores one of two forms: the term dict, or the packed integer form
 of `crmoser.packed` (numerators over one shared denominator, one integer key
 per monomial, keys in weight order).  Products run on the packed form and
 are born packed; a polynomial built from terms is packed the first time it
-is a factor, and sums, scalings and conjugates of packed polynomials stay
-packed.  Reading `terms` builds the term dict, which then replaces the
+is a factor or is substituted into, and sums, scalings and conjugates of
+packed polynomials stay packed.  Reading `terms` builds the term dict, which then replaces the
 packed form.  A weight cap reads a prefix of the packed keys, which keeps
 truncated series composition exact for every weight below it.
+
+Ring operations (sums, scalings, products, powers, weight truncations)
+return the operands' class when they share one and Poly otherwise, so a
+subclass that only renames variables, such as `crmoser.jets.HoloPoly`
+(holomorphic jets with w held in the u slot), keeps its class under its own
+arithmetic.  Poly's own methods never read `terms`, which a subclass may
+key differently.
 """
 
 from __future__ import annotations
@@ -98,6 +105,20 @@ class Poly:
         object.__setattr__(p, "_packed", None)
         return p
 
+    def _as(self, cls: type) -> "Poly":
+        """The same polynomial as an instance of `cls`, sharing the stored form."""
+        if type(self) is cls:
+            return self
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", self.n)
+        object.__setattr__(p, "_terms", self._terms)
+        object.__setattr__(p, "_packed", self._packed)
+        return p
+
+    def _kind(self, other: "Poly") -> type:
+        """The class of a ring result: the operands' class when they share one."""
+        return type(self) if type(other) is type(self) else Poly
+
     @classmethod
     def _from_packed(cls, n: int, packed: pk.Packed) -> "Poly":
         # internal: packed form already reduced, with sorted keys and no zero terms
@@ -145,7 +166,7 @@ class Poly:
         """The packed form, converting the stored form to it if needed."""
         packed = self._packed
         if packed is None:
-            packed = pk.pack(self.n, self._terms)
+            packed = pk.pack(self._terms)
             object.__setattr__(self, "_packed", packed)
             object.__setattr__(self, "_terms", None)
         return packed
@@ -189,7 +210,7 @@ class Poly:
     @classmethod
     def monomial(cls, n: int, zexp: Sequence[int], zbexp: Sequence[int], uexp: int,
                  coeff: GaussianLike = 1) -> "Poly":
-        return cls(n, {(tuple(zexp), tuple(zbexp), uexp): coeff})
+        return Poly(n, {(tuple(zexp), tuple(zbexp), uexp): coeff})._as(cls)
 
     # -- basic queries -----------------------------------------------------------
 
@@ -197,14 +218,17 @@ class Poly:
         return not self._size()
 
     def coeff(self, mono: Mono) -> GaussianRational:
-        return self._dict().get(mono, GaussianRational(0))
+        """The coefficient of a monomial; reading it converts neither form."""
+        if self._packed is not None:
+            return pk.coeff(self._packed, mono)
+        return self._terms.get(mono, GaussianRational(0))
 
     def __bool__(self):
         return bool(self._size())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.constant(self.n, other)
+            other = type(self).constant(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
         if self.n != other.n or self._size() != other._size():
@@ -230,7 +254,7 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.constant(self.n, other)
+            other = type(self).constant(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self._combine(other, False)
@@ -239,7 +263,7 @@ class Poly:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Poly.constant(self.n, other)
+            other = type(self).constant(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self._combine(other, True)
@@ -254,13 +278,14 @@ class Poly:
         packed too, as if it were a factor.
         """
         self._check_dim(other)
+        cls = self._kind(other)
         if not other._size():
-            return self
+            return self._as(cls)
         if not self._size():
-            return -other if subtract else other
+            return (-other if subtract else other)._as(cls)
         if self._packed is not None or other._packed is not None:
             bits = max(self._packed_form()[0], other._packed_form()[0])
-            return Poly._from_packed(
+            return cls._from_packed(
                 self.n, pk.combine(self._widen(bits), other._widen(bits), subtract))
         out = dict(self._terms)
         for mono, c in other._terms.items():
@@ -273,18 +298,19 @@ class Poly:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-        return Poly._raw(self.n, out)
+        return cls._raw(self.n, out)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c: GaussianLike) -> "Poly":
         c = GaussianRational.of(c)
+        cls = type(self)
         if c.is_zero():
-            return Poly.zero(self.n)
+            return cls.zero(self.n)
         if self._packed is not None:
-            return Poly._from_packed(self.n, pk.scale(self._packed, c))
-        return Poly._raw(self.n, {m: v * c for m, v in self._terms.items()})
+            return cls._from_packed(self.n, pk.scale(self._packed, c))
+        return cls._raw(self.n, {m: v * c for m, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -303,17 +329,18 @@ class Poly:
         """
         self._check_dim(other)
         n = self.n
+        cls = self._kind(other)
         if not self._size() or not other._size():
-            return Poly.zero(n)
+            return cls.zero(n)
         a, b = (other, self) if self._size() > other._size() else (self, other)
         pa, pb = a._packed_form(), b._packed_form()
         top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
         if max_weight is not None:
             if pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > max_weight:
-                return Poly.zero(n)
+                return cls.zero(n)
             top = min(top, max_weight)
         bits = max(pa[0], pb[0], pk.field_bits(top))
-        return Poly._from_packed(
+        return cls._from_packed(
             n, pk.product(n, a._widen(bits), b._widen(bits), max_weight))
 
     def _widen(self, bits: int) -> pk.Packed:
@@ -328,7 +355,7 @@ class Poly:
     def pow(self, exp: int, max_weight: Optional[int] = None) -> "Poly":
         if exp < 0:
             raise ValueError("negative exponent")
-        result = Poly.constant(self.n, 1)
+        result = type(self).constant(self.n, 1)
         base = self
         e = exp
         while e:
@@ -357,7 +384,7 @@ class Poly:
 
         The witness is the first violating monomial in the stored order.
         """
-        return next(iter((self - self.conjugate()).terms), None)
+        return next(iter(_TermsView(self - self.conjugate())), None)
 
     def real_part(self) -> "Poly":
         return (self + self.conjugate()).scale(Fraction(1, 2))
@@ -375,7 +402,7 @@ class Poly:
         return Poly._raw(self.n, out)
 
     def bidegrees(self) -> List[Tuple[int, int]]:
-        return sorted({mono_bidegree(m) for m in self.terms})
+        return sorted({mono_bidegree(m) for m in _TermsView(self)})
 
     def weight_decompose(self) -> Dict[int, "Poly"]:
         buckets: Dict[int, Dict[Mono, GaussianRational]] = {}
@@ -403,10 +430,11 @@ class Poly:
         return max(mono_weight(m) for m in self._terms)
 
     def truncate_weight(self, max_weight: int) -> "Poly":
+        cls = type(self)
         if self._packed is not None:
-            return Poly._from_packed(self.n, pk.truncate(self._packed, self.n, max_weight))
+            return cls._from_packed(self.n, pk.truncate(self._packed, self.n, max_weight))
         out = {m: c for m, c in self._terms.items() if mono_weight(m) <= max_weight}
-        return Poly._raw(self.n, out)
+        return cls._raw(self.n, out)
 
     # -- calculus ----------------------------------------------------------------
 
@@ -444,49 +472,53 @@ class Poly:
     ) -> "Poly":
         """Evaluate with z_a -> zsubs[a], conj(z_a) -> zbarsubs[a], u -> usub.
 
-        None leaves the corresponding variables untouched.  Substituted
-        polynomials must share one target dimension.  The caller is
-        responsible for conjugation consistency when reality matters.
+        None keeps the corresponding variables.  Substituted polynomials
+        must share one target dimension, which must be n when a variable is
+        kept.  The caller is responsible for conjugation consistency when
+        reality matters.
+
+        Monomials are grouped by their exponents in the substituted
+        variables.  Each group's kept part is multiplied by one power of
+        each substituted polynomial, powers are built incrementally
+        (p^e = p^(e-1) p, capped), and the sum is truncated once at
+        max_weight.
         """
         n = self.n
         if zsubs is not None and len(zsubs) != n:
             raise ValueError("zsubs must supply one polynomial per variable")
         if zbarsubs is not None and len(zbarsubs) != n:
             raise ValueError("zbarsubs must supply one polynomial per variable")
-        n_out = self.n
-        for p in list(zsubs or []) + list(zbarsubs or []) + ([usub] if usub else []):
-            n_out = p.n
-            break
-        bases: Dict[Tuple[int, int], Poly] = {}
-        for i in range(n):
-            bases[(0, i)] = zsubs[i] if zsubs is not None else Poly.z(n_out, i)
-            bases[(1, i)] = zbarsubs[i] if zbarsubs is not None else Poly.zbar(n_out, i)
-        bases[(2, 0)] = usub if usub is not None else Poly.u(n_out)
-        for p in bases.values():
-            if p.n != n_out:
-                raise ValueError("substitution targets have mismatched dimensions")
-        powers: Dict[Tuple[int, int, int], Poly] = {}
+        # one slot per variable, in the order z_1..z_n, conj(z_1)..conj(z_n), u
+        slots = [*(zsubs if zsubs is not None else [None] * n),
+                 *(zbarsubs if zbarsubs is not None else [None] * n), usub]
+        moved = [i for i, p in enumerate(slots) if p is not None]
+        n_out = slots[moved[0]].n if moved else n
+        if any(slots[i].n != n_out for i in moved):
+            raise ValueError("substitution targets have mismatched dimensions")
+        if len(moved) < len(slots) and n_out != n:
+            raise ValueError(
+                f"kept variables need substitution targets of dimension {n}, got {n_out}")
+        if not self._size():
+            return Poly.zero(n_out)
+        groups = pk.split(self._packed_form(), n, moved)
+        one = Poly.constant(n_out, 1)
+        powers = {i: [one] for i in moved}
 
-        def powered(slot: Tuple[int, int], e: int) -> Poly:
-            key = (slot[0], slot[1], e)
-            got = powers.get(key)
-            if got is None:
-                got = bases[slot].pow(e, max_weight)
-                powers[key] = got
-            return got
+        def power(i: int, e: int) -> Poly:
+            got = powers[i]
+            while len(got) <= e:
+                got.append(got[-1].mul(slots[i], max_weight))
+            return got[e]
 
         total = Poly.zero(n_out)
-        for (z, zb, u), c in self._items():
-            acc = Poly.constant(n_out, c)
-            for i, e in enumerate(z):
+        for exps, part in groups.items():
+            acc = Poly._from_packed(n_out, part)
+            for i, e in zip(moved, exps):
                 if e:
-                    acc = acc.mul(powered((0, i), e), max_weight)
-            for i, e in enumerate(zb):
-                if e:
-                    acc = acc.mul(powered((1, i), e), max_weight)
-            if u:
-                acc = acc.mul(powered((2, 0), u), max_weight)
+                    acc = acc.mul(power(i, e), max_weight)
             total = total + acc
+        if max_weight is not None:
+            total = total.truncate_weight(max_weight)
         return total
 
     def substitute_linear(self, a_matrix, u_scale: Fraction) -> "Poly":
@@ -544,10 +576,11 @@ class Poly:
 
     @classmethod
     def terms_from_json(cls, n: int, items: Iterable[dict]) -> "Poly":
+        """The polynomial of a JSON term list; ValueError on a malformed one."""
         terms: Dict[Mono, GaussianRational] = {}
-        for item in items:
-            z = tuple(int(e) for e in item.get("z", [0] * n))
-            zb = tuple(int(e) for e in item.get("zbar", [0] * n))
+        for item in term_list(items):
+            z = _exponents(item, "z", n)
+            zb = _exponents(item, "zbar", n)
             u = int(item.get("u", 0))
             c = GaussianRational(
                 parse_rational(str(item.get("re", "0"))),
@@ -579,7 +612,24 @@ class Poly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"Poly(n={self.n}, terms={self._size()})"
+        return f"{type(self).__name__}(n={self.n}, terms={self._size()})"
+
+
+def term_list(items) -> list:
+    """`items` if it is a JSON list of objects, else ValueError."""
+    if not isinstance(items, list):
+        raise ValueError(f"a term list must be a JSON list, got {type(items).__name__}")
+    for item in items:
+        if not isinstance(item, dict):
+            raise ValueError(f"a term must be a JSON object, got {type(item).__name__}")
+    return items
+
+
+def _exponents(item: dict, key: str, n: int) -> Tuple[int, ...]:
+    exps = item.get(key, [0] * n)
+    if not isinstance(exps, list):
+        raise ValueError(f"term field {key!r} must be a list of exponents")
+    return tuple(int(e) for e in exps)
 
 
 class _TermsView(Mapping):

@@ -153,3 +153,18 @@ def test_output_flag_writes_report(tmp_path, capsys):
     code, report = run(capsys, "check", "--surface", surf, "--output", str(out))
     assert code == 0
     assert json.loads(out.read_text()) == report
+
+
+def test_document_shape_errors_are_json_reports(tmp_path, capsys):
+    surf = write(tmp_path, "q4.json",
+                 {"n": 2, "m": 0, "kind": "diagonal", "F": "Q^4"})
+    not_object = write(tmp_path, "list.json", [1, 2])
+    code, report = run(capsys, "check", "--surface", not_object)
+    assert code == 2 and "JSON object" in report["error"]
+    f_not_list = write(tmp_path, "f.json", {"type": "jet", "D": 4, "f": 5, "g": []})
+    code, report = run(capsys, "verify", "--surface", surf, "--map", f_not_list)
+    assert code == 2 and report["command"] == "verify" and "'f'" in report["error"]
+    term_not_object = write(tmp_path, "g.json", {"type": "jet", "D": 4, "f": [[], []],
+                                                 "g": [7]})
+    code, report = run(capsys, "verify", "--surface", surf, "--map", term_not_object)
+    assert code == 2 and "JSON object" in report["error"]

@@ -88,3 +88,34 @@ def test_identity_jet():
     jet = JetMap.identity(3, 5)
     assert jet.f[1] == HoloPoly.z(3, 1)
     assert jet.g == HoloPoly.w(3)
+
+
+def test_holopoly_arithmetic_keeps_its_class():
+    rng = random.Random(7)
+    a = random_holo(rng, 2)
+    b = random_holo(rng, 2)
+    for result in (a * b, a.mul(b, 4), a + b, a - b, -a, a.scale(3), a.pow(2),
+                   a.weight_truncate(3), a + 1, HoloPoly.zero(2) + a):
+        assert type(result) is HoloPoly
+    mixed = Poly.zbar(2, 0) + Poly.u(2)
+    for result in (a * mixed, mixed * a, a + mixed, a - Poly.zero(2), a.conjugate(),
+                   a.substitute_w(mixed)):
+        assert type(result) is Poly
+
+
+def test_holopoly_is_a_poly_with_w_in_the_u_slot():
+    p = HoloPoly(2, {((2, 0), 1): GaussianRational(3), ((0, 1), 0): GaussianRational(0, 1)})
+    assert p == Poly.monomial(2, (2, 0), (0, 0), 1, 3) + Poly.z(2, 1).scale(GaussianRational(0, 1))
+    assert HoloPoly.w(2) == Poly.u(2)
+    assert HoloPoly.monomial(2, (2, 0), (0, 0), 1, 3) == HoloPoly(2, {((2, 0), 1): 3})
+    assert p.bidegrees() == [(1, 0), (2, 0)]
+    assert (p * p).bidegrees() == [(2, 0), (3, 0), (4, 0)]
+    assert dict(p.terms) == {((2, 0), 1): GaussianRational(3),
+                             ((0, 1), 0): GaussianRational(0, 1)}
+    assert set((p * p).terms) == {((4, 0), 2), ((2, 1), 1), ((0, 2), 0)}
+    assert p.min_weight() == 1 and p.max_weight() == 4
+
+
+def test_substitute_w_rejects_a_target_of_another_dimension():
+    with pytest.raises(ValueError):
+        HoloPoly.w(2).substitute_w(Poly.u(3))

@@ -9,6 +9,7 @@ keeps in tuples instead of machine-integer arrays.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,19 @@ def test_product_equals_and_hashes_like_its_terms(ab):
 
 
 @SETTINGS
+@given(poly_tuples(2), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                                          st.integers(0, 9)), max_size=6))
+def test_coefficient_lookup_on_the_packed_form(ab, exps):
+    a, b = ab
+    n = a.n
+    product = a * b
+    rebuilt = Poly(n, dict((a * b).terms))
+    spread = [((e,) * n, (f,) * n, u) for e, f, u in exps]  # exponents beyond a field too
+    for mono in [*rebuilt.terms, *spread]:
+        assert product.coeff(mono) == rebuilt.terms.get(mono, 0)
+
+
+@SETTINGS
 @given(poly_tuples(2), st.integers(-3, 3), rationals)
 def test_scale_and_subtract(ab, k, q):
     a, b = ab
@@ -113,3 +127,53 @@ def test_identity_substitution(ab):
     for p in (a, a * b):
         assert p.substitute(zs, zbs, Poly.u(n)) == p
         assert p.substitute(zs, zbs, Poly.u(n), max_weight=6) == p.truncate_weight(6)
+
+
+@st.composite
+def kept_substitutions(draw):
+    """(p, zsubs, zbarsubs, usub, cap): each group of variables kept (None) or not."""
+    n = draw(st.integers(1, 2))
+    p = draw(polys(n))
+    exps = st.tuples(*[st.integers(0, 1)] * n)
+    monos = st.tuples(exps, exps, st.integers(0, 1))
+
+    def target():
+        q = Poly(n, draw(st.dictionaries(monos, coefficients, max_size=3)))
+        return q.mul(Poly.constant(n, 1)) if draw(st.booleans()) else q
+
+    zs = [target() for _ in range(n)] if draw(st.booleans()) else None
+    zbs = [target() for _ in range(n)] if draw(st.booleans()) else None
+    us = target() if draw(st.booleans()) else None
+    cap = draw(st.one_of(st.none(), st.integers(0, 8)))
+    return p, zs, zbs, us, cap
+
+
+@SETTINGS
+@given(kept_substitutions())
+def test_kept_variables_equal_identity_substitution(case):
+    p, zs, zbs, us, cap = case
+    n = p.n
+    identity = ([Poly.z(n, i) for i in range(n)] if zs is None else zs,
+                [Poly.zbar(n, i) for i in range(n)] if zbs is None else zbs,
+                Poly.u(n) if us is None else us)
+    got = p.substitute(zs, zbs, us, max_weight=cap)
+    assert got == p.substitute(*identity, max_weight=cap)
+    if cap is not None:
+        assert got == p.substitute(zs, zbs, us).truncate_weight(cap)
+
+
+def test_kept_variables_above_the_cap_are_dropped():
+    z = Poly.z(1, 0)
+    assert (z.pow(3) + Poly.u(1)).substitute(usub=z, max_weight=2) == z
+
+
+def test_kept_variable_with_mismatched_target_dimension_raises():
+    p = Poly.z(2, 0) * Poly.u(2)
+    with pytest.raises(ValueError):
+        p.substitute(usub=Poly.u(3))
+    with pytest.raises(ValueError):
+        p.substitute(zsubs=[Poly.z(3, 0), Poly.z(3, 1)], max_weight=4)
+    # with every variable substituted, the target dimension is free
+    moved = p.substitute([Poly.z(3, 0), Poly.z(3, 1)], [Poly.zbar(3, 0), Poly.zbar(3, 1)],
+                         Poly.u(3))
+    assert moved == Poly.z(3, 0) * Poly.u(3)

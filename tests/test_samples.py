@@ -3,9 +3,27 @@
 import json
 import pathlib
 
-from crmoser.cli import main
+import pytest
 
-SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+from crmoser.cli import main
+from crmoser.jets import JetMap
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
+EXPECTED = pathlib.Path(__file__).resolve().parent / "expected"
+
+SURFACES = ("corollary2_2_1", "umbilic_q4", "theorem1_n3")
+MAPS = (("corollary2_2_1", "map_scaled_mu2"),
+        ("umbilic_q4", "map_linear_rotation"),
+        ("umbilic_q4", "map_jet_rotation"))
+# (expected file stem, argv with paths relative to the repository root)
+GOLDEN = (
+    *((f"{cmd}-{s}", [cmd, "--surface", f"samples/{s}.json"])
+      for s in SURFACES for cmd in ("check", "stabdim", "classify")),
+    *((f"verify-{s}-{m}", ["verify", "--surface", f"samples/{s}.json",
+                           "--map", f"samples/{m}.json"]) for s, m in MAPS),
+    ("model-model_theorem2_s0", ["model", "--spec", "samples/model_theorem2_s0.json"]),
+)
 
 
 def run(capsys, *argv):
@@ -46,3 +64,21 @@ def test_model_sample_builds_and_checks(tmp_path, capsys):
     assert code == 0
     code, report = run(capsys, "classify", "--surface", out)
     assert code == 0 and report["case"] == "T2_CASE" and report["dim"] == 3
+
+
+def test_jet_sample_verifies_and_round_trips(capsys):
+    path = SAMPLES / "map_jet_rotation.json"
+    code, report = run(capsys, "verify",
+                       "--surface", str(SAMPLES / "umbilic_q4.json"),
+                       "--map", str(path))
+    assert code == 0 and report["verified"] and report["checked_weight"] == 9
+    doc = json.loads(path.read_text())
+    assert doc.pop("type") == "jet"
+    assert JetMap.from_json(doc).to_json() == doc
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_sample_reports_match_golden_bytes(name, argv, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (EXPECTED / f"{name}.json").read_text(encoding="utf-8")
