@@ -25,7 +25,7 @@ from .autgroup import (
     verify_automorphism,
 )
 from .census import CensusConfig, run_census
-from .gaussrat import parse_rational
+from .gaussrat import parse_int, parse_rational
 from .jets import JetMap
 from .linalg import Matrix
 from .models import (
@@ -40,6 +40,7 @@ from .models import (
     verify_scaled_automorphism,
 )
 from .normal_form import NormalFormError, check_normal_form
+from .poly import term_list
 from .surface_io import SurfaceParseError, surface_from_json, surface_to_json
 
 SCHEMA = "cr-moser-report/1"
@@ -139,7 +140,7 @@ def cmd_verify(args) -> int:
             surface,
             Matrix.from_json(map_doc["U"]),
             parse_rational(str(map_doc.get("lambda", "1"))),
-            int(map_doc.get("sigma", 1)),
+            parse_int(map_doc.get("sigma", 1), "map field 'sigma'"),
         )
         payload = {"kind": "linear", "verified": ok}
     elif kind == "scaled":
@@ -167,26 +168,27 @@ def cmd_verify(args) -> int:
 
 def _build_model(spec: dict):
     family = spec.get("family")
-    n = int(spec["n"])
+    n = parse_int(spec["n"], "model field 'n'")
     coeffs = {}
-    for item in spec.get("coeffs", []):
-        key = (int(item.get("r", 0)), int(item.get("p", 0)), int(item.get("q", 0)))
+    for item in term_list(spec.get("coeffs", [])):
+        key = tuple(parse_int(item.get(k, 0), f"coefficient field {k!r}") for k in "rpq")
         coeffs[key] = parse_rational(str(item["c"]))
     if family == "umbilic":
-        kind = spec.get("kind", "diagonal" if int(spec.get("m", 0)) == 0
-                        else "antidiagonal")
+        m = parse_int(spec.get("m", 0), "model field 'm'")
+        kind = spec.get("kind", "diagonal" if m == 0 else "antidiagonal")
         if any(p != 0 for (_r, p, _q) in coeffs):
             raise CliInputError("umbilic coefficients must have p = 0")
         by_kr = {(q, r): c for (r, _p, q), c in coeffs.items()}
-        return model_umbilic(n, int(spec.get("m", 0)), kind, by_kr)
+        return model_umbilic(n, m, kind, by_kr)
     if family == "theorem1":
         by_pqr = {(p, q, r): c for (r, p, q), c in coeffs.items()}
         return model_theorem1(n, by_pqr)
     if family == "theorem2":
-        return model_theorem2(n, int(spec["m"]), parse_rational(str(spec["s"])),
-                              coeffs)
+        return model_theorem2(n, parse_int(spec["m"], "model field 'm'"),
+                              parse_rational(str(spec["s"])), coeffs)
     if family == "corollary2":
-        return model_corollary2(n, int(spec["m"]), int(spec.get("sign", 1)))
+        return model_corollary2(n, parse_int(spec["m"], "model field 'm'"),
+                                parse_int(spec.get("sign", 1), "model field 'sign'"))
     raise CliInputError(
         f"family must be umbilic|theorem1|theorem2|corollary2, got {family!r}")
 

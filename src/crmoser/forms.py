@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .gaussrat import GaussianLike, GaussianRational
+from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
 from .poly import Poly
 
@@ -151,8 +151,8 @@ def standard_form(n: int, m: int, kind: str) -> HermitianForm:
 
 
 def form_from_json(obj: dict) -> HermitianForm:
-    n = int(obj["n"])
-    m = int(obj.get("m", 0))
+    n = parse_int(obj["n"], "form field 'n'")
+    m = parse_int(obj.get("m", 0), "form field 'm'")
     kind = obj.get("kind", DIAGONAL)
     if kind in (DIAGONAL, ANTIDIAGONAL):
         return standard_form(n, m, kind)

@@ -15,6 +15,7 @@ from typing import Optional, Union
 RationalLike = Union[int, Fraction]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -33,6 +34,19 @@ def parse_rational(text: str) -> Fraction:
     if den and not int(den):
         raise ValueError(f"rational has a zero denominator: {text!r}")
     return Fraction(int(num), int(den or 1))
+
+
+def parse_int(value, field: str) -> int:
+    """An integer document field: a JSON integer or a string of ASCII digits.
+
+    Anything else, `null`, booleans and floats included, raises ValueError
+    naming the field.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -192,6 +206,8 @@ class GaussianRational:
 
     @staticmethod
     def from_json(obj: dict) -> "GaussianRational":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a Gaussian rational must be a JSON object, got {obj!r}")
         return GaussianRational(
             parse_rational(obj.get("re", "0")), parse_rational(obj.get("im", "0"))
         )

@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .gaussrat import GaussianLike, GaussianRational
+from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .poly import Poly, term_list
 
 HoloMono = Tuple[Tuple[int, ...], int]
@@ -129,7 +129,7 @@ class JetMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "JetMap":
-        d = int(obj["D"])
+        d = parse_int(obj["D"], "jet field 'D'")
         fts = obj["f"]
         if not isinstance(fts, list):
             raise ValueError("jet field 'f' must be a list of term lists")

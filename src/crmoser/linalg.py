@@ -2,15 +2,18 @@
 
 Small dense matrices with GaussianRational entries (products, inverses,
 determinants) plus two rational kernels used throughout the Lie-algebra
-computations: reduced row echelon nullspace over Q and Hermitian inertia
-by exact congruence elimination.  Everything is deterministic: pivots are
-always chosen at the smallest admissible index.
+computations: the nullspace over Q, by primitive-row dedup + fraction-free
+elimination on Python ints, and Hermitian inertia by exact congruence
+elimination.  Everything is deterministic: the nullspace basis is read off
+the unique reduced row echelon form, and inertia pivots are always chosen
+at the smallest admissible index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianLike, GaussianRational
 
@@ -163,6 +166,8 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":
+        if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+            raise ValueError(f"a matrix must be a JSON list of rows, got {obj!r}")
         return cls([[GaussianRational.from_json(e) for e in row] for row in obj])
 
     def __repr__(self):
@@ -181,51 +186,83 @@ def _dot(row, col):
     return acc
 
 
-def rational_rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """In-place reduced row echelon form over Q; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def _primitive_row(row: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
+    """The row scaled to coprime integers with a positive leading entry.
+
+    None for a zero row.  Entries are read through `.numerator` and
+    `.denominator`, so ints and Fractions mix freely.
+    """
+    den = lcm(*[e.denominator for e in row])
+    if den == 1:
+        ints = [e.numerator for e in row]
+    else:
+        ints = [e.numerator * (den // e.denominator) for e in row]
+    g = gcd(*ints)
+    if not g:
+        return None
+    lead = next(x for x in ints if x)
+    if lead < 0:
+        g = -g
+    return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
+
+
+def _combine(a: int, row: Sequence[int], b: int, other: Sequence[int]) -> List[int]:
+    """a*row - b*other with the common factor of a and b taken out first."""
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    return [a * x - b * y for x, y in zip(row, other)]
 
 
 def rational_nullspace(rows: List[List[Fraction]], ncols: Optional[int] = None) -> List[List[Fraction]]:
     """Basis of the kernel of a rational matrix, deterministically ordered.
 
     Basis vectors carry a 1 in their free column and are listed by
-    ascending free-column index.
+    ascending free-column index; they are read off the reduced row echelon
+    form, which is unique, so they do not depend on row order.
+
+    Primitive-row dedup + fraction-free elimination: each nonzero row is
+    scaled to coprime integers with a positive leading entry and kept once.
+    Gauss-Jordan elimination then runs on Python ints.  A kept row is
+    reduced by every pivot row, divided by its gcd and, if it is not zero,
+    pivots at its first nonzero column, which is then cleared from the
+    earlier pivot rows.  Every pivot row stays zero left of its pivot and
+    at the other pivot columns, so pivot row r divided by r[pc] is the
+    reduced row echelon row with pivot pc.
     """
     if ncols is None:
         if not rows:
             raise ValueError("ncols required for an empty system")
         ncols = len(rows[0])
-    work = [list(map(Fraction, row)) for row in rows if any(row)]
-    work, pivots = rational_rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    distinct = dict.fromkeys(p for p in map(_primitive_row, rows) if p is not None)
+    pivots: Dict[int, List[int]] = {}  # pivot column -> primitive integer row
+    for row in distinct:
+        if len(pivots) == ncols:
+            break
+        for pc, prow in pivots.items():
+            if row[pc]:
+                row = _combine(prow[pc], row, row[pc], prow)
+        g = gcd(*row)
+        if not g:
+            continue
+        lead = next(c for c, x in enumerate(row) if x)
+        if row[lead] < 0:
+            g = -g
+        row = [x // g for x in row]
+        for pc, prow in pivots.items():
+            if prow[lead]:
+                prow = _combine(row[lead], prow, prow[lead], row)
+                g = gcd(*prow)
+                pivots[pc] = [x // g for x in prow]
+        pivots[lead] = row
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+        for pc, prow in pivots.items():
+            vec[pc] = Fraction(-prow[fc], prow[pc])
         basis.append(vec)
     return basis
 

@@ -42,7 +42,7 @@ from .forms import (
     standard_form,
     x_column,
 )
-from .gaussrat import GaussianLike, GaussianRational, as_fraction, rational_root
+from .gaussrat import GaussianLike, GaussianRational, as_fraction, parse_int, rational_root
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface, check_normal_form, is_function_of_form_and_u
 from .poly import Poly
@@ -114,13 +114,16 @@ class SElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SElement":
+        if not isinstance(obj, dict) or not isinstance(obj.get("x", []), list):
+            raise ValueError("an S element must be a JSON object whose 'x' is a list")
+        n = parse_int(obj["n"], "element field 'n'")
         return cls(
-            n=int(obj["n"]),
-            m=int(obj["m"]),
+            n=n,
+            m=parse_int(obj["m"], "element field 'm'"),
             mu=GaussianRational.from_json(obj["mu"]),
             c=GaussianRational.from_json(obj.get("c", {"re": "0", "im": "0"})),
             x=tuple(GaussianRational.from_json(v) for v in obj.get("x", [])),
-            A=Matrix.from_json(obj["A"]) if obj.get("A") else Matrix.identity(int(obj["n"]) - 2),
+            A=Matrix.from_json(obj["A"]) if obj.get("A") else Matrix.identity(n - 2),
         )
 
 

@@ -46,6 +46,7 @@ from .gaussrat import (
     GaussianRational,
     as_fraction,
     format_rational,
+    parse_int,
     parse_rational,
 )
 
@@ -572,7 +573,7 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Poly":
-        return cls.terms_from_json(int(obj["n"]), obj.get("terms", []))
+        return cls.terms_from_json(parse_int(obj["n"], "n"), obj.get("terms", []))
 
     @classmethod
     def terms_from_json(cls, n: int, items: Iterable[dict]) -> "Poly":
@@ -581,7 +582,7 @@ class Poly:
         for item in term_list(items):
             z = _exponents(item, "z", n)
             zb = _exponents(item, "zbar", n)
-            u = int(item.get("u", 0))
+            u = parse_int(item.get("u", 0), "term field 'u'")
             c = GaussianRational(
                 parse_rational(str(item.get("re", "0"))),
                 parse_rational(str(item.get("im", "0"))),
@@ -629,7 +630,7 @@ def _exponents(item: dict, key: str, n: int) -> Tuple[int, ...]:
     exps = item.get(key, [0] * n)
     if not isinstance(exps, list):
         raise ValueError(f"term field {key!r} must be a list of exponents")
-    return tuple(int(e) for e in exps)
+    return tuple(parse_int(e, f"an exponent in term field {key!r}") for e in exps)
 
 
 class _TermsView(Mapping):

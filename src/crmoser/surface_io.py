@@ -28,7 +28,7 @@ import re
 from typing import List, Optional, Tuple
 
 from .forms import HermitianForm, form_from_json, form_to_json
-from .gaussrat import parse_rational
+from .gaussrat import parse_int, parse_rational
 from .normal_form import Hypersurface, NormalFormError
 from .poly import Poly
 
@@ -221,6 +221,8 @@ def surface_from_json(obj: dict) -> Hypersurface:
     except (KeyError, ValueError) as exc:
         raise SurfaceParseError(f"invalid form descriptor: {exc}") from exc
     max_weight = obj.get("maxWeight")
+    if max_weight is not None:
+        max_weight = parse_int(max_weight, "surface field 'maxWeight'")
     if "F" in obj:
         return parse_surface(str(obj["F"]), form, max_weight)
     if "terms" in obj:
@@ -228,7 +230,7 @@ def surface_from_json(obj: dict) -> Hypersurface:
         if max_weight is None:
             max_weight = f_poly.max_weight() or 4
         try:
-            return Hypersurface(form, f_poly, int(max_weight))
+            return Hypersurface(form, f_poly, max_weight)
         except NormalFormError as exc:
             raise SurfaceParseError(str(exc)) from exc
     raise SurfaceParseError("surface document needs an 'F' or 'terms' field")

@@ -132,6 +132,26 @@ def random_real_poly(rng: random.Random, n: int, pairs=2, max_bidegree=3,
     return p
 
 
+def stabilizer_residual(m, x_mat, rho):
+    """Direct substitution into the invariance equation (solver oracle):
+
+        2 Re sum_j ((rho E + X) z)_j dF/dz_j + 2 rho u dF/du - 2 rho F.
+    """
+    n = m.n
+    f_poly = m.F
+    acc = Poly.zero(n)
+    for j in range(n):
+        lin = Poly.z(n, j).scale(rho)
+        for k in range(n):
+            c = x_mat[j, k]
+            if not c.is_zero():
+                lin = lin + Poly.z(n, k).scale(c)
+        acc = acc + lin * f_poly.partial("z", j)
+    return (acc + acc.conjugate()
+            + (Poly.u(n) * f_poly.partial("u")).scale(2 * rho)
+            - f_poly.scale(2 * rho))
+
+
 def cayley_pseudounitary(rng: random.Random, form: HermitianForm,
                          sparse=True) -> Matrix:
     """Exact rational element of U(H) via U = (E - X)(E + X)^{-1}, X in u(H)."""

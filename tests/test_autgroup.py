@@ -30,6 +30,7 @@ from helpers import (
     random_fraction,
     random_gauss,
     random_real_poly,
+    stabilizer_residual,
     sym_vars,
 )
 
@@ -40,23 +41,6 @@ def surface(form, f_poly, max_w=None):
     if max_w is None:
         max_w = f_poly.max_weight() or 4
     return Hypersurface(form, f_poly, max_w)
-
-
-def stabilizer_residual(m, x_mat, rho):
-    """Direct substitution into the invariance equation (solver oracle)."""
-    n = m.n
-    f_poly = m.F
-    acc = Poly.zero(n)
-    for j in range(n):
-        lin = Poly.z(n, j).scale(rho)
-        for k in range(n):
-            c = x_mat[j, k]
-            if not c.is_zero():
-                lin = lin + Poly.z(n, k).scale(c)
-        acc = acc + lin * f_poly.partial("z", j)
-    return (acc + acc.conjugate()
-            + (Poly.u(n) * f_poly.partial("u")).scale(2 * rho)
-            - f_poly.scale(2 * rho))
 
 
 def linear_jet(u_mat, lam, sigma, D):

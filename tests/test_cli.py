@@ -168,3 +168,61 @@ def test_document_shape_errors_are_json_reports(tmp_path, capsys):
                                                  "g": [7]})
     code, report = run(capsys, "verify", "--surface", surf, "--map", term_not_object)
     assert code == 2 and "JSON object" in report["error"]
+
+
+def test_null_integer_fields_are_json_reports(tmp_path, capsys):
+    surf = write(tmp_path, "q4.json",
+                 {"n": 2, "m": 0, "kind": "diagonal", "F": "Q^4"})
+    identity = [[{"re": "1"}, {"re": "0"}], [{"re": "0"}, {"re": "1"}]]
+    maps = {
+        "jet field 'D'": {"type": "jet", "D": None, "f": [], "g": []},
+        "term field 'z'": {"type": "jet", "D": 4, "g": [],
+                           "f": [[{"z": [None, 2], "w": 0, "re": "1"}], []]},
+        "term field 'u'": {"type": "jet", "D": 4, "g": [],
+                           "f": [[{"z": [1, 0], "w": None, "re": "1"}], []]},
+        "map field 'sigma'": {"type": "linear", "U": identity, "sigma": None},
+        "element field 'm'": {"type": "scaled", "s": "0",
+                              "element": {"n": 2, "m": None, "mu": {"re": "1"}}},
+        "a matrix": {"type": "linear", "U": None},
+        "a Gaussian rational": {"type": "linear", "U": [[1, 0], [0, 1]]},
+        "an S element": {"type": "scaled", "s": "0", "element": [2, 1]},
+        "'x' is a list": {"type": "scaled", "s": "0",
+                          "element": {"n": 2, "m": 1, "mu": {"re": "1"}, "x": None}},
+        "got None": {"type": "scaled", "s": "0", "element": {"n": 2, "m": 1, "mu": None}},
+    }
+    for field, doc in maps.items():
+        code, report = run(capsys, "verify", "--surface", surf,
+                           "--map", write(tmp_path, "map.json", doc))
+        assert code == 2 and field in report["error"], (field, report)
+    surfaces = {
+        "term field 'zbar'": {"n": 2, "m": 0, "terms": [
+            {"z": [2, 0], "zbar": [2, None], "re": "1"}]},
+        "term field 'u'": {"n": 2, "m": 0, "terms": [
+            {"z": [2, 0], "zbar": [2, 0], "u": None, "re": "1"}]},
+        "form field 'n'": {"n": None, "m": 0, "F": "Q^4"},
+        "form field 'm'": {"n": 2, "m": None, "F": "Q^4"},
+        "'maxWeight'": {"n": 2, "m": 0, "F": "Q^4", "maxWeight": True},
+    }
+    for field, doc in surfaces.items():
+        code, report = run(capsys, "check",
+                           "--surface", write(tmp_path, "surface.json", doc))
+        assert code == 2 and field in report["error"], (field, report)
+    models = {
+        "model field 'n'": {"family": "umbilic", "n": None},
+        "model field 'm'": {"family": "theorem2", "n": 2, "m": None, "s": "0"},
+        "model field 'sign'": {"family": "corollary2", "n": 2, "m": 1, "sign": None},
+        "coefficient field 'r'": {"family": "theorem1", "n": 3,
+                                  "coeffs": [{"r": None, "p": 2, "q": 0, "c": "1"}]},
+        "must be an integer, got 1.5": {"family": "umbilic", "n": 1.5},
+        "a term list": {"family": "theorem1", "n": 3, "coeffs": None},
+    }
+    for field, doc in models.items():
+        code, report = run(capsys, "model", "--spec", write(tmp_path, "spec.json", doc))
+        assert code == 2 and field in report["error"], (field, report)
+
+
+def test_integer_fields_still_accept_digit_strings(tmp_path, capsys):
+    surf = write(tmp_path, "q4.json",
+                 {"n": "2", "m": "0", "kind": "diagonal", "F": "Q^4", "maxWeight": "8"})
+    code, report = run(capsys, "check", "--surface", surf)
+    assert code == 0 and report["passed"]

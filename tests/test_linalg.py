@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import (
@@ -67,7 +69,47 @@ def test_nullspace_vectors_annihilate():
 
 def test_nullspace_empty_system():
     basis = rational_nullspace([], 3)
-    assert len(basis) == 3
+    assert basis == [[Fraction(int(i == j)) for i in range(3)] for j in range(3)]
+    with pytest.raises(ValueError):
+        rational_nullspace([])
+
+
+entries = st.one_of(
+    st.just(0), st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10**25, 10**25), st.integers(1, 10**22)),
+)
+factors = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def systems(draw):
+    """(rows, ncols): a few base rows plus duplicates, nonzero multiples and
+    zero rows of them, shuffled, with integral entries as int or Fraction."""
+    ncols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=4))
+    rows = [list(r) for r in base]
+    for row in base:
+        for c in draw(st.lists(st.one_of(st.just(1), factors), max_size=2)):
+            rows.append([c * e for e in row])
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    return [[int(e) if e.denominator == 1 and draw(st.booleans()) else Fraction(e)
+             for e in row] for row in rows], ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(systems())
+def test_nullspace_equals_sympy(system):
+    rows, ncols = system
+    oracle = sympy.Matrix(len(rows), ncols, [sympy.Rational(e.numerator, e.denominator)
+                                             for row in rows for e in row]).nullspace()
+    expected = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in oracle]
+    basis = rational_nullspace(rows, ncols)
+    assert basis == expected
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    if rows:
+        assert rational_nullspace(rows) == expected
 
 
 def test_inertia_known_matrices():
