@@ -78,11 +78,37 @@ class InfSym:
     rho: Fraction
 
 
-@dataclass(frozen=True)
 class StabilizerResult:
-    dim: int
-    basis: Tuple[InfSym, ...]
-    spherical: bool
+    """Solution space of the linear-invariance system (stabilizer_algebra).
+
+    `dim` and `spherical` are read off the solve.  The kernel vectors hold
+    coordinates over (u_basis(form), rho); `basis` recombines them into
+    InfSym elements on first read and keeps that tuple.
+    """
+
+    __slots__ = ("dim", "spherical", "_kernel", "_directions", "_basis")
+
+    def __init__(self, kernel: Sequence[Sequence[Fraction]],
+                 directions: Sequence[Matrix], spherical: bool):
+        self.dim = len(kernel)
+        self.spherical = spherical
+        self._kernel = kernel
+        self._directions = directions
+        self._basis: Optional[Tuple[InfSym, ...]] = None
+
+    @property
+    def basis(self) -> Tuple[InfSym, ...]:
+        if self._basis is None:
+            n = self._directions[0].nrows
+            out = []
+            for vec in self._kernel:
+                x_mat = Matrix.zeros(n, n)
+                for x_dir, c in zip(self._directions, vec):
+                    if c:
+                        x_mat = x_mat + x_dir.scale(c)
+                out.append(InfSym(x_mat, vec[-1]))
+            self._basis = tuple(out)
+        return self._basis
 
 
 def extract_params(jet: JetMap, form: HermitianForm) -> AutoParams:
@@ -186,15 +212,18 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
         2 Re sum_j ((rho E + X) z)_j dF/dz_j + 2 rho u dF/du - 2 rho F = 0
 
     collected coefficientwise.  The spherical surface (F = 0) satisfies it
-    identically, giving n^2 + 1.
+    identically, giving n^2 + 1.  The result keeps the kernel vectors and
+    builds its `basis` on first read, so callers that need only `dim` pay
+    for no recombination.
     """
     form = surface.form
     n = form.n
     basis = u_basis(form)
     if surface.F.is_zero():
-        infs = tuple(InfSym(x_mat, Fraction(0)) for x_mat in basis)
-        infs = infs + (InfSym(Matrix.zeros(n, n), Fraction(1)),)
-        return StabilizerResult(dim=n * n + 1, basis=infs, spherical=True)
+        one, zero = Fraction(1), Fraction(0)
+        size = n * n + 1
+        kernel = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        return StabilizerResult(kernel, basis, spherical=True)
     f_poly = surface.F
     dfz = [f_poly.partial("z", j) for j in range(n)]
     dfu = f_poly.partial("u")
@@ -232,14 +261,7 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
         rows.append([c.re for c in coeffs])
         rows.append([c.im for c in coeffs])
     kernel = rational_nullspace(rows, len(columns))
-    out = []
-    for vec in kernel:
-        x_mat = Matrix.zeros(n, n)
-        for i, c in enumerate(vec[:-1]):
-            if c:
-                x_mat = x_mat + basis[i].scale(c)
-        out.append(InfSym(x_mat, vec[-1]))
-    return StabilizerResult(dim=len(kernel), basis=tuple(out), spherical=False)
+    return StabilizerResult(kernel, basis, spherical=False)
 
 
 def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> Poly:
@@ -356,9 +378,13 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
         F'(z, conj z, u) = |1 - q w|^2 F(z/(1-qw), conj, Re(w/(1-qw))),
         w = u + i(<z,z> + F'),
 
-    which is solved by a weight-graded fixed-point iteration (the weight-k
-    piece of the right side depends only on strictly lower-weight pieces of
-    F', so the iteration stabilizes after ~max_w/2 rounds).
+    which is solved by a weight-graded fixed-point iteration.  Let gamma >= 4
+    be the lowest weight of F (F has no harmonic terms).  A change of F' at
+    weight k moves the right side only at weight k + gamma - 2 or above:
+    through dF/du in the u slot, while the z-series and the prefactor move it
+    at weight k + gamma or above.  So once the lowest weight at which a round
+    changed F' satisfies k + gamma - 2 > max_w, the next round would return
+    the same truncation, and the iteration stops there without running it.
     """
     q = Fraction(q)
     if max_w > surface.max_weight:
@@ -372,8 +398,9 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
     one = Poly.constant(n, 1)
     zvars = [Poly.z(n, i) for i in range(n)]
     zbvars = [Poly.zbar(n, i) for i in range(n)]
+    gamma = surface.F.min_weight()
     current = Poly.zero(n)
-    for _ in range(max_w + 2):
+    while True:
         wmix = (Poly.u(n) + (inner + current).scale(IU)).truncate_weight(max_w)
         wbar = wmix.conjugate()
         series = _geometric(wmix.scale(q), max_w)       # 1/(1 - q w)
@@ -385,10 +412,10 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
         zbs = [zv.mul(series_bar, max_w) for zv in zbvars]
         candidate = surface.F.substitute(zs, zbs, slot_u, max_weight=max_w)
         candidate = prefactor.mul(candidate, max_w)
-        if candidate == current:
+        changed = (candidate - current).min_weight()
+        if changed is None or changed + gamma - 2 > max_w:
             return Hypersurface(form, candidate, max_w)
         current = candidate
-    raise ArithmeticError("reparametrization did not stabilize")
 
 
 def _geometric(t: Poly, max_w: int) -> Poly:

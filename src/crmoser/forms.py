@@ -10,7 +10,8 @@ inertia, never numerically.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
@@ -234,12 +235,21 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
     """Real basis of u(H), found by exact rational nullspace computation.
 
     The kernel of `pseudounitarity_rows` always has real dimension n^2.
+    The solve is memoized by the form's value (forms are immutable and
+    hashable, and equal forms have one u(H)); every call returns a fresh
+    list of the shared, immutable matrices.
     """
+    return list(_u_basis(form))
+
+
+@lru_cache(maxsize=64)
+def _u_basis(form: HermitianForm) -> Tuple[Matrix, ...]:
     n = form.n
-    basis_vecs = rational_nullspace(pseudounitarity_rows(form), 2 * n * n)
+    zero = GaussianRational(0)  # basis elements are mostly zero: share one entry
     out = []
-    for vec in basis_vecs:
-        entries = [[GaussianRational(vec[x_column(n, a, b)], vec[x_column(n, a, b) + 1])
-                    for b in range(n)] for a in range(n)]
-        out.append(Matrix(entries))
-    return out
+    for vec in rational_nullspace(pseudounitarity_rows(form), 2 * n * n):
+        pairs = [[(vec[x_column(n, a, b)], vec[x_column(n, a, b) + 1]) for b in range(n)]
+                 for a in range(n)]
+        out.append(Matrix([[GaussianRational(re, im) if re or im else zero
+                            for re, im in row] for row in pairs]))
+    return tuple(out)

@@ -66,10 +66,10 @@ class HoloPoly(Poly):
 
     @classmethod
     def terms_from_json(cls, n: int, items) -> "HoloPoly":
-        """Poly's term-list parser with w read as u; other keys are ignored."""
-        renamed = [{("u" if key == "w" else key): value for key, value in item.items()
-                    if key in ("z", "w", "re", "im")} for item in term_list(items)]
-        return Poly.terms_from_json(n, renamed)._as(cls)
+        """Poly's term-list parser with w in the u slot; other keys are ignored."""
+        kept = [{key: value for key, value in item.items() if key in ("z", "w", "re", "im")}
+                for item in term_list(items)]
+        return Poly.terms_from_json(n, kept, u_field="w")._as(cls)
 
 
 class _HoloTermsView(Mapping):

@@ -576,13 +576,16 @@ class Poly:
         return cls.terms_from_json(parse_int(obj["n"], "n"), obj.get("terms", []))
 
     @classmethod
-    def terms_from_json(cls, n: int, items: Iterable[dict]) -> "Poly":
-        """The polynomial of a JSON term list; ValueError on a malformed one."""
+    def terms_from_json(cls, n: int, items: Iterable[dict], u_field: str = "u") -> "Poly":
+        """The polynomial of a JSON term list; ValueError on a malformed one.
+
+        The exponent of the u slot is read from the field named `u_field`.
+        """
         terms: Dict[Mono, GaussianRational] = {}
         for item in term_list(items):
             z = _exponents(item, "z", n)
             zb = _exponents(item, "zbar", n)
-            u = parse_int(item.get("u", 0), "term field 'u'")
+            u = parse_int(item.get(u_field, 0), f"term field {u_field!r}")
             c = GaussianRational(
                 parse_rational(str(item.get("re", "0"))),
                 parse_rational(str(item.get("im", "0"))),

@@ -12,10 +12,12 @@ from fractions import Fraction
 
 import sympy
 
+from crmoser.autgroup import InfSym, _geometric
 from crmoser.forms import HermitianForm, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix
 from crmoser.models import SElement
+from crmoser.normal_form import Hypersurface
 from crmoser.poly import Poly
 
 RATIONAL_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -150,6 +152,53 @@ def stabilizer_residual(m, x_mat, rho):
     return (acc + acc.conjugate()
             + (Poly.u(n) * f_poly.partial("u")).scale(2 * rho)
             - f_poly.scale(2 * rho))
+
+
+def eager_stabilizer_basis(form: HermitianForm, kernel):
+    """Kernel vectors over (u_basis(form), rho) recombined into InfSym
+    elements one by one (the loop stabilizer_algebra ran before its basis
+    was built on first read)."""
+    n = form.n
+    basis = u_basis(form)
+    out = []
+    for vec in kernel:
+        x_mat = Matrix.zeros(n, n)
+        for i, c in enumerate(vec[:-1]):
+            if c:
+                x_mat = x_mat + basis[i].scale(c)
+        out.append(InfSym(x_mat, vec[-1]))
+    return tuple(out)
+
+
+def reparametrize_reference(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurface:
+    """reparametrize by the plain fixed-point loop (stopping-rule oracle).
+
+    Every round recomputes the right side at the full cap, and the loop
+    stops only when a round returns its own input.
+    """
+    q = Fraction(q)
+    form, n = surface.form, surface.n
+    if q == 0 or surface.F.is_zero():
+        return Hypersurface(form, surface.F.truncate_weight(max_w), max_w)
+    one = Poly.constant(n, 1)
+    current = Poly.zero(n)
+    for _ in range(max_w + 2):
+        wmix = (Poly.u(n) + (form.inner_poly() + current).scale(GaussianRational(0, 1))
+                ).truncate_weight(max_w)
+        wbar = wmix.conjugate()
+        series = _geometric(wmix.scale(q), max_w)
+        series_bar = series.conjugate()
+        slot_u = (wmix.mul(series, max_w)
+                  + wbar.mul(series_bar, max_w)).scale(Fraction(1, 2))
+        prefactor = (one - wmix.scale(q)).mul(one - wbar.scale(q), max_w)
+        zs = [Poly.z(n, i).mul(series, max_w) for i in range(n)]
+        zbs = [Poly.zbar(n, i).mul(series_bar, max_w) for i in range(n)]
+        candidate = prefactor.mul(
+            surface.F.substitute(zs, zbs, slot_u, max_weight=max_w), max_w)
+        if candidate == current:
+            return Hypersurface(form, candidate, max_w)
+        current = candidate
+    raise AssertionError("reference reparametrization did not stabilize")
 
 
 def cayley_pseudounitary(rng: random.Random, form: HermitianForm,

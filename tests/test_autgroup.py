@@ -7,6 +7,7 @@ import sympy
 from crmoser.autgroup import (
     AutoParams,
     ExtractionError,
+    InfSym,
     TruncationError,
     T_operator,
     extract_params,
@@ -17,7 +18,8 @@ from crmoser.autgroup import (
     stabilizer_algebra,
     verify_automorphism,
 )
-from crmoser.forms import is_in_lie_algebra, standard_form
+from crmoser.census import random_normal_form_surface
+from crmoser.forms import is_in_lie_algebra, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
 from crmoser.linalg import Matrix
@@ -26,6 +28,7 @@ from crmoser.poly import Poly
 
 from helpers import (
     cayley_pseudounitary,
+    eager_stabilizer_basis,
     poly_to_sympy,
     random_fraction,
     random_gauss,
@@ -263,6 +266,33 @@ def test_stabilizer_spherical_flag():
         form = standard_form(n, m, kind)
         result = stabilizer_algebra(surface(form, Poly.zero(n), 6))
         assert result.dim == n * n + 1 and result.spherical
+
+
+def test_stabilizer_spherical_basis_is_u_h_and_the_scaling():
+    form = standard_form(3, 1, "antidiagonal")
+    result = stabilizer_algebra(surface(form, Poly.zero(3), 6))
+    assert result.basis == (*(InfSym(x, Fraction(0)) for x in u_basis(form)),
+                            InfSym(Matrix.zeros(3, 3), Fraction(1)))
+
+
+def test_stabilizer_basis_is_built_once_on_read():
+    form = standard_form(2, 1, "antidiagonal")
+    result = stabilizer_algebra(surface(form, Poly.monomial(2, (0, 2), (0, 2), 0)))
+    assert result.basis is result.basis
+    assert len(result.basis) == result.dim == 3
+
+
+def test_lazy_stabilizer_basis_equals_eager_recombination_on_census_surfaces():
+    rng = random.Random(20240604)
+    forms = [standard_form(n, m, kind) for n, m, kind in (
+        (2, 0, "diagonal"), (2, 1, "antidiagonal"), (3, 0, "diagonal"),
+        (3, 1, "antidiagonal"), (3, 1, "diagonal"))]
+    for i in range(20):
+        form = forms[i % len(forms)]
+        result = stabilizer_algebra(random_normal_form_surface(rng, form, 8))
+        # the kernel the result keeps, recombined by the loop it used to run eagerly
+        assert result.basis == eager_stabilizer_basis(form, result._kernel)
+        assert len(result.basis) == result.dim
 
 
 def test_stabilizer_basis_solves_equation_and_lies_in_uH():

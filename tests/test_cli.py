@@ -178,7 +178,7 @@ def test_null_integer_fields_are_json_reports(tmp_path, capsys):
         "jet field 'D'": {"type": "jet", "D": None, "f": [], "g": []},
         "term field 'z'": {"type": "jet", "D": 4, "g": [],
                            "f": [[{"z": [None, 2], "w": 0, "re": "1"}], []]},
-        "term field 'u'": {"type": "jet", "D": 4, "g": [],
+        "term field 'w'": {"type": "jet", "D": 4, "g": [],
                            "f": [[{"z": [1, 0], "w": None, "re": "1"}], []]},
         "map field 'sigma'": {"type": "linear", "U": identity, "sigma": None},
         "element field 'm'": {"type": "scaled", "s": "0",
@@ -219,6 +219,24 @@ def test_null_integer_fields_are_json_reports(tmp_path, capsys):
     for field, doc in models.items():
         code, report = run(capsys, "model", "--spec", write(tmp_path, "spec.json", doc))
         assert code == 2 and field in report["error"], (field, report)
+
+
+def test_jet_term_errors_name_the_w_field(tmp_path, capsys):
+    surf = write(tmp_path, "q4.json",
+                 {"n": 2, "m": 0, "kind": "diagonal", "F": "Q^4"})
+    for bad in (None, 1.5, "x"):
+        jet = write(tmp_path, "jet.json", {"type": "jet", "D": 4, "f": [[], []],
+                                           "g": [{"z": [1, 0], "w": bad, "re": "1"}]})
+        code, report = run(capsys, "verify", "--surface", surf, "--map", jet)
+        assert code == 2 and "term field 'w'" in report["error"], report
+        assert "'u'" not in report["error"]
+    # a jet term has no u slot of its own: a stray 'u' key is ignored
+    jet = write(tmp_path, "jet.json", {"type": "jet", "D": 4,
+                                       "f": [[{"z": [1, 0], "re": "1"}],
+                                             [{"z": [0, 1], "re": "1"}]],
+                                       "g": [{"w": "1", "u": None, "re": "1"}]})
+    code, report = run(capsys, "verify", "--surface", surf, "--map", jet)
+    assert code == 0 and report["verified"]
 
 
 def test_integer_fields_still_accept_digit_strings(tmp_path, capsys):

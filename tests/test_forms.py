@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from crmoser.forms import (
+    EXPLICIT,
     HermitianForm,
     is_in_lie_algebra,
     is_pseudounitary,
+    pseudounitarity_rows,
     standard_form,
     u_basis,
+    x_column,
 )
 from crmoser.gaussrat import GaussianRational
-from crmoser.linalg import Matrix
+from crmoser.linalg import Matrix, hermitian_inertia, rational_nullspace
 from crmoser.poly import Poly
 
 from helpers import (
@@ -98,6 +101,48 @@ def test_u_basis_dimension_is_n_squared():
                 assert len(basis) == n * n
                 assert all(is_in_lie_algebra(x, form) for x in basis)
                 assert sympy_real_rank(basis) == n * n
+
+
+def test_u_basis_returns_a_fresh_list_each_call():
+    form = standard_form(3, 1, "antidiagonal")
+    first = u_basis(form)
+    kept = list(first)
+    first[0] = Matrix.zeros(3, 3)
+    first.append(Matrix.identity(3))
+    second = u_basis(form)
+    assert second is not first and second == kept
+    second.clear()
+    assert u_basis(form) == kept
+
+
+def test_u_basis_depends_on_the_form_value_only():
+    for n, m, kind in ((2, 1, "antidiagonal"), (3, 0, "diagonal"), (4, 1, "diagonal")):
+        standard = standard_form(n, m, kind)
+        explicit = HermitianForm(n, m, standard.matrix, EXPLICIT)
+        assert explicit == standard and explicit.kind != standard.kind
+        assert u_basis(explicit) == u_basis(standard)
+        assert u_basis(HermitianForm(n, m, standard.matrix, EXPLICIT)) == u_basis(standard)
+
+
+def test_u_basis_of_a_complex_explicit_form_is_the_nullspace():
+    matrix = Matrix([[2, 1 + I, 0],
+                     [1 - I, -1, I * 2],
+                     [0, -I * 2, Fraction(1, 2)]])
+    pos, neg, zero = hermitian_inertia(matrix)
+    assert zero == 0
+    n, m = 3, min(pos, neg)
+    if pos < neg:
+        matrix = matrix.scale(-1)
+    form = HermitianForm(n, m, matrix, EXPLICIT)
+    u_basis(standard_form(n, m, "diagonal"))  # a memo entry of the same signature
+    vecs = rational_nullspace(pseudounitarity_rows(form), 2 * n * n)
+    expected = [Matrix([[GaussianRational(v[x_column(n, a, b)], v[x_column(n, a, b) + 1])
+                         for b in range(n)] for a in range(n)]) for v in vecs]
+    basis = u_basis(form)
+    assert basis == expected and len(basis) == n * n
+    # the complex off-diagonal entries reach the basis: some entry has re and im
+    assert any(e.re and e.im for x in basis for row in x.rows for e in row)
+    assert all(is_in_lie_algebra(x, form) for x in basis)
 
 
 def test_u1_basis():

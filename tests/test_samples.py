@@ -20,6 +20,8 @@ MAPS = (("corollary2_2_1", "map_scaled_mu2"),
 GOLDEN = (
     *((f"{cmd}-{s}", [cmd, "--surface", f"samples/{s}.json"])
       for s in SURFACES for cmd in ("check", "stabdim", "classify")),
+    *((f"stabdim_basis-{s}", ["stabdim", "--surface", f"samples/{s}.json", "--basis"])
+      for s in SURFACES),
     *((f"verify-{s}-{m}", ["verify", "--surface", f"samples/{s}.json",
                            "--map", f"samples/{m}.json"]) for s, m in MAPS),
     ("model-model_theorem2_s0", ["model", "--spec", "samples/model_theorem2_s0.json"]),
