@@ -348,7 +348,8 @@ def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
     Substitutes w = u + i(<z,z> + F) into Im g - <f,f> - F(f, conj f, Re g)
     and requires every term of weight <= max_w to vanish.  The jet supports
     max_w <= D - 1 (g enters linearly, so its missing weight->D tail cannot
-    touch weights below D).
+    touch weights below D).  A jet whose linear part at the origin,
+    d(f, g)/d(z, w)(0), is singular is no local biholomorphism and fails.
     """
     if max_w > jet.D - 1:
         raise TruncationError(
@@ -358,6 +359,10 @@ def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
     n = form.n
     if jet.n != n:
         raise ValueError("jet dimension does not match the surface")
+    jacobian = Matrix([[p.z_linear_coeff(k) for k in range(n)] + [p.w_linear_coeff()]
+                       for p in (*jet.f, jet.g)])
+    if jacobian.det().is_zero():
+        return False
     wmix = (Poly.u(n) + (form.inner_poly() + surface.F).scale(IU)).truncate_weight(max_w)
     gm = jet.g.substitute_w(wmix, max_w)
     fm = [fi.substitute_w(wmix, max_w) for fi in jet.f]

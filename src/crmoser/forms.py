@@ -5,13 +5,18 @@ the antidiagonal form with an identity block of size n-2m in the middle and
 m ones on each side of it.  Explicit Hermitian matrices of the right
 signature are accepted as well; the signature is certified by exact
 inertia, never numerically.
+
+Forms are immutable, so each standard form is built and certified once and
+shared: `standard_form` hands out one instance per (n, m, kind) while any
+reference to it lives.  Derived data (inverse, <z,z>, u(H)) is memoized on
+the form itself, so surfaces over one form share it.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
@@ -25,7 +30,7 @@ EXPLICIT = "explicit"
 class HermitianForm:
     """Non-degenerate Hermitian form with signature (n-m, m), n >= 2m."""
 
-    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inner")
+    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inner", "_u_basis", "__weakref__")
 
     def __init__(self, n: int, m: int, matrix: Matrix, kind: str = EXPLICIT):
         if n < 1:
@@ -49,6 +54,7 @@ class HermitianForm:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_inner", None)
+        object.__setattr__(self, "_u_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianForm is immutable")
@@ -130,25 +136,38 @@ class HermitianForm:
         return acc
 
 
+_STANDARD_FORMS = weakref.WeakValueDictionary()  # (n, m, kind) -> HermitianForm
+
+
 def standard_form(n: int, m: int, kind: str) -> HermitianForm:
-    """The diagonal or antidiagonal standard form of signature (n-m, m)."""
+    """The diagonal or antidiagonal standard form of signature (n-m, m).
+
+    Returns one shared instance per (n, m, kind) for as long as any
+    reference to it lives; it is built and its inertia certified on first
+    use only.
+    """
     if kind == DIAGONAL:
         if not 0 <= m <= n:
             raise ValueError("diagonal form needs 0 <= m <= n")
-        rows = [[1 if i == j and i < n - m else (-1 if i == j else 0)
-                 for j in range(n)] for i in range(n)]
     elif kind == ANTIDIAGONAL:
         if n < 2 * m:
             raise ValueError(f"antidiagonal form needs n >= 2m, got n={n}, m={m}")
-        rows = [[0] * n for _ in range(n)]
-        for i in range(m):
-            rows[i][n - 1 - i] = 1
-            rows[n - 1 - i][i] = 1
-        for i in range(m, n - m):
-            rows[i][i] = 1
     else:
         raise ValueError(f"unknown standard form kind {kind!r}")
-    return HermitianForm(n, m, Matrix(rows), kind)
+    form = _STANDARD_FORMS.get((n, m, kind))
+    if form is None:
+        if kind == DIAGONAL:
+            rows = [[1 if i == j and i < n - m else (-1 if i == j else 0)
+                     for j in range(n)] for i in range(n)]
+        else:
+            rows = [[0] * n for _ in range(n)]
+            for i in range(m):
+                rows[i][n - 1 - i] = 1
+                rows[n - 1 - i][i] = 1
+            for i in range(m, n - m):
+                rows[i][i] = 1
+        form = _STANDARD_FORMS[(n, m, kind)] = HermitianForm(n, m, Matrix(rows), kind)
+    return form
 
 
 def form_from_json(obj: dict) -> HermitianForm:
@@ -235,21 +254,20 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
     """Real basis of u(H), found by exact rational nullspace computation.
 
     The kernel of `pseudounitarity_rows` always has real dimension n^2.
-    The solve is memoized by the form's value (forms are immutable and
-    hashable, and equal forms have one u(H)); every call returns a fresh
-    list of the shared, immutable matrices.
+    The solve is memoized on the form, so surfaces that share a form share
+    one u(H); every call returns a fresh list of the shared, immutable
+    matrices.
     """
-    return list(_u_basis(form))
-
-
-@lru_cache(maxsize=64)
-def _u_basis(form: HermitianForm) -> Tuple[Matrix, ...]:
-    n = form.n
-    zero = GaussianRational(0)  # basis elements are mostly zero: share one entry
-    out = []
-    for vec in rational_nullspace(pseudounitarity_rows(form), 2 * n * n):
-        pairs = [[(vec[x_column(n, a, b)], vec[x_column(n, a, b) + 1]) for b in range(n)]
-                 for a in range(n)]
-        out.append(Matrix([[GaussianRational(re, im) if re or im else zero
-                            for re, im in row] for row in pairs]))
-    return tuple(out)
+    basis = form._u_basis
+    if basis is None:
+        n = form.n
+        zero = GaussianRational(0)  # basis elements are mostly zero: share one entry
+        out = []
+        for vec in rational_nullspace(pseudounitarity_rows(form), 2 * n * n):
+            pairs = [[(vec[x_column(n, a, b)], vec[x_column(n, a, b) + 1]) for b in range(n)]
+                     for a in range(n)]
+            out.append(Matrix([[GaussianRational(re, im) if re or im else zero
+                                for re, im in row] for row in pairs]))
+        basis = tuple(out)
+        object.__setattr__(form, "_u_basis", basis)
+    return list(basis)

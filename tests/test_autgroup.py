@@ -23,6 +23,7 @@ from crmoser.forms import is_in_lie_algebra, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
 from crmoser.linalg import Matrix
+from crmoser.models import model_umbilic
 from crmoser.normal_form import Hypersurface
 from crmoser.poly import Poly
 
@@ -507,6 +508,20 @@ def test_verify_nonspherical_linear_maps():
     assert verify_automorphism(m, good, 9)
     bad = JetMap((HoloPoly.z(2, 1), HoloPoly.z(2, 0)), HoloPoly.w(2), 10)
     assert not verify_automorphism(m, bad, 9)
+
+
+def test_verify_rejects_a_singular_linear_part():
+    q4 = model_umbilic(2, 0, "diagonal", {(4, 0): 1})
+    zero = JetMap((HoloPoly.zero(2), HoloPoly.zero(2)), HoloPoly.zero(2), 6)
+    assert not verify_automorphism(q4, zero, 5)
+    quadric = surface(standard_form(2, 1, "antidiagonal"), Poly.zero(2), 6)
+    # f = (z1, 0), g = 0 preserves v = <z,z> (<f,f> = 0) but is degenerate
+    flat = JetMap((HoloPoly.z(2, 0), HoloPoly.zero(2)), HoloPoly.zero(2), 6)
+    assert not verify_automorphism(quadric, flat, 5)
+    # an invertible linear part with an empty g is still singular as a whole
+    no_w = JetMap((HoloPoly.z(2, 0), HoloPoly.z(2, 1)), HoloPoly.zero(2), 6)
+    assert not verify_automorphism(quadric, no_w, 5)
+    assert verify_automorphism(quadric, JetMap.identity(2, 6), 5)
 
 
 # -- reparametrize ------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 import json
+import pathlib
 
 from crmoser.cli import main
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def write(tmp_path, name, obj):
@@ -89,6 +92,20 @@ def test_verify_jet(tmp_path, capsys):
     code, report = run(capsys, "verify", "--surface", surf, "--map", jet)
     assert code == 0 and report["verified"] is True
     assert report["checked_weight"] == 5
+
+
+def test_verify_jet_with_singular_linear_part_fails(tmp_path, capsys):
+    # both jets preserve the defining equation but are no local biholomorphism
+    zero = write(tmp_path, "zero.json", {"type": "jet", "D": 6, "f": [[], []], "g": []})
+    code, report = run(capsys, "verify", "--surface", str(SAMPLES / "umbilic_q4.json"),
+                       "--map", zero)
+    assert code == 3 and report["verified"] is False
+    quadric = write(tmp_path, "quadric.json",
+                    {"n": 2, "m": 1, "kind": "antidiagonal", "terms": [], "maxWeight": 6})
+    z1 = write(tmp_path, "z1.json", {"type": "jet", "D": 6, "g": [],
+                                     "f": [[{"z": [1, 0], "w": 0, "re": "1"}], []]})
+    code, report = run(capsys, "verify", "--surface", quadric, "--map", z1)
+    assert code == 3 and report["verified"] is False
 
 
 def test_model_command(tmp_path, capsys):

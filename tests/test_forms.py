@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from crmoser import forms
 from crmoser.forms import (
     EXPLICIT,
     HermitianForm,
@@ -122,6 +125,55 @@ def test_u_basis_depends_on_the_form_value_only():
         assert explicit == standard and explicit.kind != standard.kind
         assert u_basis(explicit) == u_basis(standard)
         assert u_basis(HermitianForm(n, m, standard.matrix, EXPLICIT)) == u_basis(standard)
+
+
+def test_standard_forms_are_shared_instances():
+    for n, m, kind in ((2, 1, "antidiagonal"), (3, 0, "diagonal"), (4, 1, "diagonal")):
+        assert standard_form(n, m, kind) is standard_form(n, m, kind)
+    assert standard_form(3, 0, "diagonal") is not standard_form(3, 0, "antidiagonal")
+
+
+def test_an_explicit_copy_of_a_standard_form_is_distinct_but_equal():
+    standard = standard_form(3, 1, "antidiagonal")
+    explicit = HermitianForm(3, 1, standard.matrix, EXPLICIT)
+    assert explicit is not standard
+    assert explicit == standard and hash(explicit) == hash(standard)
+    assert u_basis(explicit) == u_basis(standard)
+
+
+def test_u_basis_is_solved_once_per_form(monkeypatch):
+    solves = []
+
+    def counting_nullspace(*args):
+        solves.append(args)
+        return rational_nullspace(*args)
+
+    monkeypatch.setattr(forms, "rational_nullspace", counting_nullspace)
+    form = HermitianForm(2, 1, Matrix([[0, I], [-I, 0]]), EXPLICIT)
+    first, second = u_basis(form), u_basis(form)
+    assert len(solves) == 1
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_a_dropped_standard_form_is_built_again(monkeypatch):
+    form = standard_form(7, 2, "diagonal")
+    dropped = weakref.ref(form)
+    del form
+    gc.collect()
+    assert dropped() is None
+    certified = []
+
+    def counting_inertia(matrix):
+        certified.append(matrix)
+        return hermitian_inertia(matrix)
+
+    monkeypatch.setattr(forms, "hermitian_inertia", counting_inertia)
+    rebuilt = standard_form(7, 2, "diagonal")
+    assert standard_form(7, 2, "diagonal") is rebuilt and len(certified) == 1
+    assert (rebuilt.n, rebuilt.m, rebuilt.kind) == (7, 2, "diagonal")
+    assert rebuilt.matrix == Matrix([[(1 if i < 5 else -1) if i == j else 0 for j in range(7)]
+                                     for i in range(7)])
 
 
 def test_u_basis_of_a_complex_explicit_form_is_the_nullspace():

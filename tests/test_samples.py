@@ -1,7 +1,10 @@
 """Keep the shipped sample documents honest: every one must run clean."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +29,10 @@ GOLDEN = (
                            "--map", f"samples/{m}.json"]) for s, m in MAPS),
     ("model-model_theorem2_s0", ["model", "--spec", "samples/model_theorem2_s0.json"]),
 )
+
+# the golden commands and a census run, each checked in fresh processes under two hash seeds
+HASH_SEED_RUNS = (*GOLDEN, ("census", ["census", "--n", "2,3", "--m", "0,1", "--samples", "40",
+                                       "--seed", "20240604"]))
 
 
 def run(capsys, *argv):
@@ -84,3 +91,20 @@ def test_sample_reports_match_golden_bytes(name, argv, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(argv) == 0
     assert capsys.readouterr().out == (EXPECTED / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,argv", HASH_SEED_RUNS, ids=[name for name, _ in HASH_SEED_RUNS])
+def test_reports_do_not_depend_on_the_hash_seed(name, argv):
+    """Each command in its own process under two hash seeds prints the same bytes."""
+    procs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        procs.append(subprocess.Popen([sys.executable, "-m", "crmoser.cli", *argv], cwd=ROOT,
+                                      env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    (out0, err0), (out1, err1) = (p.communicate(timeout=300) for p in procs)
+    assert [p.returncode for p in procs] == [0, 0], (err0, err1)
+    assert out0 == out1
+    if name != "census":
+        assert out0 == (EXPECTED / f"{name}.json").read_bytes()
