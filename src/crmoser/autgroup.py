@@ -26,7 +26,7 @@ from .gaussrat import GaussianRational, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface
-from .poly import Poly
+from .poly import Poly, ProductSum
 
 IU = GaussianRational(0, 1)
 
@@ -345,33 +345,47 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
 def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
     """Exact invariance check of the defining equation through weight max_w.
 
-    Substitutes w = u + i(<z,z> + F) into Im g - <f,f> - F(f, conj f, Re g)
-    and requires every term of weight <= max_w to vanish.  The jet supports
-    max_w <= D - 1 (g enters linearly, so its missing weight->D tail cannot
-    touch weights below D).  A jet whose linear part at the origin,
-    d(f, g)/d(z, w)(0), is singular is no local biholomorphism and fails.
+    Requires every term of verification_residual to vanish.  The jet
+    supports 0 <= max_w <= D - 1 (g enters linearly, so its missing
+    weight->D tail cannot touch weights below D).  A jet whose linear part at
+    the origin, d(f, g)/d(z, w)(0), is singular is no local biholomorphism
+    and fails.
     """
+    if max_w < 0:
+        raise ValueError(f"verification weight must be non-negative, got {max_w}")
     if max_w > jet.D - 1:
         raise TruncationError(
             f"verification weight {max_w} exceeds the jet capacity {jet.D - 1}"
         )
-    form = surface.form
-    n = form.n
+    n = surface.form.n
     if jet.n != n:
         raise ValueError("jet dimension does not match the surface")
     jacobian = Matrix([[p.z_linear_coeff(k) for k in range(n)] + [p.w_linear_coeff()]
                        for p in (*jet.f, jet.g)])
     if jacobian.det().is_zero():
         return False
+    return verification_residual(surface, jet, max_w).is_zero()
+
+
+def verification_residual(surface: Hypersurface, jet: JetMap, max_w: int) -> Poly:
+    """Im g - <f,f> - F(f, conj f, Re g) at w = u + i(<z,z> + F), through weight max_w.
+
+    The residual is real, so one ProductSum holds a half H of it and `real`
+    returns H + conj(H): g/(2i) for Im g, a half of <f,f> built from
+    Hermitian squares (HermitianForm.add_square) and a half of the real
+    substitution of F.
+    """
+    form = surface.form
+    n = form.n
     wmix = (Poly.u(n) + (form.inner_poly() + surface.F).scale(IU)).truncate_weight(max_w)
     gm = jet.g.substitute_w(wmix, max_w)
     fm = [fi.substitute_w(wmix, max_w) for fi in jet.f]
-    residual = gm.imag_part() - form.pair_polys(fm, fm, max_w)
+    total = ProductSum(n, max_w)
+    total.add(gm, c=GaussianRational(0, Fraction(-1, 2)))
+    form.add_square(total, fm, -1)
     if not surface.F.is_zero():
-        fbar = [p.conjugate() for p in fm]
-        residual = residual - surface.F.substitute(fm, fbar, gm.real_part(),
-                                                   max_weight=max_w)
-    return residual.truncate_weight(max_w).is_zero()
+        total.add_real_substitution(surface.F, fm, gm.real_part(), -1)
+    return total.real()
 
 
 def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurface:
@@ -402,21 +416,18 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
     inner = form.inner_poly()
     one = Poly.constant(n, 1)
     zvars = [Poly.z(n, i) for i in range(n)]
-    zbvars = [Poly.zbar(n, i) for i in range(n)]
     gamma = surface.F.min_weight()
     current = Poly.zero(n)
     while True:
         wmix = (Poly.u(n) + (inner + current).scale(IU)).truncate_weight(max_w)
-        wbar = wmix.conjugate()
         series = _geometric(wmix.scale(q), max_w)       # 1/(1 - q w)
-        series_bar = series.conjugate()
-        slot_u = (wmix.mul(series, max_w)
-                  + wbar.mul(series_bar, max_w)).scale(Fraction(1, 2))
-        prefactor = (one - wmix.scale(q)).mul(one - wbar.scale(q), max_w)
+        slot_u = ProductSum(n, max_w)                   # Re(w/(1 - q w))
+        slot_u.add(wmix, series, Fraction(1, 2))
+        prefactor = ProductSum(n, max_w)                # |1 - q w|^2
+        prefactor.add_square(one - wmix.scale(q))
         zs = [zv.mul(series, max_w) for zv in zvars]
-        zbs = [zv.mul(series_bar, max_w) for zv in zbvars]
-        candidate = surface.F.substitute(zs, zbs, slot_u, max_weight=max_w)
-        candidate = prefactor.mul(candidate, max_w)
+        candidate = surface.F.substitute_real(zs, slot_u.real(), max_weight=max_w)
+        candidate = prefactor.real().mul(candidate, max_w)
         changed = (candidate - current).min_weight()
         if changed is None or changed + gamma - 2 > max_w:
             return Hypersurface(form, candidate, max_w)

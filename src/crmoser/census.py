@@ -51,6 +51,8 @@ class CensusConfig:
     pool: Tuple[Fraction, ...] = DEFAULT_POOL
 
     def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"a census needs at least one sample per pair, got {self.samples}")
         if self.max_weight < MIN_WEIGHT:
             raise ValueError(
                 f"max weight {self.max_weight} admits no surface: the smallest "

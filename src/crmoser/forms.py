@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
-from .poly import Poly
+from .poly import Poly, ProductSum
 
 DIAGONAL = "diagonal"
 ANTIDIAGONAL = "antidiagonal"
@@ -107,20 +107,38 @@ class HermitianForm:
 
     def pair_polys(self, left: Sequence[Poly], right: Sequence[Poly],
                    max_weight: Optional[int] = None) -> Poly:
-        """<left, right> with polynomial entries; the right slot is conjugated."""
-        n_out = left[0].n
-        acc = Poly.zero(n_out)
+        """<left, right> with polynomial entries; the right slot is conjugated.
+
+        All n^2 products go into one ProductSum.  When `right` is `left`
+        itself, <left, left> is real and is built by `add_square` instead.
+        """
+        total = ProductSum(left[0].n, max_weight)
+        if right is left:
+            self.add_square(total, left)
+            return total.real()
         rbar = [p.conjugate() for p in right]
         for a in range(self.n):
             for b in range(self.n):
                 h = self.matrix[a, b]
-                if h == 1:
-                    acc = acc + left[a].mul(rbar[b], max_weight)
-                elif h == -1:
-                    acc = acc - left[a].mul(rbar[b], max_weight)
-                elif not h.is_zero():
-                    acc = acc + left[a].mul(rbar[b], max_weight).scale(h)
-        return acc
+                if not h.is_zero():
+                    total.add(left[a], rbar[b], h)
+        return total.poly()
+
+    def add_square(self, total: ProductSum, polys: Sequence[Poly], c: GaussianLike = 1) -> None:
+        """Add to `total` a half of c <polys, polys>, c real (see ProductSum.real).
+
+        The half is h_aa times a Hermitian square of polys[a] on the diagonal
+        and one product h_ab polys[a] conj(polys[b]) for each a < b: the
+        product for b > a is its conjugate.
+        """
+        for a in range(self.n):
+            h = self.matrix[a, a]
+            if not h.is_zero():
+                total.add_square(polys[a], h * c)
+            for b in range(a + 1, self.n):
+                h = self.matrix[a, b]
+                if not h.is_zero():
+                    total.add(polys[a], polys[b].conjugate(), h * c)
 
     def pair_poly_const(self, left: Sequence[Poly], right: Sequence[GaussianLike]) -> Poly:
         """<left, right> with polynomial left entries and constant right vector."""

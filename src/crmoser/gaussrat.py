@@ -96,14 +96,24 @@ def _integer_root(n: int, k: int) -> Optional[int]:
     return r if r ** k == n else None
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 class GaussianRational:
-    """Immutable exact complex number re + im*i with rational parts."""
+    """Immutable exact complex number re + im*i with rational parts.
+
+    A zero part is stored as one shared Fraction(0), so the many real or
+    purely imaginary scalars a computation keeps hold no zero of their own.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+        re = as_fraction(re)
+        im = as_fraction(im)
+        # _numerator: the slot behind Fraction.numerator, without its property call
+        object.__setattr__(self, "re", re if re._numerator else _FRACTION_ZERO)
+        object.__setattr__(self, "im", im if im._numerator else _FRACTION_ZERO)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

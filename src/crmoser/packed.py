@@ -9,6 +9,14 @@ so adding keys multiplies monomials and key order is weight order.  `data`
 is an array of 64-bit integers when every entry fits, else a tuple.  Every
 operation returns a reduced form with sorted keys and no zero term, so two
 forms of one field width are equal exactly when their polynomials are.
+
+Products run through one kernel, `accumulate`, which adds the numerators
+of a scaled product into an accumulator dict key -> [re, im] that the
+caller owns; `collect` turns such a dict into a reduced form once, so a
+sum of products is sorted and reduced once (`product` is the kernel plus
+one `collect`).  Next to it, `square` adds a half of a * conj(a) from
+each conjugate pair of products once, and `mirror` turns an accumulator
+into itself plus its conjugate.
 """
 
 from __future__ import annotations
@@ -141,6 +149,11 @@ def widen(packed: Packed, n: int, bits: int) -> Packed:
     if old_bits == bits:
         return packed
     keys, res, ims = columns(packed)
+    return bits, den, column([*widen_keys(keys, n, old_bits, bits), *res, *ims])
+
+
+def widen_keys(keys, n: int, old_bits: int, bits: int) -> List[int]:
+    """The keys re-packed from fields of `old_bits` bits into fields of `bits` bits."""
     nfields = 2 * n + 1
     mask = (1 << old_bits) - 1
     widened = []
@@ -150,21 +163,34 @@ def widen(packed: Packed, n: int, bits: int) -> Packed:
             new |= (key & mask) << (bits * i)
             key >>= old_bits
         widened.append(new)
-    return bits, den, column([*widened, *res, *ims])
+    return widened
 
 
-def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:
-    """a * b without the terms of weight > max_weight; a and b share one field width.
+def conjugate_keys(keys, n: int, bits: int) -> List[int]:
+    """The keys with the z and conj(z) fields swapped."""
+    span = bits * n
+    mask = (1 << span) - 1
+    high = -1 << (2 * span)  # the u field and the weight stay in place
+    return [(key & high) | ((key & mask) << span) | ((key >> span) & mask) for key in keys]
 
-    The width must hold every exponent of the product (see field_bits).
+
+def accumulate(acc: Dict[int, List[int]], n: int, a: Packed, b: Packed,
+               max_weight: Optional[int], mult: Tuple[int, int] = (1, 0)) -> None:
+    """Add the numerators of mult * a * b, without the terms of weight > max_weight, into acc.
+
+    acc maps keys to [re, im] cells over a denominator the caller keeps; the
+    product's own denominator is a[1] * b[1], which `mult`, a Gaussian
+    integer (re, im), must bring to the caller's.  a, b and the keys of acc
+    share one field width, which must hold every exponent of the product
+    (see field_bits).  The loop runs over a outside, so a should be the
+    shorter operand.
     """
-    bits, den_a, _ = a
-    den_b = b[1]
+    bits = a[0]
     keys_b, res_b, ims_b = columns(b)
     shift = bits * (2 * n + 1)
     min_wb = keys_b[0] >> shift
     rows_b = list(zip(keys_b, res_b, ims_b))
-    acc: Dict[int, List[int]] = {}
+    mre, mim = mult
     for ka, ra, ia in zip(*columns(a)):
         part = rows_b
         if max_weight is not None:
@@ -173,6 +199,10 @@ def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:
                 break
             # the terms of b that keep the product within the cap
             part = islice(rows_b, bisect_left(keys_b, (cap + 1) << shift))
+        if mim:
+            ra, ia = ra * mre - ia * mim, ra * mim + ia * mre
+        elif mre != 1:
+            ra, ia = ra * mre, ia * mre
         for kb, rb, ib in part:
             key = ka + kb
             re = ra * rb - ia * ib
@@ -183,7 +213,78 @@ def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:
             else:
                 cell[0] += re
                 cell[1] += im
-    return collect(bits, den_a * den_b, acc)
+
+
+def square(acc: Dict[int, List[int]], n: int, a: Packed,
+           max_weight: Optional[int], mult: Tuple[int, int] = (1, 0)) -> None:
+    """Add 2 mult H into acc, where H + conj(H) = a * conj(a) (see accumulate).
+
+    With c_i the terms of a, 2H is the sum of 2 c_i conj(c_j) over the pairs
+    i < j plus the diagonal |c_i|^2, so each conjugate pair of products is
+    computed once; `mirror` then completes mult * a * conj(a) over twice
+    the product's denominator.
+    """
+    bits = a[0]
+    keys, res, ims = columns(a)
+    shift = bits * (2 * n + 1)
+    rows = list(zip(conjugate_keys(keys, n, bits), res, ims))
+    mre, mim = mult
+    end = len(rows)
+    for i, (ka, ra, ia) in enumerate(zip(keys, res, ims)):
+        if max_weight is not None:
+            # the terms j that keep the product within the cap; weights only grow
+            end = bisect_left(keys, (max_weight - (ka >> shift) + 1) << shift)
+            if end <= i:
+                break
+        ra, ia = ra * mre - ia * mim, ra * mim + ia * mre
+        kb, rb, ib = rows[i]
+        key = ka + kb
+        re = ra * rb + ia * ib
+        im = ia * rb - ra * ib
+        cell = acc.get(key)
+        if cell is None:
+            acc[key] = [re, im]
+        else:
+            cell[0] += re
+            cell[1] += im
+        ra, ia = 2 * ra, 2 * ia
+        for kb, rb, ib in rows[i + 1:end]:
+            key = ka + kb
+            re = ra * rb + ia * ib
+            im = ia * rb - ra * ib
+            cell = acc.get(key)
+            if cell is None:
+                acc[key] = [re, im]
+            else:
+                cell[0] += re
+                cell[1] += im
+
+
+def mirror(acc: Dict[int, List[int]], n: int, bits: int) -> None:
+    """Turn acc into acc + conj(acc) in place (see conjugate)."""
+    keys = list(acc)
+    for key, ckey in zip(keys, conjugate_keys(keys, n, bits)):
+        cell = acc[key]
+        if ckey == key:
+            cell[0] *= 2
+            cell[1] = 0
+        elif key < ckey:
+            other = acc.get(ckey)
+            if other is None:
+                acc[ckey] = [cell[0], -cell[1]]
+            else:  # both cells become cell + conj(other) and its conjugate
+                re, im = cell[0] + other[0], cell[1] - other[1]
+                cell[0], cell[1] = re, im
+                other[0], other[1] = re, -im
+        elif ckey not in acc:  # a present partner is or was handled from its side
+            acc[ckey] = [cell[0], -cell[1]]
+
+
+def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:
+    """a * b without the terms of weight > max_weight (see accumulate)."""
+    acc: Dict[int, List[int]] = {}
+    accumulate(acc, n, a, b, max_weight)
+    return collect(a[0], a[1] * b[1], acc)
 
 
 def combine(a: Packed, b: Packed, subtract: bool) -> Packed:
@@ -219,12 +320,9 @@ def scale(packed: Packed, c: GaussianRational) -> Packed:
 def conjugate(packed: Packed, n: int) -> Packed:
     """Coefficient conjugation combined with the z <-> conj(z) swap."""
     bits, den, _data = packed
-    span = bits * n
-    mask = (1 << span) - 1
-    high = -1 << (2 * span)  # the u field and the weight stay in place
+    keys, res, ims = columns(packed)
     return collect(bits, den, {
-        (key & high) | ((key & mask) << span) | ((key >> span) & mask): [re, -im]
-        for key, re, im in zip(*columns(packed))})
+        ckey: [re, -im] for ckey, re, im in zip(conjugate_keys(keys, n, bits), res, ims)})
 
 
 def truncate(packed: Packed, n: int, max_weight: int) -> Packed:

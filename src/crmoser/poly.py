@@ -24,7 +24,9 @@ are born packed; a polynomial built from terms is packed the first time it
 is a factor or is substituted into, and sums, scalings and conjugates of
 packed polynomials stay packed.  Reading `terms` builds the term dict, which then replaces the
 packed form.  A weight cap reads a prefix of the packed keys, which keeps
-truncated series composition exact for every weight below it.
+truncated series composition exact for every weight below it.  A sum of
+products (substitution, pairings) goes into one `ProductSum`, which sorts
+and reduces the sum once instead of once per product and per addition.
 
 Ring operations (sums, scalings, products, powers, weight truncations)
 return the operands' class when they share one and Poly otherwise, so a
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import packed as pk
@@ -476,51 +479,32 @@ class Poly:
         None keeps the corresponding variables.  Substituted polynomials
         must share one target dimension, which must be n when a variable is
         kept.  The caller is responsible for conjugation consistency when
-        reality matters.
+        reality matters (see substitute_real).  Terms of weight >
+        max_weight are dropped.
 
         Monomials are grouped by their exponents in the substituted
         variables.  Each group's kept part is multiplied by one power of
         each substituted polynomial, powers are built incrementally
-        (p^e = p^(e-1) p, capped), and the sum is truncated once at
-        max_weight.
+        (p^e = p^(e-1) p, capped), and the last product of every group goes
+        into one ProductSum, which collects the sum once.
         """
-        n = self.n
-        if zsubs is not None and len(zsubs) != n:
-            raise ValueError("zsubs must supply one polynomial per variable")
-        if zbarsubs is not None and len(zbarsubs) != n:
-            raise ValueError("zbarsubs must supply one polynomial per variable")
-        # one slot per variable, in the order z_1..z_n, conj(z_1)..conj(z_n), u
-        slots = [*(zsubs if zsubs is not None else [None] * n),
-                 *(zbarsubs if zbarsubs is not None else [None] * n), usub]
-        moved = [i for i, p in enumerate(slots) if p is not None]
-        n_out = slots[moved[0]].n if moved else n
-        if any(slots[i].n != n_out for i in moved):
-            raise ValueError("substitution targets have mismatched dimensions")
-        if len(moved) < len(slots) and n_out != n:
-            raise ValueError(
-                f"kept variables need substitution targets of dimension {n}, got {n_out}")
-        if not self._size():
-            return Poly.zero(n_out)
-        groups = pk.split(self._packed_form(), n, moved)
-        one = Poly.constant(n_out, 1)
-        powers = {i: [one] for i in moved}
+        slots, n_out = _slots(self.n, zsubs, zbarsubs, usub)
+        total = ProductSum(n_out, max_weight)
+        _add_groups(total, self, slots, 1, real=False)
+        return total.poly()
 
-        def power(i: int, e: int) -> Poly:
-            got = powers[i]
-            while len(got) <= e:
-                got.append(got[-1].mul(slots[i], max_weight))
-            return got[e]
+    def substitute_real(self, zsubs: Sequence["Poly"], usub: Optional["Poly"],
+                        max_weight: Optional[int] = None) -> "Poly":
+        """substitute(zsubs, [conj(p) for p in zsubs], usub, max_weight) for real self and usub.
 
-        total = Poly.zero(n_out)
-        for exps, part in groups.items():
-            acc = Poly._from_packed(n_out, part)
-            for i, e in zip(moved, exps):
-                if e:
-                    acc = acc.mul(power(i, e), max_weight)
-            total = total + acc
-        if max_weight is not None:
-            total = total.truncate_weight(max_weight)
-        return total
+        The value is real, so it is built from half of the monomials and
+        mirrored (see ProductSum.add_real_substitution); the conj(z) powers
+        are read as conjugates of the z powers.
+        """
+        slots, n_out = _slots(self.n, zsubs, zsubs, usub)
+        total = ProductSum(n_out, max_weight)
+        _add_groups(total, self, slots, 1, real=True)
+        return total.real()
 
     def substitute_linear(self, a_matrix, u_scale: Fraction) -> "Poly":
         """P(Az, conj(A) conj(z), u_scale*u), expanded exactly.
@@ -617,6 +601,196 @@ class Poly:
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, terms={self._size()})"
+
+
+def _slots(n: int, zsubs, zbarsubs, usub) -> Tuple[list, int]:
+    """(one target or None per variable, target dimension); ValueError on a mismatch.
+
+    The variables are in the order z_1..z_n, conj(z_1)..conj(z_n), u.
+    """
+    if zsubs is not None and len(zsubs) != n:
+        raise ValueError("zsubs must supply one polynomial per variable")
+    if zbarsubs is not None and len(zbarsubs) != n:
+        raise ValueError("zbarsubs must supply one polynomial per variable")
+    slots = [*(zsubs if zsubs is not None else [None] * n),
+             *(zbarsubs if zbarsubs is not None else [None] * n), usub]
+    moved = [p for p in slots if p is not None]
+    n_out = moved[0].n if moved else n
+    if any(p.n != n_out for p in moved):
+        raise ValueError("substitution targets have mismatched dimensions")
+    if len(moved) < len(slots) and n_out != n:
+        raise ValueError(
+            f"kept variables need substitution targets of dimension {n}, got {n_out}")
+    return slots, n_out
+
+
+class ProductSum:
+    """A sum of products c a b of polynomials, built in one accumulator.
+
+    Each product adds its numerators straight into one packed accumulator
+    over a shared denominator (`crmoser.packed.accumulate`), without its
+    terms of weight > max_weight, and the sum is sorted and reduced once,
+    by `poly` or `real`.  The denominator and the field width grow when an
+    operand needs it.
+
+    A real value V can be added as a half H with H + conj(H) = V
+    (`add_square`, `add_real_substitution`, or `add` of V/2 or of either
+    half of a conjugate pair of products).  `real` returns S + conj(S) for
+    the sum S, so it completes every half at once; a sum that holds halves
+    must be read with `real`.
+    """
+
+    __slots__ = ("n", "max_weight", "bits", "den", "cells")
+
+    def __init__(self, n: int, max_weight: Optional[int] = None):
+        self.n = n
+        self.max_weight = max_weight
+        self.bits = 1
+        self.den = 1
+        self.cells: Dict[int, List[int]] = {}
+
+    def add(self, a: Poly, b: Optional[Poly] = None, c: GaussianLike = 1) -> None:
+        """Add c a b, or c a when b is None."""
+        c = GaussianRational.of(c)
+        if b is None:
+            b = Poly.constant(self.n, 1)
+        if c.is_zero() or not a._size() or not b._size():
+            return
+        if a._size() > b._size():
+            a, b = b, a
+        pa, pb = a._packed_form(), b._packed_form()
+        n = self.n
+        mult = self._reserve(pk.weight(pa, 0, n) + pk.weight(pb, 0, n),
+                             pk.weight(pa, -1, n) + pk.weight(pb, -1, n),
+                             max(pa[0], pb[0]), pa[1] * pb[1], c)
+        if mult is not None:
+            pk.accumulate(self.cells, n, a._widen(self.bits), b._widen(self.bits),
+                          self.max_weight, mult)
+
+    def add_square(self, a: Poly, c: GaussianLike = 1) -> None:
+        """Add a half of c a conj(a), c real, from each conjugate pair of products once."""
+        c = GaussianRational.of(c)
+        if not c.is_real():
+            raise ValueError("a Hermitian square takes a real scalar")
+        if c.is_zero() or not a._size():
+            return
+        pa = a._packed_form()
+        n = self.n
+        # packed.square adds twice the half over twice the denominator
+        mult = self._reserve(2 * pk.weight(pa, 0, n), 2 * pk.weight(pa, -1, n),
+                             pa[0], 2 * pa[1] * pa[1], c)
+        if mult is not None:
+            pk.square(self.cells, n, a._widen(self.bits), self.max_weight, mult)
+
+    def add_real_substitution(self, p: Poly, zsubs: Sequence[Poly], usub: Optional[Poly],
+                              c: GaussianLike = 1) -> None:
+        """Add a half of c p(zsubs, conj(zsubs), usub) for real p, usub and c.
+
+        A usub of None keeps u, which is real too.
+        Only the monomials with zexp > zbexp and half of each monomial with
+        zexp == zbexp are substituted; the others are the conjugates of
+        these.  Powers of conj(zsubs) are the conjugates of the zsubs powers.
+        """
+        slots, n_out = _slots(p.n, zsubs, zsubs, usub)
+        if n_out != self.n:
+            raise ValueError("substitution targets do not match the sum's dimension")
+        _add_groups(self, p, slots, c, real=True)
+
+    def _reserve(self, low: int, top: int, bits: int, den: int,
+                 c: GaussianRational) -> Optional[Tuple[int, int]]:
+        """The multiplier of a product of weights low..top, field width bits and
+        denominator den times c, None when it lies above the cap.
+
+        The accumulator is widened to the field width and brought to a common
+        denominator first.
+        """
+        cap = self.max_weight
+        if cap is not None:
+            if low > cap:
+                return None
+            top = min(top, cap)
+        bits = max(bits, pk.field_bits(top))
+        if bits > self.bits:
+            cells = self.cells
+            self.cells = dict(zip(pk.widen_keys(cells, self.n, self.bits, bits),
+                                  cells.values()))
+            self.bits = bits
+        re, im = c.re, c.im
+        cd = lcm(re.denominator, im.denominator)
+        den *= cd
+        common = lcm(self.den, den)
+        if common != self.den:
+            f = common // self.den
+            for cell in self.cells.values():
+                cell[0] *= f
+                cell[1] *= f
+            self.den = common
+        f = common // den
+        return (re.numerator * (cd // re.denominator) * f,
+                im.numerator * (cd // im.denominator) * f)
+
+    def poly(self) -> Poly:
+        """The sum."""
+        if not self.cells:
+            return Poly.zero(self.n)
+        return Poly._from_packed(self.n, pk.collect(self.bits, self.den, self.cells))
+
+    def real(self) -> Poly:
+        """The sum plus its conjugate; the accumulator is used up."""
+        pk.mirror(self.cells, self.n, self.bits)
+        return self.poly()
+
+
+def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: bool) -> None:
+    """Add c p(slots) into total (see Poly.substitute).
+
+    With `real`, the z and conj(z) slots are substituted, the conj(z) slots
+    are read as the conjugates of the z slots, and a half is added (see
+    ProductSum.add_real_substitution).
+    """
+    if not p._size():
+        return
+    n, n_out, cap = p.n, total.n, total.max_weight
+    c = GaussianRational.of(c)
+    moved = [i for i, s in enumerate(slots) if s is not None]
+    powers = {i: [None] for i in moved}
+
+    def power(i: int, e: int) -> Poly:
+        got = powers[i]
+        while len(got) <= e:
+            k = len(got)
+            if real and n <= i < 2 * n:
+                got.append(power(i - n, k).conjugate())
+            elif k == 1:
+                got.append(slots[i])
+            else:
+                got.append(got[-1].mul(slots[i], cap))
+        return got[e]
+
+    whole = len(moved) == len(slots)
+    for exps, part in pk.split(p._packed_form(), n, moved).items():
+        coeff = c
+        if real:
+            z, zb = exps[:n], exps[n:2 * n]
+            if z < zb:
+                continue
+            if z == zb:
+                coeff = c * _HALF
+        factors = [power(i, e) for i, e in zip(moved, exps) if e]
+        if whole:  # the part is the monomial's coefficient
+            den = part[1]
+            _keys, res, ims = pk.columns(part)
+            coeff = coeff * GaussianRational(Fraction(res[0], den), Fraction(ims[0], den))
+            left = factors.pop(0) if factors else Poly.constant(n_out, 1)
+        else:
+            left = Poly._from_packed(n_out, part)
+        last = factors.pop() if factors else None
+        for factor in factors:
+            left = left.mul(factor, cap)
+        total.add(left, last, coeff)
+
+
+_HALF = Fraction(1, 2)
 
 
 def term_list(items) -> list:

@@ -500,6 +500,18 @@ def test_verify_truncation_error():
         verify_automorphism(m, JetMap.identity(2, 6), 6)
 
 
+def test_verify_rejects_a_negative_weight():
+    form = standard_form(2, 0, "diagonal")
+    m = surface(form, Poly.monomial(2, (2, 0), (2, 0), 0), 8)
+    not_auto = JetMap((HoloPoly.z(2, 0).scale(2), HoloPoly.z(2, 1)), HoloPoly.w(2), 6)
+    assert not verify_automorphism(m, not_auto, 2)
+    for weight in (-1, -3):
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_automorphism(m, not_auto, weight)
+    # a weight above maxWeight stays allowed
+    assert verify_automorphism(surface(form, Poly.zero(2), 4), JetMap.identity(2, 10), 9)
+
+
 def test_verify_nonspherical_linear_maps():
     form = standard_form(2, 0, "diagonal")
     m = surface(form, Poly.monomial(2, (4, 0), (4, 0), 0), 10)

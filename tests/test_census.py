@@ -57,3 +57,9 @@ def test_census_controls_classify_full():
 def test_census_config_rejects_empty():
     with pytest.raises(ValueError):
         CensusConfig(ns=(3,), ms=(2,)).pairs()  # n < 2m
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_census_config_rejects_no_samples(samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        CensusConfig(ns=(2,), ms=(0,), samples=samples)

@@ -108,6 +108,21 @@ def test_verify_jet_with_singular_linear_part_fails(tmp_path, capsys):
     assert code == 3 and report["verified"] is False
 
 
+def test_verify_jet_rejects_a_negative_weight(tmp_path, capsys):
+    # f = (2 z1, z2), g = w is no automorphism of v = <z,z> + Q^4
+    jet = write(tmp_path, "jet.json", {
+        "type": "jet", "D": 6,
+        "f": [[{"z": [1, 0], "w": 0, "re": "2", "im": "0"}],
+              [{"z": [0, 1], "w": 0, "re": "1", "im": "0"}]],
+        "g": [{"z": [0, 0], "w": 1, "re": "1", "im": "0"}],
+    })
+    surf = str(SAMPLES / "umbilic_q4.json")
+    code, report = run(capsys, "verify", "--surface", surf, "--map", jet, "--max-weight", "-3")
+    assert code == 2 and "non-negative" in report["error"]
+    code, report = run(capsys, "verify", "--surface", surf, "--map", jet, "--max-weight", "2")
+    assert code == 3 and report["verified"] is False
+
+
 def test_model_command(tmp_path, capsys):
     spec = write(tmp_path, "model.json",
                  {"family": "theorem2", "n": 2, "m": 1, "s": "0",
@@ -144,6 +159,12 @@ def test_census_rejects_weight_below_every_surface(capsys):
     code, report = run(capsys, "census", "--n", "2", "--m", "0", "--max-weight", "4",
                        "--samples", "3", "--seed", "1")
     assert code == 0 and report["pairs"][0]["samples"] == 3
+
+
+def test_census_rejects_an_empty_sample(capsys):
+    for samples in ("0", "-5"):
+        code, report = run(capsys, "census", "--n", "2", "--m", "0", "--samples", samples)
+        assert code == 2 and "at least one sample" in report["error"]
 
 
 def test_exit_codes(tmp_path, capsys):
