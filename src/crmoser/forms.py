@@ -109,13 +109,10 @@ class HermitianForm:
                    max_weight: Optional[int] = None) -> Poly:
         """<left, right> with polynomial entries; the right slot is conjugated.
 
-        All n^2 products go into one ProductSum.  When `right` is `left`
-        itself, <left, left> is real and is built by `add_square` instead.
+        All n^2 products go into one ProductSum.  A real <f, f> is built
+        from half its products by `add_square`.
         """
         total = ProductSum(left[0].n, max_weight)
-        if right is left:
-            self.add_square(total, left)
-            return total.real()
         rbar = [p.conjugate() for p in right]
         for a in range(self.n):
             for b in range(self.n):

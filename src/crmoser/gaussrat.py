@@ -111,9 +111,8 @@ class GaussianRational:
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         re = as_fraction(re)
         im = as_fraction(im)
-        # _numerator: the slot behind Fraction.numerator, without its property call
-        object.__setattr__(self, "re", re if re._numerator else _FRACTION_ZERO)
-        object.__setattr__(self, "im", im if im._numerator else _FRACTION_ZERO)
+        object.__setattr__(self, "re", re if re else _FRACTION_ZERO)
+        object.__setattr__(self, "im", im if im else _FRACTION_ZERO)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

@@ -501,9 +501,8 @@ class Poly:
         mirrored (see ProductSum.add_real_substitution); the conj(z) powers
         are read as conjugates of the z powers.
         """
-        slots, n_out = _slots(self.n, zsubs, zsubs, usub)
-        total = ProductSum(n_out, max_weight)
-        _add_groups(total, self, slots, 1, real=True)
+        total = ProductSum(zsubs[0].n if zsubs else self.n, max_weight)
+        total.add_real_substitution(self, zsubs, usub)
         return total.real()
 
     def substitute_linear(self, a_matrix, u_scale: Fraction) -> "Poly":
@@ -654,6 +653,8 @@ class ProductSum:
         c = GaussianRational.of(c)
         if b is None:
             b = Poly.constant(self.n, 1)
+        self._check_dim(a)
+        self._check_dim(b)
         if c.is_zero() or not a._size() or not b._size():
             return
         if a._size() > b._size():
@@ -670,6 +671,7 @@ class ProductSum:
     def add_square(self, a: Poly, c: GaussianLike = 1) -> None:
         """Add a half of c a conj(a), c real, from each conjugate pair of products once."""
         c = GaussianRational.of(c)
+        self._check_dim(a)
         if not c.is_real():
             raise ValueError("a Hermitian square takes a real scalar")
         if c.is_zero() or not a._size():
@@ -691,10 +693,16 @@ class ProductSum:
         zexp == zbexp are substituted; the others are the conjugates of
         these.  Powers of conj(zsubs) are the conjugates of the zsubs powers.
         """
+        if zsubs is None:
+            raise ValueError("a real substitution needs zsubs")
         slots, n_out = _slots(p.n, zsubs, zsubs, usub)
         if n_out != self.n:
             raise ValueError("substitution targets do not match the sum's dimension")
         _add_groups(self, p, slots, c, real=True)
+
+    def _check_dim(self, a: Poly) -> None:
+        if a.n != self.n:
+            raise ValueError(f"dimension mismatch: {a.n} vs {self.n}")
 
     def _reserve(self, low: int, top: int, bits: int, den: int,
                  c: GaussianRational) -> Optional[Tuple[int, int]]:

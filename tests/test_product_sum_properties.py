@@ -3,13 +3,14 @@
 `ProductSum` adds every product into one packed accumulator; the
 references are the separate paths it replaced: one `Poly.mul` per product
 added up with `+`, a term-by-term product over GaussianRational, the
-general `pair_polys` with both slots spelled out, and `Poly.substitute`
+general `pair_polys`, and `Poly.substitute`
 with the conjugate targets written out.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,11 +141,13 @@ FORMS = [standard_form(n, m, kind) for n in (1, 2, 3) for m in range(n // 2 + 1)
 @SETTINGS
 @given(st.sampled_from(FORMS).flatmap(
     lambda form: st.tuples(st.just(form), st.lists(polys(form.n, 4), min_size=form.n,
-                                                   max_size=form.n))), offsets)
-def test_hermitian_square_pairing_equals_the_general_pairing(case, offset):
+                                                   max_size=form.n))), rationals, offsets)
+def test_hermitian_square_pairing_equals_the_general_pairing(case, c, offset):
     form, f = case
     cap = cap_above(offset, *(p * q for p in f for q in f))
-    assert form.pair_polys(f, f, cap) == form.pair_polys(f, list(f), cap)
+    total = ProductSum(form.n, cap)
+    form.add_square(total, f, c)
+    assert total.real() == form.pair_polys(f, list(f), cap).scale(c)
 
 
 @st.composite
@@ -172,6 +175,28 @@ def test_real_substitution_equals_the_general_substitution(case):
         # u kept: it is real too
         assert f.substitute_real(zs, None, cap) == f.substitute(zs, zbars, max_weight=cap)
     assert expected
+
+
+def test_real_substitution_needs_z_targets():
+    f = Poly.z(2, 0) * Poly.zbar(2, 0) + Poly.u(2)
+    u = Poly.u(2) + Poly.constant(2, 1)
+    with pytest.raises(ValueError):
+        f.substitute_real(None, u)
+    with pytest.raises(ValueError):
+        ProductSum(2).add_real_substitution(f, None, u)
+
+
+def test_product_sum_rejects_operands_of_another_dimension():
+    total = ProductSum(2)
+    with pytest.raises(ValueError):
+        total.add(Poly.z(3, 0), Poly.z(3, 1))
+    with pytest.raises(ValueError):
+        total.add(Poly.z(2, 0), Poly.z(3, 1))
+    with pytest.raises(ValueError):
+        total.add(Poly.z(3, 0))
+    with pytest.raises(ValueError):
+        total.add_square(Poly.z(3, 0))
+    assert total.poly() == Poly.zero(2)
 
 
 fractions_with_zeros = st.one_of(
