@@ -85,7 +85,6 @@ def random_normal_form_surface(rng: random.Random, form: HermitianForm,
     redrawn.
     """
     n = form.n
-    inner = form.inner_poly()
     for _ in range(max_tries):
         f_poly = Poly.zero(n)
         if rng.random() < 0.2:
@@ -95,7 +94,7 @@ def random_normal_form_surface(rng: random.Random, form: HermitianForm,
                 continue
             k, r = rng.choice(choices)
             coeff = rng.choice(pool)
-            f_poly = (inner**k * Poly.u(n).pow(r)).scale(coeff)
+            f_poly = (form.inner_power(k) * Poly.u(n).pow(r)).scale(coeff)
         else:
             for _ in range(rng.choice((1, 1, 2))):
                 k = rng.choice((2, 2, 3, 4))

@@ -8,8 +8,9 @@ inertia, never numerically.
 
 Forms are immutable, so each standard form is built and certified once and
 shared: `standard_form` hands out one instance per (n, m, kind) while any
-reference to it lives.  Derived data (inverse, <z,z>, u(H)) is memoized on
-the form itself, so surfaces over one form share it.
+reference to it lives.  Derived data (inverse, <z,z> and its powers, u(H))
+is memoized on the form itself, so surfaces over one form share it; each
+power <z,z>^k is built once, from the one below it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ EXPLICIT = "explicit"
 class HermitianForm:
     """Non-degenerate Hermitian form with signature (n-m, m), n >= 2m."""
 
-    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inner", "_u_basis", "__weakref__")
+    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inner", "_inner_powers", "_u_basis",
+                 "__weakref__")
 
     def __init__(self, n: int, m: int, matrix: Matrix, kind: str = EXPLICIT):
         if n < 1:
@@ -54,6 +56,7 @@ class HermitianForm:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_inverse", None)
         object.__setattr__(self, "_inner", None)
+        object.__setattr__(self, "_inner_powers", None)
         object.__setattr__(self, "_u_basis", None)
 
     def __setattr__(self, name, value):
@@ -91,6 +94,18 @@ class HermitianForm:
                         terms[(za, zbb, 0)] = h
             object.__setattr__(self, "_inner", Poly(n, terms))
         return self._inner
+
+    def inner_power(self, k: int) -> Poly:
+        """<z,z>^k for k >= 0, memoized on the form."""
+        if k < 0:
+            raise ValueError("negative exponent")
+        powers = self._inner_powers
+        if powers is None:
+            powers = [Poly.constant(self.n, 1)]
+            object.__setattr__(self, "_inner_powers", powers)
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.inner_poly())
+        return powers[k]
 
     def pair_values(self, left: Sequence[GaussianLike], right: Sequence[GaussianLike]) -> GaussianRational:
         """<left, right> = sum h_ab left_a conj(right_b) for constant vectors."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -28,12 +28,17 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a 'p/q' or 'p' string of ASCII digits with an optional sign."""
+    return Fraction(*rational_parts(text))
+
+
+def rational_parts(text: str) -> Tuple[int, int]:
+    """(p, q) of a 'p/q' or 'p' string, q > 0 and not reduced; see parse_rational."""
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ValueError(f"rational must be a decimal-free string 'p' or 'p/q', got {text!r}")
     num, _, den = text.partition("/")
     if den and not int(den):
         raise ValueError(f"rational has a zero denominator: {text!r}")
-    return Fraction(int(num), int(den or 1))
+    return int(num), int(den or 1)
 
 
 def parse_int(value, field: str) -> int:

@@ -3,10 +3,10 @@
 Small dense matrices with GaussianRational entries (products, inverses,
 determinants) plus two rational kernels used throughout the Lie-algebra
 computations: the nullspace over Q, by primitive-row dedup + fraction-free
-elimination on Python ints, and Hermitian inertia by exact congruence
-elimination.  Everything is deterministic: the nullspace basis is read off
-the unique reduced row echelon form, and inertia pivots are always chosen
-at the smallest admissible index.
+elimination on Python ints, and Hermitian inertia by fraction-free
+congruence elimination on Gaussian integers.  Everything is deterministic:
+the nullspace basis is read off the unique reduced row echelon form, and
+inertia pivots are always chosen at the smallest admissible index.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ class Matrix:
 def _dot(row, col):
     acc = GaussianRational(0)
     for a, b in zip(row, col):
-        acc = acc + a * b
+        if a and b:  # skip the zeros of sparse forms and matrices
+            acc = acc + a * b
     return acc
 
 
@@ -270,62 +271,64 @@ def rational_nullspace(rows: List[List[Fraction]], ncols: Optional[int] = None) 
 def hermitian_inertia(m: Matrix) -> Tuple[int, int, int]:
     """(positive, negative, zero) inertia of a Hermitian matrix.
 
-    Exact congruence diagonalization (Schur-complement elimination).  When
-    the whole active diagonal vanishes, the smallest nonzero off-diagonal
-    entry M_ij is folded in through the basis change e_i := e_i + c*e_j with
-    c in {1, i}; the new diagonal value is 2*Re(conj(c)*M_ij), and one of
-    the two choices of c is always nonzero.
+    Exact congruence diagonalization on Gaussian integers, fraction-free as
+    in `rational_nullspace`.  The matrix is scaled by the least common
+    denominator of its entries.  A nonzero pivot d on the diagonal (real)
+    takes the Schur complement |d| (a_ij - a_ik conj(a_jk) / d), and the
+    active block is divided by the gcd of its parts; positive scalings keep
+    the inertia.  When the whole active diagonal vanishes, the first nonzero
+    off-diagonal entry a_ij is folded in through the basis change
+    e_i := e_i + c*e_j with the unit c in {1, i}; the new diagonal value is
+    2*Re(conj(c)*a_ij), and one of the two choices of c is always nonzero.
     """
     if not m.is_square():
         raise ValueError("inertia of non-square matrix")
     n = m.nrows
-    a = [[m.rows[i][j] for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        piv = next((j for j in range(k, n) if not a[j][j].is_zero()), None)
+    den = lcm(*[p.denominator for row in m.rows for e in row for p in (e.re, e.im)])
+    # entry (i, j) is the Gaussian integer re[i][j] + i*im[i][j]
+    re = [[e.re.numerator * (den // e.re.denominator) for e in row] for row in m.rows]
+    im = [[e.im.numerator * (den // e.im.denominator) for e in row] for row in m.rows]
+    pos = neg = 0
+    for k in range(n):
+        piv = next((j for j in range(k, n) if re[j][j]), None)
         if piv is None:
-            target = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if not a[i][j].is_zero():
-                        target = (i, j)
-                        break
-                if target:
-                    break
+            target = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                           if re[i][j] or im[i][j]), None)
             if target is None:
-                zero += n - k
-                break
+                return pos, neg, n - k
             i, j = target
-            mij = a[i][j]
-            c = GaussianRational(1) if mij.re else GaussianRational(0, 1)
-            cb = c.conjugate()
-            new_ii = c * a[j][i] + cb * mij  # both diagonals vanish here
-            for t in range(n):
-                if t != i:
-                    a[i][t] = a[i][t] + c * a[j][t]
-                    a[t][i] = a[t][i] + cb * a[t][j]
-            a[i][i] = new_ii
-            continue
+            cr, ci = (1, 0) if re[i][j] else (0, 1)  # c = cr + i*ci
+            for t in range(k, n):  # row i += c row j, on the active block
+                re[i][t] += cr * re[j][t] - ci * im[j][t]
+                im[i][t] += cr * im[j][t] + ci * re[j][t]
+            for t in range(k, n):  # then column i += conj(c) column j
+                re[t][i] += cr * re[t][j] + ci * im[t][j]
+                im[t][i] += cr * im[t][j] - ci * re[t][j]
+            piv = i
         if piv != k:
-            _swap_sym(a, k, piv)
-        d = a[k][k]
-        if d.re > 0:
+            _swap_sym(re, k, piv)
+            _swap_sym(im, k, piv)
+        d = re[k][k]
+        if d > 0:
             pos += 1
         else:
             neg += 1
-        dinv = GaussianRational(1) / d
-        col_k = [a[i][k] for i in range(n)]
+        ad, sign = abs(d), (1 if d > 0 else -1)
+        rk = [re[i][k] for i in range(n)]
+        ik = [im[i][k] for i in range(n)]
         for i in range(k + 1, n):
-            ci = col_k[i]
-            if not ci.is_zero():
-                f = ci * dinv
-                for j in range(k + 1, n):
-                    a[i][j] = a[i][j] - f * col_k[j].conjugate()
-            a[i][k] = GaussianRational(0)
-            a[k][i] = GaussianRational(0)
-        k += 1
-    return pos, neg, zero
+            ri, ii = sign * rk[i], sign * ik[i]
+            row_re, row_im = re[i], im[i]
+            for j in range(k + 1, n):
+                # |d| a_ij - sign(d) a_ik conj(a_jk)
+                row_re[j] = ad * row_re[j] - (ri * rk[j] + ii * ik[j])
+                row_im[j] = ad * row_im[j] - (ii * rk[j] - ri * ik[j])
+        g = gcd(*[x for rows in (re, im) for row in rows[k + 1:] for x in row[k + 1:]])
+        if g > 1:
+            for rows in (re, im):
+                for row in rows[k + 1:]:
+                    row[k + 1:] = [x // g for x in row[k + 1:]]
+    return pos, neg, 0
 
 
 def _swap_sym(a, i, j):

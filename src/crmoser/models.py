@@ -274,11 +274,10 @@ def model_umbilic(n: int, m: int, kind: str,
                 f"power k={k} < 4: the trace conditions force F_22 = F_33 = 0")
         if r < 0:
             raise ModelError("u-power must be non-negative")
-    q = form.inner_poly()
     f_poly = Poly.zero(n)
     max_w = 0
     for (k, r), value in sorted(clean.items()):
-        f_poly = f_poly + (q**k * Poly.u(n).pow(r)).scale(value)
+        f_poly = f_poly + (form.inner_power(k) * Poly.u(n).pow(r)).scale(value)
         max_w = max(max_w, 2 * k + 2 * r)
     return Hypersurface(form, f_poly, max_w)
 
@@ -302,12 +301,11 @@ def model_theorem1(n: int, coeffs: Mapping[Tuple[int, int, int], object]) -> Hyp
             raise ModelError(f"key (p={p}, q={q}): p+q >= 4 is required")
     if not any(p >= 1 for (p, q, r) in clean):
         raise ModelError("some nonzero coefficient must have p >= 1")
-    q_poly = form.inner_poly()
     z1_abs2 = Poly.monomial(n, _unit(n, 0), _unit(n, 0), 0)
     f_poly = Poly.zero(n)
     max_w = 0
     for (p, q, r), value in sorted(clean.items()):
-        term = (z1_abs2**p * q_poly**q * Poly.u(n).pow(r)).scale(value)
+        term = (z1_abs2**p * form.inner_power(q) * Poly.u(n).pow(r)).scale(value)
         f_poly = f_poly + term
         max_w = max(max_w, 2 * (p + q) + 2 * r)
     return Hypersurface(form, f_poly, max_w)
@@ -340,12 +338,11 @@ def model_theorem2(n: int, m: int, s: Fraction,
         if p + q < 2:
             raise ModelError(
                 f"key (r={r}, p={p}, q={q}): p+q >= 2 is required in normal form")
-    q_poly = form.inner_poly()
     zn_abs2 = Poly.monomial(n, _unit(n, n - 1), _unit(n, n - 1), 0)
     f_poly = Poly.zero(n)
     max_w = 0
     for (r, p, q), value in sorted(clean.items()):
-        f_poly = f_poly + (zn_abs2**p * q_poly**q * Poly.u(n).pow(r)).scale(value)
+        f_poly = f_poly + (zn_abs2**p * form.inner_power(q) * Poly.u(n).pow(r)).scale(value)
         max_w = max(max_w, 2 * (p + q) + 2 * r)
     surface = Hypersurface(form, f_poly, max_w)
     if not f_poly.bidegree_component(2, 3).is_zero():
@@ -383,7 +380,6 @@ def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Frac
     f_poly = surface.F
     if f_poly.is_zero():
         raise ModelError("spherical surface is not a theorem2 model")
-    q_poly = surface.form.inner_poly()
     zn_abs2 = Poly.monomial(n, _unit(n, n - 1), _unit(n, n - 1), 0)
     found: Dict[Tuple[int, int, int], Fraction] = {}
     reconstructed = Poly.zero(n)
@@ -402,7 +398,7 @@ def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Frac
         key = (r, p, q)
         found[key] = coeff.re
         reconstructed = reconstructed + (
-            zn_abs2**p * q_poly**q * Poly.u(n).pow(r)).scale(coeff.re)
+            zn_abs2**p * surface.form.inner_power(q) * Poly.u(n).pow(r)).scale(coeff.re)
     if reconstructed != f_poly:
         raise ModelError("F is not a polynomial in u, |z_n|^2 and <z,z>")
     out = {key: val for key, val in found.items() if val}

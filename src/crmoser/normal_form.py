@@ -39,15 +39,14 @@ class Hypersurface:
         if self.F.n != self.form.n:
             raise NormalFormError(
                 f"F has dimension {self.F.n}, form has {self.form.n}")
-        bad = self.F.real_violation()
-        if bad is not None:
+        if not self.F.is_real():
             raise NormalFormError(
-                f"coefficient symmetry broken at monomial {bad}")
-        for (z, zb, _u) in self.F.terms:
-            if sum(z) < 2 or sum(zb) < 2:
-                raise NormalFormError(
-                    f"harmonic term (degree ({sum(z)},{sum(zb)})) not allowed "
-                    f"in a normal-form F")
+                f"coefficient symmetry broken at monomial {self.F.real_violation()}")
+        harmonic = self.F.harmonic_bidegree()
+        if harmonic is not None:
+            raise NormalFormError(
+                f"harmonic term (degree ({harmonic[0]},{harmonic[1]})) not allowed "
+                f"in a normal-form F")
         top = self.F.max_weight()
         if top is not None and top > self.max_weight:
             raise NormalFormError(
@@ -151,16 +150,12 @@ def is_function_of_form_and_u(surface: Hypersurface) -> bool:
     f = surface.F
     if f.is_zero():
         return True
-    q = surface.form.inner_poly()
-    qpow = {}
     for k, l in f.bidegrees():
         if k != l:
             return False
-        if k not in qpow:
-            qpow[k] = q ** k
-        qk = qpow[k]
+        qk = surface.form.inner_power(k)
         marker = max(qk.terms)
-        marker_coeff = qk.terms[marker]
+        marker_coeff = qk.coeff(marker)
         comp = f.bidegree_component(k, k)
         by_u = {}
         for (z, zb, u), c in comp.terms.items():

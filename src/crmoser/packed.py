@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -61,15 +61,27 @@ def weight(packed: Packed, index: int, n: int) -> int:
 
 def pack(terms) -> Packed:
     """The packed form of a nonempty dict monomial -> GaussianRational."""
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    bits = field_bits(max(sum(z) + sum(zb) + 2 * u for z, zb, u in terms))
-    acc = {}
-    for mono, c in terms.items():
-        re, im = c.re, c.im
-        acc[pack_key(mono, bits)] = [
-            re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)]
+    return pack_rationals([(mono, c.re.numerator, c.re.denominator, c.im.numerator,
+                            c.im.denominator) for mono, c in terms.items()])
+
+
+def pack_rationals(entries) -> Packed:
+    """The packed form of a nonempty list of (monomial, re_num, re_den, im_num, im_den).
+
+    Denominators are positive; the coefficients of a repeated monomial are summed.
+    """
+    den = lcm(*[d for _mono, _rn, rd, _in, idn in entries for d in (rd, idn)])
+    bits = field_bits(max(sum(z) + sum(zb) + 2 * u for (z, zb, u), *_parts in entries))
+    acc: Dict[int, List[int]] = {}
+    for mono, rn, rd, inum, idn in entries:
+        re, im = rn * (den // rd), inum * (den // idn)
+        key = pack_key(mono, bits)
+        cell = acc.get(key)
+        if cell is None:
+            acc[key] = [re, im]
+        else:
+            cell[0] += re
+            cell[1] += im
     return collect(bits, den, acc)
 
 
@@ -90,6 +102,23 @@ def unpack_key(key: int, bits: int, n: int) -> tuple:
         fields.append(key & mask)
         key >>= bits
     return (tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n])
+
+
+def bidegrees(packed: Packed, n: int) -> Iterator[Tuple[int, int]]:
+    """(z-degree, conj(z)-degree) of each term in key order, read off the key fields.
+
+    The n fields of one kind are summed by one multiplication: no degree
+    exceeds the weight of its monomial, which fits in a field, so no field
+    sum carries.
+    """
+    bits = packed[0]
+    span = bits * n
+    mask = (1 << span) - 1
+    field = (1 << bits) - 1
+    ones = sum(1 << (bits * i) for i in range(n))
+    top = max(span - bits, 0)  # the field that holds the sum of all n
+    for key in columns(packed)[0]:
+        yield ((key & mask) * ones >> top) & field, (((key >> span) & mask) * ones >> top) & field
 
 
 def coeff(packed: Packed, mono: tuple) -> GaussianRational:
@@ -333,6 +362,35 @@ def truncate(packed: Packed, n: int, max_weight: int) -> Packed:
     if end == k:
         return packed
     return reduced(bits, den, data[:end], data[k:k + end], data[2 * k:2 * k + end])
+
+
+def select(packed: Packed, keep: Sequence[bool]) -> Packed:
+    """The terms whose flag in `keep`, one per term in key order, is true."""
+    bits, den, _data = packed
+    keys, res, ims = columns(packed)
+    return reduced(bits, den, list(compress(keys, keep)), list(compress(res, keep)),
+                   list(compress(ims, keep)))
+
+
+def derivative(packed: Packed, n: int, field: int) -> Packed:
+    """The partial derivative by the variable of `field` (numbered as in split).
+
+    Each term with a nonzero exponent e there is multiplied by e, and its key
+    loses one from the field and the variable's weight from the weight, one
+    constant for all of them, so the keys stay in order.
+    """
+    bits, den, _data = packed
+    offset = bits * field
+    mask = (1 << bits) - 1
+    drop = (1 << offset) + ((2 if field == 2 * n else 1) << (bits * (2 * n + 1)))
+    keys, res, ims = [], [], []
+    for key, re, im in zip(*columns(packed)):
+        e = (key >> offset) & mask
+        if e:
+            keys.append(key - drop)
+            res.append(re * e)
+            ims.append(im * e)
+    return reduced(bits, den, keys, res, ims)
 
 
 def split(packed: Packed, n: int, fields: Sequence[int]) -> Dict[Tuple[int, ...], Packed]:

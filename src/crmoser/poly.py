@@ -50,7 +50,7 @@ from .gaussrat import (
     as_fraction,
     format_rational,
     parse_int,
-    parse_rational,
+    rational_parts,
 )
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...], int]
@@ -59,11 +59,6 @@ Mono = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 def mono_weight(mono: Mono) -> int:
     z, zb, u = mono
     return sum(z) + sum(zb) + 2 * u
-
-
-def mono_bidegree(mono: Mono) -> Tuple[int, int]:
-    z, zb, _ = mono
-    return sum(z), sum(zb)
 
 
 def conj_mono(mono: Mono) -> Mono:
@@ -85,13 +80,10 @@ class Poly:
         clean: Dict[Mono, GaussianRational] = {}
         if terms:
             for mono, coeff in terms.items():
-                z, zb, u = mono
-                if len(z) != n or len(zb) != n:
-                    raise ValueError(f"monomial {mono} does not match dimension {n}")
-                if u < 0 or any(e < 0 for e in z) or any(e < 0 for e in zb):
-                    raise ValueError(f"negative exponent in monomial {mono}")
+                _check_mono(mono, n)
                 c = GaussianRational.of(coeff)
                 if not c.is_zero():
+                    z, zb, u = mono
                     clean[(tuple(z), tuple(zb), u)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
@@ -386,9 +378,14 @@ class Poly:
     def real_violation(self) -> Optional[Mono]:
         """A monomial witnessing broken coefficient symmetry, or None.
 
-        The witness is the first violating monomial in the stored order.
+        The witness is the first violating monomial in weight (key) order,
+        whichever form is stored.
         """
-        return next(iter(_TermsView(self - self.conjugate())), None)
+        diff = self - self.conjugate()
+        if not diff._size():
+            return None
+        bits, _den, data = diff._packed_form()
+        return pk.unpack_key(data[0], bits, self.n)
 
     def real_part(self) -> "Poly":
         return (self + self.conjugate()).scale(Fraction(1, 2))
@@ -399,14 +396,26 @@ class Poly:
     # -- gradings ---------------------------------------------------------------
 
     def bidegree_component(self, k: int, l: int) -> "Poly":
-        out = {
-            m: c for m, c in self._items()
-            if sum(m[0]) == k and sum(m[1]) == l
-        }
-        return Poly._raw(self.n, out)
+        if not self._size():
+            return Poly.zero(self.n)
+        packed = self._packed_form()
+        keep = [d == (k, l) for d in pk.bidegrees(packed, self.n)]
+        return Poly._from_packed(self.n, pk.select(packed, keep))
 
     def bidegrees(self) -> List[Tuple[int, int]]:
-        return sorted({mono_bidegree(m) for m in _TermsView(self)})
+        if not self._size():
+            return []
+        return sorted(set(pk.bidegrees(self._packed_form(), self.n)))
+
+    def harmonic_bidegree(self) -> Optional[Tuple[int, int]]:
+        """The bidegree (k, l) with k < 2 or l < 2 of the first such term in key order, or None.
+
+        The degrees are read off the packed keys (see packed.bidegrees).
+        """
+        if not self._size():
+            return None
+        return next(((k, l) for k, l in pk.bidegrees(self._packed_form(), self.n)
+                     if k < 2 or l < 2), None)
 
     def weight_decompose(self) -> Dict[int, "Poly"]:
         buckets: Dict[int, Dict[Mono, GaussianRational]] = {}
@@ -444,26 +453,18 @@ class Poly:
 
     def partial(self, kind: str, idx: int = 0) -> "Poly":
         """Formal partial derivative; kind is 'z', 'zbar' or 'u'."""
-        out: Dict[Mono, GaussianRational] = {}
+        n = self.n
         if kind == "u":
-            for (z, zb, u), c in self._items():
-                if u:
-                    out[(z, zb, u - 1)] = c * u
+            field = 2 * n
         elif kind in ("z", "zbar"):
-            slot = 0 if kind == "z" else 1
-            if not 0 <= idx < self.n:
-                raise ValueError(f"variable index {idx} out of range for n={self.n}")
-            for mono, c in self._items():
-                e = mono[slot][idx]
-                if e:
-                    vec = list(mono[slot])
-                    vec[idx] = e - 1
-                    key = (tuple(vec), mono[1], mono[2]) if slot == 0 else (
-                        mono[0], tuple(vec), mono[2])
-                    out[key] = c * e
+            if not 0 <= idx < n:
+                raise ValueError(f"variable index {idx} out of range for n={n}")
+            field = idx if kind == "z" else n + idx
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
-        return Poly._raw(self.n, out)
+        if not self._size():
+            return Poly.zero(n)
+        return Poly._from_packed(n, pk.derivative(self._packed_form(), n, field))
 
     # -- substitution --------------------------------------------------------------
 
@@ -563,20 +564,24 @@ class Poly:
         """The polynomial of a JSON term list; ValueError on a malformed one.
 
         The exponent of the u slot is read from the field named `u_field`.
+        The coefficients of a repeated monomial are summed.  Each part is
+        read as an integer fraction and packed over one denominator, with
+        no GaussianRational in between.
         """
-        terms: Dict[Mono, GaussianRational] = {}
+        entries = []
         for item in term_list(items):
             z = _exponents(item, "z", n)
             zb = _exponents(item, "zbar", n)
             u = parse_int(item.get(u_field, 0), f"term field {u_field!r}")
-            c = GaussianRational(
-                parse_rational(str(item.get("re", "0"))),
-                parse_rational(str(item.get("im", "0"))),
-            )
-            mono = (z, zb, u)
-            prev = terms.get(mono)
-            terms[mono] = c if prev is None else prev + c
-        return cls(n, terms)
+            entries.append(((z, zb, u), *rational_parts(str(item.get("re", "0"))),
+                            *rational_parts(str(item.get("im", "0")))))
+        if n < 0:
+            raise ValueError("dimension must be non-negative")
+        for entry in entries:
+            _check_mono(entry[0], n)
+        if not entries:
+            return cls.zero(n)
+        return cls._from_packed(n, pk.pack_rationals(entries))
 
     # -- display ------------------------------------------------------------------
 
@@ -801,6 +806,15 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
 _HALF = Fraction(1, 2)
 
 
+def _check_mono(mono: Mono, n: int) -> None:
+    """ValueError unless mono is a monomial key of dimension n."""
+    z, zb, u = mono
+    if len(z) != n or len(zb) != n:
+        raise ValueError(f"monomial {mono} does not match dimension {n}")
+    if u < 0 or min(z, default=0) < 0 or min(zb, default=0) < 0:
+        raise ValueError(f"negative exponent in monomial {mono}")
+
+
 def term_list(items) -> list:
     """`items` if it is a JSON list of objects, else ValueError."""
     if not isinstance(items, list):
@@ -815,7 +829,8 @@ def _exponents(item: dict, key: str, n: int) -> Tuple[int, ...]:
     exps = item.get(key, [0] * n)
     if not isinstance(exps, list):
         raise ValueError(f"term field {key!r} must be a list of exponents")
-    return tuple(parse_int(e, f"an exponent in term field {key!r}") for e in exps)
+    field = f"an exponent in term field {key!r}"
+    return tuple([e if type(e) is int else parse_int(e, field) for e in exps])
 
 
 class _TermsView(Mapping):

@@ -11,8 +11,11 @@ Text grammar for defining functions:
 
 'Q' is <z,z> expanded through the declared Hermitian form, '~z' denotes a
 conjugated variable, and '|zk|^2p' abbreviates zk^p ~zk^p.  A leading sign
-on the first term is accepted.  Reality and the harmonic-freeness of the
-expanded polynomial are validated after expansion, not during parsing.
+on the first term is accepted.  Each term is read as c * monomial * Q^k,
+with Q^k taken from the form's memo (`HermitianForm.inner_power`), and all
+terms are added into one `ProductSum`.  Reality and the harmonic-freeness
+of the expanded polynomial are validated after expansion, not during
+parsing.
 
 Surface documents are JSON objects
 
@@ -25,12 +28,13 @@ Surface documents are JSON objects
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .forms import HermitianForm, form_from_json, form_to_json
-from .gaussrat import parse_int, parse_rational
+from .gaussrat import parse_int
 from .normal_form import Hypersurface, NormalFormError
-from .poly import Poly
+from .poly import Poly, ProductSum
 
 
 class SurfaceParseError(ValueError):
@@ -43,16 +47,8 @@ class SurfaceParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<num>\d+)"
-    r"|(?P<zbar>~z(?P<zbidx>\d+))"
-    r"|(?P<z>z(?P<zidx>\d+))"
-    r"|(?P<u>u)"
-    r"|(?P<q>Q)"
-    r"|(?P<op>[+\-*/^|])"
-    r")"
-)
+_TOKEN_RE = re.compile(  # the group that matched names the token kind
+    r"\s*(?:(?P<num>\d+)|(?P<zbar>~z\d+)|(?P<z>z\d+)|(?P<u>u)|(?P<Q>Q)|(?P<op>[+\-*/^|]))")
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
@@ -60,25 +56,23 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
+        if match is None:
             rest = text[pos:].lstrip()
             if not rest:
                 break
             at = len(text) - len(rest)
             raise SurfaceParseError(f"unexpected character {rest[0]!r}", at)
-        start = match.start() + (len(match.group(0)) - len(match.group(0).lstrip()))
-        if match.group("num"):
-            tokens.append(("num", int(match.group("num")), start))
-        elif match.group("zbar"):
-            tokens.append(("zbar", int(match.group("zbidx")), start))
-        elif match.group("z"):
-            tokens.append(("z", int(match.group("zidx")), start))
-        elif match.group("u"):
-            tokens.append(("u", None, start))
-        elif match.group("q"):
-            tokens.append(("Q", None, start))
+        kind = match.lastgroup
+        value = match.group(kind)
+        start = match.start(kind)
+        if kind == "num":
+            tokens.append(("num", int(value), start))
+        elif kind == "zbar":
+            tokens.append(("zbar", int(value[2:]), start))
+        elif kind == "z":
+            tokens.append(("z", int(value[1:]), start))
         else:
-            tokens.append((match.group("op"), None, start))
+            tokens.append((value if kind == "op" else kind, None, start))
         pos = match.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -107,42 +101,44 @@ class _Parser:
         return tok
 
     def parse(self) -> Poly:
-        result = Poly.zero(self.n)
+        total = ProductSum(self.n)
         sign = 1
         if self.peek()[0] in ("+", "-"):
             sign = -1 if self.advance()[0] == "-" else 1
-        result = result + self.parse_term().scale(sign)
+        self.add_term(total, sign)
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            term = self.parse_term()
-            result = result + (term if op == "+" else -term)
+            self.add_term(total, 1 if self.advance()[0] == "+" else -1)
         tok = self.peek()
         if tok[0] != "end":
             raise SurfaceParseError(f"unexpected token {tok[0]!r}", tok[2])
-        return result
+        return total.poly()
 
-    def parse_term(self) -> Poly:
-        coeff = None
+    def add_term(self, total: ProductSum, sign: int) -> None:
+        """Add the next term, sign * c * monomial * Q^k, to total."""
+        coeff = Fraction(sign)
+        exps = [0] * (2 * self.n + 1)  # z_1..z_n, ~z_1..~z_n, u
+        qpow = 0
+        empty = True
         if self.peek()[0] == "num":
-            coeff = self.parse_rational()
-        factors = []
+            coeff *= self.parse_rational()
+            empty = False
         while self.peek()[0] in ("u", "Q", "z", "zbar", "|", "*"):
+            empty = False
             if self.peek()[0] == "*":
                 self.advance()
                 if self.peek()[0] == "num":
                     # a '*' may be followed by another rational factor
-                    factors.append(Poly.constant(self.n, self.parse_rational()))
+                    coeff *= self.parse_rational()
                     continue
-            factors.append(self.parse_factor())
-        if not factors and coeff is None:
+            qpow += self.parse_factor(exps)
+        if empty:
             tok = self.peek()
             raise SurfaceParseError(f"expected a factor, found {tok[0]!r}", tok[2])
-        acc = Poly.constant(self.n, coeff if coeff is not None else 1)
-        for f in factors:
-            acc = acc * f
-        return acc
+        n = self.n
+        mono = Poly.monomial(n, exps[:n], exps[n:2 * n], exps[2 * n])
+        total.add(mono, self.form.inner_power(qpow) if qpow else None, coeff)
 
-    def parse_rational(self):
+    def parse_rational(self) -> Fraction:
         tok = self.expect("num")
         num = tok[1]
         if self.peek()[0] == "/":
@@ -150,37 +146,34 @@ class _Parser:
             den_tok = self.expect("num")
             if den_tok[1] == 0:
                 raise SurfaceParseError("zero denominator", den_tok[2])
-            return parse_rational(f"{num}/{den_tok[1]}")
-        return parse_rational(str(num))
+            return Fraction(num, den_tok[1])
+        return Fraction(num)
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self, exps: List[int]) -> int:
+        """Add the next factor's exponents to exps; returns its power of Q."""
         tok = self.advance()
         kind = tok[0]
+        n = self.n
         if kind == "u":
-            return Poly.u(self.n).pow(self.parse_pow())
-        if kind == "Q":
-            return self.form.inner_poly().pow(self.parse_pow())
-        if kind == "z":
-            return Poly.z(self.n, self.var_index(tok)).pow(self.parse_pow())
-        if kind == "zbar":
-            return Poly.zbar(self.n, self.var_index(tok)).pow(self.parse_pow())
-        if kind == "|":
-            inner = self.expect("z")
-            idx = self.var_index(inner)
-            bar = self.expect("|")
+            exps[2 * n] += self.parse_pow()
+        elif kind == "Q":
+            return self.parse_pow()
+        elif kind in ("z", "zbar"):
+            idx = self.var_index(tok) + (n if kind == "zbar" else 0)
+            exps[idx] += self.parse_pow()
+        elif kind == "|":
+            idx = self.var_index(self.expect("z"))
+            self.expect("|")
             self.expect("^")
             num = self.expect("num")
             if num[1] % 2 != 0:
                 raise SurfaceParseError(
                     f"|z{idx + 1}| needs an even power, got {num[1]}", num[2])
-            half = num[1] // 2
-            return Poly.monomial(
-                self.n,
-                tuple(half if i == idx else 0 for i in range(self.n)),
-                tuple(half if i == idx else 0 for i in range(self.n)),
-                0,
-            )
-        raise SurfaceParseError(f"unexpected token {kind!r}", tok[2])
+            exps[idx] += num[1] // 2
+            exps[n + idx] += num[1] // 2
+        else:
+            raise SurfaceParseError(f"unexpected token {kind!r}", tok[2])
+        return 0
 
     def var_index(self, tok) -> int:
         idx = tok[1]

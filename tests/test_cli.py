@@ -123,6 +123,27 @@ def test_verify_jet_rejects_a_negative_weight(tmp_path, capsys):
     assert code == 3 and report["verified"] is False
 
 
+def test_verify_jet_checks_each_weight_up_to_the_cap(tmp_path, capsys):
+    # The residual Im g - <f,f> - F is checked through --max-weight.  The jets
+    # fix the origin, so weight 0 holds no term; weight 1 sees the linear part
+    # of Im g; <f,f> and the quadric part of Im g enter at weight 2.
+    surf = str(SAMPLES / "umbilic_q4.json")
+    z_terms = [[{"z": [1, 0], "w": 0, "re": "1"}], [{"z": [0, 1], "w": 0, "re": "1"}]]
+    g_plus_z1 = write(tmp_path, "g_plus_z1.json", {  # f = z, g = w + z1
+        "type": "jet", "D": 6, "f": z_terms,
+        "g": [{"z": [0, 0], "w": 1, "re": "1"}, {"z": [1, 0], "w": 0, "re": "1"}]})
+    stretch = write(tmp_path, "stretch.json", {  # f = (2 z1, z2), g = w
+        "type": "jet", "D": 6, "f": [[{"z": [1, 0], "w": 0, "re": "2"}], z_terms[1]],
+        "g": [{"z": [0, 0], "w": 1, "re": "1"}]})
+    for jet, passing in ((g_plus_z1, {0}), (stretch, {0, 1})):
+        for weight in (0, 1, 2):
+            code, report = run(capsys, "verify", "--surface", surf, "--map", jet,
+                               "--max-weight", str(weight))
+            assert report["checked_weight"] == weight
+            assert report["verified"] is (weight in passing), (jet, weight)
+            assert code == (0 if weight in passing else 3)
+
+
 def test_model_command(tmp_path, capsys):
     spec = write(tmp_path, "model.json",
                  {"family": "theorem2", "n": 2, "m": 1, "s": "0",

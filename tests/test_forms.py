@@ -255,3 +255,15 @@ def test_form_json_round_trip():
         doc = form_to_json(form)
         back = form_from_json(doc)
         assert back.matrix == form.matrix and back.m == form.m
+
+
+def test_inner_power_is_the_memoized_power_of_the_inner_poly():
+    i = GaussianRational(0, 1)
+    explicit = HermitianForm(2, 1, Matrix([[0, i], [-i, 0]]))
+    for form in (standard_form(2, 0, "diagonal"), standard_form(3, 1, "antidiagonal"),
+                 standard_form(4, 2, "diagonal"), explicit):
+        for k in (3, 0, 1, 5, 2):  # out of order: the memo grows on demand
+            assert form.inner_power(k) == form.inner_poly().pow(k)
+            assert form.inner_power(k) is form.inner_power(k)
+    with pytest.raises(ValueError):
+        explicit.inner_power(-1)

@@ -122,6 +122,55 @@ def test_inertia_known_matrices():
     assert hermitian_inertia(Matrix([[1, 1], [1, 1]])) == (1, 0, 1)
 
 
+parts = st.one_of(st.just(0), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)),
+                 st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**12)))
+gaussians = st.builds(GaussianRational, parts, parts)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Hermitian n x n matrices over Q(i): entrywise random (zero diagonals are
+    common), or a sum of r < n signed rank-one terms s v v^*, which is singular."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        a = [[None] * n for _ in range(n)]
+        for i in range(n):
+            a[i][i] = GaussianRational(draw(parts))
+            for j in range(i + 1, n):
+                a[i][j] = draw(gaussians)
+                a[j][i] = a[i][j].conjugate()
+        return Matrix(a)
+    a = [[GaussianRational(0)] * n for _ in range(n)]
+    for _ in range(draw(st.integers(0, n - 1))):
+        s = draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+        v = draw(st.lists(gaussians, min_size=n, max_size=n))
+        a = [[a[i][j] + v[i] * v[j].conjugate() * s for j in range(n)] for i in range(n)]
+    return Matrix(a)
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(hermitian_matrices())
+def test_inertia_equals_the_sign_changes_of_the_characteristic_polynomial(m):
+    # every root of the characteristic polynomial of a Hermitian matrix is
+    # real, so Descartes' rule of signs counts the positive and negative ones
+    x = sympy.Symbol("x")
+    coeffs = [sympy.expand(c) for c in matrix_to_sympy(m).charpoly(x).all_coeffs()]
+    assert all(sympy.im(c) == 0 for c in coeffs)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in map(sympy.re, coeffs)]  # x^n first
+    zero = 0  # the multiplicity of the root 0
+    while zero < m.nrows and coeffs[-1 - zero] == 0:
+        zero += 1
+    pos = sign_changes(coeffs)
+    neg = sign_changes([c * (-1) ** k for k, c in enumerate(reversed(coeffs))])
+    assert pos + neg + zero == m.nrows
+    assert hermitian_inertia(m) == (pos, neg, zero)
+
+
 def test_inertia_sylvester_invariance():
     rng = random.Random(5)
     h = Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])

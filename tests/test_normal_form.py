@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crmoser.forms import standard_form
+from crmoser.gaussrat import GaussianRational
 from crmoser.normal_form import (
     Hypersurface,
     NormalFormError,
@@ -14,6 +17,7 @@ from crmoser.normal_form import (
     trace_op,
 )
 from crmoser.poly import Poly
+from crmoser.surface_io import SurfaceParseError, parse_surface, surface_from_json
 
 from helpers import poly_to_sympy, random_real_poly, sympy_trace_oracle
 
@@ -129,6 +133,52 @@ def test_hypersurface_rejects_overweight():
     q4 = form.inner_poly() ** 4
     with pytest.raises(NormalFormError):
         Hypersurface(form, q4, 6)
+
+
+def validation_error(form, f_poly, max_w):
+    try:
+        Hypersurface(form, f_poly, max_w)
+    except NormalFormError as exc:
+        return str(exc)
+    return None
+
+
+exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+mixed_terms = st.lists(st.tuples(st.tuples(exponents, exponents, st.integers(0, 1)),
+                                 st.integers(-3, 3), st.integers(-3, 3), st.booleans()),
+                       max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(mixed_terms, st.integers(2, 10))
+def test_validation_errors_do_not_depend_on_the_stored_form(terms, max_w):
+    # each term comes with its conjugate partner unless its flag says no,
+    # so the draws pass, break reality, hold harmonic terms or exceed max_w
+    form = standard_form(2, 0, "diagonal")
+    coeffs = {}
+    for (z, zb, u), re, im, paired in terms:
+        c = GaussianRational(re, im)
+        coeffs[(z, zb, u)] = coeffs.get((z, zb, u), 0) + c
+        if paired:
+            coeffs[(zb, z, u)] = coeffs.get((zb, z, u), 0) + c.conjugate()
+    as_dict = Poly(2, coeffs)
+    packed = Poly(2, coeffs).mul(Poly.constant(2, 1))
+    assert validation_error(form, as_dict, max_w) == validation_error(form, packed, max_w)
+
+
+def test_validation_names_the_first_violation_in_weight_order():
+    # both monomials violate; the witness is the first in key order, not in
+    # document order, whichever way the polynomial is written
+    form = standard_form(2, 0, "diagonal")
+    text = "z1^2 ~z1^3 + 2 z1^3 ~z1^2"
+    doc = {"n": 2, "m": 0, "kind": "diagonal", "terms": [
+        {"z": [2, 0], "zbar": [3, 0], "re": "1"}, {"z": [3, 0], "zbar": [2, 0], "re": "2"}]}
+    expected = "coefficient symmetry broken at monomial ((3, 0), (2, 0), 0)"
+    with pytest.raises(SurfaceParseError) as from_text:
+        parse_surface(text, form)
+    with pytest.raises(SurfaceParseError) as from_terms:
+        surface_from_json(doc)
+    assert str(from_text.value) == str(from_terms.value) == expected
 
 
 # -- check_normal_form ------------------------------------------------------------

@@ -177,3 +177,76 @@ def test_kept_variable_with_mismatched_target_dimension_raises():
     moved = p.substitute([Poly.z(3, 0), Poly.z(3, 1)], [Poly.zbar(3, 0), Poly.zbar(3, 1)],
                          Poly.u(3))
     assert moved == Poly.z(3, 0) * Poly.u(3)
+
+
+@st.composite
+def term_documents(draw):
+    """(n, JSON term list, its terms as a dict with repeats summed).
+
+    Repeated monomials are common, and some repeats cancel their first
+    occurrence exactly.  Parts are written reduced or with a common factor
+    in numerator and denominator.
+    """
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    monos = st.tuples(exps, exps, st.integers(0, 2))
+    entries = draw(st.lists(st.tuples(monos, coefficients), max_size=6))
+    if entries:
+        cancel = draw(st.lists(st.sampled_from(entries), max_size=3))
+        entries = draw(st.permutations(entries + [(mono, -c) for mono, c in cancel]))
+
+    def part(q):
+        k = draw(st.integers(1, 3))
+        return f"{q.numerator * k}/{q.denominator * k}" if k > 1 else str(q)
+
+    items, summed = [], {}
+    for (z, zb, u), c in entries:
+        item = {"z": list(z), "zbar": list(zb), "re": part(c.re)}
+        if u or draw(st.booleans()):
+            item["u"] = u
+        if c.im or draw(st.booleans()):
+            item["im"] = part(c.im)
+        items.append(item)
+        summed[(z, zb, u)] = summed.get((z, zb, u), GaussianRational(0)) + c
+    return n, items, summed
+
+
+@SETTINGS
+@given(term_documents())
+def test_terms_from_json_equals_the_summed_term_dict(doc):
+    n, items, summed = doc
+    parsed = Poly.terms_from_json(n, items)
+    expected = Poly(n, summed)
+    assert parsed == expected
+    assert hash(parsed) == hash(expected)
+    assert dict(parsed.terms) == dict(expected.terms)
+
+
+@SETTINGS
+@given(poly_tuples(2))
+def test_derivatives_and_bidegrees_agree_with_the_terms(ab):
+    a, b = ab
+    n = a.n
+
+    def packed(q):  # packed keys carry the weight, which a term dict does not
+        return q.mul(Poly.constant(n, 1))
+
+    for p in (a, a * b):
+        terms = dict(p.mul(Poly.constant(n, 1)).terms)  # read a copy: p keeps its stored form
+        for slot, kind in enumerate(("z", "zbar")):
+            for j in range(n):
+                expected = {}
+                for mono, c in terms.items():
+                    e = mono[slot][j]
+                    if e:
+                        exps = [list(mono[0]), list(mono[1])]
+                        exps[slot][j] -= 1
+                        expected[(tuple(exps[0]), tuple(exps[1]), mono[2])] = c * e
+                assert p.partial(kind, j) == packed(Poly(n, expected))
+        assert p.partial("u") == packed(Poly(n, {(z, zb, u - 1): c * u
+                                                 for (z, zb, u), c in terms.items() if u}))
+        degrees = {(sum(z), sum(zb)) for z, zb, _u in terms}
+        assert p.bidegrees() == sorted(degrees)
+        for k, l in degrees | {(5, 5)}:
+            assert p.bidegree_component(k, l) == packed(Poly(n, {
+                mono: c for mono, c in terms.items() if (sum(mono[0]), sum(mono[1])) == (k, l)}))
