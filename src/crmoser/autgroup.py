@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .forms import HermitianForm, is_pseudounitary, u_basis
 from .gaussrat import GaussianRational, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface
-from .poly import Poly, ProductSum
+from .poly import Poly, ProductSum, real_coefficient_rows
 
 IU = GaussianRational(0, 1)
 
@@ -251,16 +251,7 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
 
     columns = [direction(x_mat, 0) for x_mat in basis]
     columns.append(direction(None, 1))
-    monos = sorted(set().union(*(set(c.terms) for c in columns)))
-    rows: List[List[Fraction]] = []
-    zero = GaussianRational(0)
-    # every column is read at every monomial: look up in term dicts
-    terms = [c.terms for c in columns]
-    for mono in monos:
-        coeffs = [t.get(mono, zero) for t in terms]
-        rows.append([c.re for c in coeffs])
-        rows.append([c.im for c in coeffs])
-    kernel = rational_nullspace(rows, len(columns))
+    kernel = rational_nullspace(real_coefficient_rows(columns), len(columns))
     return StabilizerResult(kernel, basis, spherical=False)
 
 

@@ -89,28 +89,15 @@ def trace_op(form: HermitianForm, p: Poly) -> Poly:
         raise ValueError(f"polynomial dimension {p.n} does not match form {form.n}")
     hinv = form.inverse_matrix()
     n = form.n
-    pairs = [(a, b, hinv[a, b]) for a in range(n) for b in range(n)
-             if not hinv[a, b].is_zero()]
-    out = {}
-    for (z, zb, u), c in p.terms.items():
-        for a, b, h in pairs:
-            ea = z[a]
-            eb = zb[b]
-            if not ea or not eb:
-                continue
-            nz = list(z)
-            nz[a] = ea - 1
-            nzb = list(zb)
-            nzb[b] = eb - 1
-            key = (tuple(nz), tuple(nzb), u)
-            add = c * h * (ea * eb)
-            prev = out.get(key)
-            s = add if prev is None else prev + add
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Poly(n, out)
+    out = Poly.zero(n)
+    for a in range(n):
+        da = p.partial("z", a)
+        if da:
+            for b in range(n):
+                h = hinv[a, b]
+                if not h.is_zero():
+                    out = out + da.partial("zbar", b).scale(h)
+    return out
 
 
 def check_normal_form(surface: Hypersurface) -> NormalFormReport:
@@ -156,12 +143,7 @@ def is_function_of_form_and_u(surface: Hypersurface) -> bool:
         qk = surface.form.inner_power(k)
         marker = max(qk.terms)
         marker_coeff = qk.coeff(marker)
-        comp = f.bidegree_component(k, k)
-        by_u = {}
-        for (z, zb, u), c in comp.terms.items():
-            by_u.setdefault(u, {})[(z, zb, 0)] = c
-        for u, terms in by_u.items():
-            slice_poly = Poly(f.n, terms)
+        for slice_poly in f.bidegree_component(k, k).u_coefficients().values():
             scalar = slice_poly.coeff(marker) / marker_coeff
             if not scalar.is_real():
                 return False

@@ -36,6 +36,8 @@ Packed = Tuple[int, int, Sequence[int]]
 _first = itemgetter(0)
 _second = itemgetter(1)
 
+ZERO: Packed = (1, 1, array("q"))  # the zero polynomial
+
 
 def field_bits(top_weight: int) -> int:
     """Field width for the exponents of monomials of weight <= top_weight."""
@@ -55,23 +57,30 @@ def columns(packed: Packed):
 
 
 def weight(packed: Packed, index: int, n: int) -> int:
-    """Weight of the term at `index` (0 or -1)."""
+    """Weight of the term at `index` (0 or -1) of a nonzero form."""
     return packed[2][index % size(packed)] >> (packed[0] * (2 * n + 1))
 
 
+def weights(packed: Packed, n: int) -> Iterator[int]:
+    """The weight of each term in key order."""
+    shift = packed[0] * (2 * n + 1)
+    return (key >> shift for key in columns(packed)[0])
+
+
 def pack(terms) -> Packed:
-    """The packed form of a nonempty dict monomial -> GaussianRational."""
+    """The packed form of a dict monomial -> GaussianRational."""
     return pack_rationals([(mono, c.re.numerator, c.re.denominator, c.im.numerator,
                             c.im.denominator) for mono, c in terms.items()])
 
 
 def pack_rationals(entries) -> Packed:
-    """The packed form of a nonempty list of (monomial, re_num, re_den, im_num, im_den).
+    """The packed form of a list of (monomial, re_num, re_den, im_num, im_den).
 
     Denominators are positive; the coefficients of a repeated monomial are summed.
     """
     den = lcm(*[d for _mono, _rn, rd, _in, idn in entries for d in (rd, idn)])
-    bits = field_bits(max(sum(z) + sum(zb) + 2 * u for (z, zb, u), *_parts in entries))
+    bits = field_bits(max((sum(z) + sum(zb) + 2 * u for (z, zb, u), *_parts in entries),
+                          default=0))
     acc: Dict[int, List[int]] = {}
     for mono, rn, rd, inum, idn in entries:
         re, im = rn * (den // rd), inum * (den // idn)
@@ -125,7 +134,7 @@ def coeff(packed: Packed, mono: tuple) -> GaussianRational:
     """The coefficient of a monomial, zero when it is absent."""
     bits, den, data = packed
     z, zb, u = mono
-    if max(*z, *zb, u) >> bits:
+    if max((*z, *zb, u)) >> bits:
         return GaussianRational(0)  # too large for a field, so absent
     key = pack_key(mono, bits)
     k = size(packed)
@@ -182,7 +191,10 @@ def widen(packed: Packed, n: int, bits: int) -> Packed:
 
 
 def widen_keys(keys, n: int, old_bits: int, bits: int) -> List[int]:
-    """The keys re-packed from fields of `old_bits` bits into fields of `bits` bits."""
+    """The keys re-packed from fields of `old_bits` bits into fields of `bits` bits.
+
+    `bits` may be the smaller width when every exponent fits in it.
+    """
     nfields = 2 * n + 1
     mask = (1 << old_bits) - 1
     widened = []
@@ -354,14 +366,17 @@ def conjugate(packed: Packed, n: int) -> Packed:
         ckey: [re, -im] for ckey, re, im in zip(conjugate_keys(keys, n, bits), res, ims)})
 
 
-def truncate(packed: Packed, n: int, max_weight: int) -> Packed:
-    """The terms of weight <= max_weight."""
+def truncate(packed: Packed, n: int, max_weight: int, min_weight: int = 0) -> Packed:
+    """The terms of weight min_weight..max_weight, one slice of the keys."""
     bits, den, data = packed
     k = size(packed)
-    end = bisect_left(data, (max_weight + 1) << (bits * (2 * n + 1)), 0, k)
-    if end == k:
+    shift = bits * (2 * n + 1)
+    start = bisect_left(data, min_weight << shift, 0, k) if min_weight > 0 else 0
+    end = bisect_left(data, (max_weight + 1) << shift, start, k)
+    if start == 0 and end == k:
         return packed
-    return reduced(bits, den, data[:end], data[k:k + end], data[2 * k:2 * k + end])
+    return reduced(bits, den, data[start:end], data[k + start:k + end],
+                   data[2 * k + start:2 * k + end])
 
 
 def select(packed: Packed, keep: Sequence[bool]) -> Packed:

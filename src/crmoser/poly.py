@@ -17,16 +17,16 @@ Conjugation swaps zexp and zbexp and conjugates the coefficient; a
 polynomial is *real* (real-valued on the real locus) exactly when it is
 fixed by that involution.
 
-A Poly stores one of two forms: the term dict, or the packed integer form
-of `crmoser.packed` (numerators over one shared denominator, one integer key
-per monomial, keys in weight order).  Products run on the packed form and
-are born packed; a polynomial built from terms is packed the first time it
-is a factor or is substituted into, and sums, scalings and conjugates of
-packed polynomials stay packed.  Reading `terms` builds the term dict, which then replaces the
-packed form.  A weight cap reads a prefix of the packed keys, which keeps
-truncated series composition exact for every weight below it.  A sum of
-products (substitution, pairings) goes into one `ProductSum`, which sorts
-and reduces the sum once instead of once per product and per addition.
+A Poly stores one form, the packed integer form of `crmoser.packed`:
+integer numerators over one shared denominator, one integer key per
+monomial, keys in weight order.  Every method runs on it.  Monomial keys
+and GaussianRational coefficients exist only at the boundary: a Poly built
+from a term dict is packed at once, and `coeff`, `terms`, `to_json` and
+`str` read the packed form without storing anything else.  A weight cap
+reads a prefix of the packed keys, which keeps truncated series
+composition exact for every weight below it.  A sum of products
+(substitution, pairings) goes into one `ProductSum`, which sorts and
+reduces the sum once instead of once per product and per addition.
 
 Ring operations (sums, scalings, products, powers, weight truncations)
 return the operands' class when they share one and Poly otherwise, so a
@@ -38,7 +38,7 @@ key differently.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -69,47 +69,32 @@ def conj_mono(mono: Mono) -> Mono:
 class Poly:
     """Exact polynomial over Q(i) in (z, conj z, u); immutable by convention.
 
-    Exactly one of `_terms` (the term dict) and `_packed` is set.
+    `_packed` is its packed form (see `crmoser.packed`), reduced, with sorted
+    keys and no zero term; the field width may exceed the least one that
+    holds the exponents, so equality and hashing do not depend on it.
     """
 
-    __slots__ = ("n", "_terms", "_packed")
+    __slots__ = ("n", "_packed")
 
     def __init__(self, n: int, terms: Optional[Mapping[Mono, GaussianLike]] = None):
         if n < 0:
             raise ValueError("dimension must be non-negative")
         clean: Dict[Mono, GaussianRational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                _check_mono(mono, n)
-                c = GaussianRational.of(coeff)
-                if not c.is_zero():
-                    z, zb, u = mono
-                    clean[(tuple(z), tuple(zb), u)] = c
+        for mono, coeff in (terms or {}).items():
+            _check_mono(mono, n)
+            z, zb, u = mono
+            clean[(tuple(z), tuple(zb), u)] = GaussianRational.of(coeff)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_packed", None)
+        object.__setattr__(self, "_packed", pk.pack(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def _raw(cls, n: int, terms: Dict[Mono, GaussianRational]) -> "Poly":
-        # internal: terms already canonical (no zeros, valid keys)
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_packed", None)
-        return p
-
     def _as(self, cls: type) -> "Poly":
-        """The same polynomial as an instance of `cls`, sharing the stored form."""
+        """The same polynomial as an instance of `cls`, sharing the packed form."""
         if type(self) is cls:
             return self
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", self.n)
-        object.__setattr__(p, "_terms", self._terms)
-        object.__setattr__(p, "_packed", self._packed)
-        return p
+        return cls._from_packed(self.n, self._packed)
 
     def _kind(self, other: "Poly") -> type:
         """The class of a ring result: the operands' class when they share one."""
@@ -118,68 +103,29 @@ class Poly:
     @classmethod
     def _from_packed(cls, n: int, packed: pk.Packed) -> "Poly":
         # internal: packed form already reduced, with sorted keys and no zero terms
-        if not packed[2]:
-            return cls.zero(n)
         p = object.__new__(cls)
         object.__setattr__(p, "n", n)
-        object.__setattr__(p, "_terms", None)
         object.__setattr__(p, "_packed", packed)
         return p
 
-    # -- the two stored forms ----------------------------------------------------
-
     @property
     def terms(self) -> Mapping[Mono, GaussianRational]:
-        """Read-only mapping monomial -> coefficient.
-
-        Its length and iteration over its monomials never convert the stored
-        form; any other read builds the term dict once, which then replaces
-        the packed form.
-        """
+        """Read-only mapping monomial -> coefficient, read off the packed form."""
         return _TermsView(self)
 
     def _size(self) -> int:
-        t = self._terms
-        return len(t) if t is not None else pk.size(self._packed)
-
-    def _dict(self) -> Dict[Mono, GaussianRational]:
-        """The term dict, converting the stored form to it if needed."""
-        t = self._terms
-        if t is None:
-            t = dict(pk.unpack(self.n, self._packed))
-            object.__setattr__(self, "_terms", t)
-            object.__setattr__(self, "_packed", None)
-        return t
-
-    def _items(self) -> Iterable[Tuple[Mono, GaussianRational]]:
-        """(monomial, coefficient) pairs of either form, converting neither."""
-        t = self._terms
-        if t is not None:
-            return t.items()
-        return pk.unpack(self.n, self._packed)
-
-    def _packed_form(self) -> pk.Packed:
-        """The packed form, converting the stored form to it if needed."""
-        packed = self._packed
-        if packed is None:
-            packed = pk.pack(self._terms)
-            object.__setattr__(self, "_packed", packed)
-            object.__setattr__(self, "_terms", None)
-        return packed
+        return pk.size(self._packed)
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
-        return cls._raw(n, {})
+        return cls._from_packed(n, pk.ZERO)
 
     @classmethod
     def constant(cls, n: int, c: GaussianLike) -> "Poly":
-        c = GaussianRational.of(c)
-        if c.is_zero():
-            return cls.zero(n)
         zeros = (0,) * n
-        return cls._raw(n, {(zeros, zeros, 0): c})
+        return cls._from_packed(n, pk.pack({(zeros, zeros, 0): GaussianRational.of(c)}))
 
     @classmethod
     def z(cls, n: int, idx: int) -> "Poly":
@@ -192,7 +138,7 @@ class Poly:
     @classmethod
     def u(cls, n: int) -> "Poly":
         zeros = (0,) * n
-        return cls._raw(n, {(zeros, zeros, 1): GaussianRational(1)})
+        return cls._from_packed(n, pk.pack({(zeros, zeros, 1): GaussianRational(1)}))
 
     @classmethod
     def _var(cls, n: int, idx: int, bar: int) -> "Poly":
@@ -201,7 +147,7 @@ class Poly:
         e = tuple(1 if i == idx else 0 for i in range(n))
         zeros = (0,) * n
         mono = (zeros, e, 0) if bar else (e, zeros, 0)
-        return cls._raw(n, {mono: GaussianRational(1)})
+        return cls._from_packed(n, pk.pack({mono: GaussianRational(1)}))
 
     @classmethod
     def monomial(cls, n: int, zexp: Sequence[int], zbexp: Sequence[int], uexp: int,
@@ -214,10 +160,11 @@ class Poly:
         return not self._size()
 
     def coeff(self, mono: Mono) -> GaussianRational:
-        """The coefficient of a monomial; reading it converts neither form."""
-        if self._packed is not None:
-            return pk.coeff(self._packed, mono)
-        return self._terms.get(mono, GaussianRational(0))
+        """The coefficient of a monomial, zero when it is absent or not of dimension n."""
+        z, zb, _u = mono
+        if len(z) != self.n or len(zb) != self.n:
+            return GaussianRational(0)
+        return pk.coeff(self._packed, mono)
 
     def __bool__(self):
         return bool(self._size())
@@ -229,18 +176,23 @@ class Poly:
             return NotImplemented
         if self.n != other.n or self._size() != other._size():
             return False
-        if self._packed is not None and other._packed is not None:
-            # packed forms are canonical once their field widths agree
-            bits = max(self._packed[0], other._packed[0])
-            return self._widen(bits)[1:] == other._widen(bits)[1:]
-        return dict(self._items()) == dict(other._items())
+        # packed forms are canonical once their field widths agree
+        bits = max(self._packed[0], other._packed[0])
+        return self._widen(bits)[1:] == other._widen(bits)[1:]
 
     def __hash__(self):
-        return hash((self.n, frozenset(self._dict().items())))
+        # the keys are hashed at the least field width, which equal polynomials share
+        bits, den, _data = self._packed
+        keys, res, ims = pk.columns(self._packed)
+        least = pk.field_bits(pk.weight(self._packed, -1, self.n)) if keys else bits
+        if least != bits:
+            keys = pk.widen_keys(keys, self.n, bits, least)
+        return hash((self.n, den, tuple(keys), tuple(res), tuple(ims)))
 
     def sorted_terms(self) -> List[Tuple[Mono, GaussianRational]]:
         """Canonical order: lexicographic on (uexp, zexp, zbexp)."""
-        return sorted(self._items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
+        return sorted(pk.unpack(self.n, self._packed),
+                      key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
 
     # -- ring operations ---------------------------------------------------------
 
@@ -268,33 +220,16 @@ class Poly:
         return (-self) + other
 
     def _combine(self, other: "Poly", subtract: bool) -> "Poly":
-        """self + other, or self - other when `subtract`.
-
-        The sum is packed when either operand is: the other one is then
-        packed too, as if it were a factor.
-        """
+        """self + other, or self - other when `subtract`."""
         self._check_dim(other)
         cls = self._kind(other)
         if not other._size():
             return self._as(cls)
         if not self._size():
             return (-other if subtract else other)._as(cls)
-        if self._packed is not None or other._packed is not None:
-            bits = max(self._packed_form()[0], other._packed_form()[0])
-            return cls._from_packed(
-                self.n, pk.combine(self._widen(bits), other._widen(bits), subtract))
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono)
-            if s is None:
-                s = -c if subtract else c
-            else:
-                s = s - c if subtract else s + c
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return cls._raw(self.n, out)
+        bits = max(self._packed[0], other._packed[0])
+        return cls._from_packed(
+            self.n, pk.combine(self._widen(bits), other._widen(bits), subtract))
 
     def __neg__(self):
         return self.scale(-1)
@@ -304,9 +239,7 @@ class Poly:
         cls = type(self)
         if c.is_zero():
             return cls.zero(self.n)
-        if self._packed is not None:
-            return cls._from_packed(self.n, pk.scale(self._packed, c))
-        return cls._raw(self.n, {m: v * c for m, v in self._terms.items()})
+        return cls._from_packed(self.n, pk.scale(self._packed, c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -329,7 +262,7 @@ class Poly:
         if not self._size() or not other._size():
             return cls.zero(n)
         a, b = (other, self) if self._size() > other._size() else (self, other)
-        pa, pb = a._packed_form(), b._packed_form()
+        pa, pb = a._packed, b._packed
         top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
         if max_weight is not None:
             if pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > max_weight:
@@ -366,11 +299,7 @@ class Poly:
 
     def conjugate(self) -> "Poly":
         """Coefficient conjugation combined with the z <-> conj(z) swap."""
-        if self._packed is not None:
-            return Poly._from_packed(self.n, pk.conjugate(self._packed, self.n))
-        return Poly._raw(
-            self.n, {conj_mono(m): c.conjugate() for m, c in self._terms.items()}
-        )
+        return Poly._from_packed(self.n, pk.conjugate(self._packed, self.n))
 
     def is_real(self) -> bool:
         return self == self.conjugate()
@@ -384,7 +313,7 @@ class Poly:
         diff = self - self.conjugate()
         if not diff._size():
             return None
-        bits, _den, data = diff._packed_form()
+        bits, _den, data = diff._packed
         return pk.unpack_key(data[0], bits, self.n)
 
     def real_part(self) -> "Poly":
@@ -396,58 +325,42 @@ class Poly:
     # -- gradings ---------------------------------------------------------------
 
     def bidegree_component(self, k: int, l: int) -> "Poly":
-        if not self._size():
-            return Poly.zero(self.n)
-        packed = self._packed_form()
-        keep = [d == (k, l) for d in pk.bidegrees(packed, self.n)]
-        return Poly._from_packed(self.n, pk.select(packed, keep))
+        keep = [d == (k, l) for d in pk.bidegrees(self._packed, self.n)]
+        return Poly._from_packed(self.n, pk.select(self._packed, keep))
 
     def bidegrees(self) -> List[Tuple[int, int]]:
-        if not self._size():
-            return []
-        return sorted(set(pk.bidegrees(self._packed_form(), self.n)))
+        return sorted(set(pk.bidegrees(self._packed, self.n)))
 
     def harmonic_bidegree(self) -> Optional[Tuple[int, int]]:
         """The bidegree (k, l) with k < 2 or l < 2 of the first such term in key order, or None.
 
         The degrees are read off the packed keys (see packed.bidegrees).
         """
-        if not self._size():
-            return None
-        return next(((k, l) for k, l in pk.bidegrees(self._packed_form(), self.n)
+        return next(((k, l) for k, l in pk.bidegrees(self._packed, self.n)
                      if k < 2 or l < 2), None)
 
     def weight_decompose(self) -> Dict[int, "Poly"]:
-        buckets: Dict[int, Dict[Mono, GaussianRational]] = {}
-        for m, c in self._items():
-            buckets.setdefault(mono_weight(m), {})[m] = c
-        return {w: Poly._raw(self.n, t) for w, t in sorted(buckets.items())}
+        weights = sorted(set(pk.weights(self._packed, self.n)))
+        return {w: self.weight_component(w) for w in weights}
 
     def weight_component(self, w: int) -> "Poly":
-        out = {m: c for m, c in self._items() if mono_weight(m) == w}
-        return Poly._raw(self.n, out)
+        return Poly._from_packed(self.n, pk.truncate(self._packed, self.n, w, w))
 
     def min_weight(self) -> Optional[int]:
         """Lowest weight present (gamma when applied to a defining function)."""
-        if not self._size():
-            return None
-        if self._packed is not None:
-            return pk.weight(self._packed, 0, self.n)
-        return min(mono_weight(m) for m in self._terms)
+        return pk.weight(self._packed, 0, self.n) if self._size() else None
 
     def max_weight(self) -> Optional[int]:
-        if not self._size():
-            return None
-        if self._packed is not None:
-            return pk.weight(self._packed, -1, self.n)
-        return max(mono_weight(m) for m in self._terms)
+        return pk.weight(self._packed, -1, self.n) if self._size() else None
 
     def truncate_weight(self, max_weight: int) -> "Poly":
-        cls = type(self)
-        if self._packed is not None:
-            return cls._from_packed(self.n, pk.truncate(self._packed, self.n, max_weight))
-        out = {m: c for m, c in self._terms.items() if mono_weight(m) <= max_weight}
-        return cls._raw(self.n, out)
+        return type(self)._from_packed(self.n, pk.truncate(self._packed, self.n, max_weight))
+
+    def u_coefficients(self) -> Dict[int, "Poly"]:
+        """{j: p_j} with self = sum_j u^j p_j and each p_j free of u, zero ones left out."""
+        n = self.n
+        return {j: Poly._from_packed(n, part)
+                for (j,), part in pk.split(self._packed, n, [2 * n]).items()}
 
     # -- calculus ----------------------------------------------------------------
 
@@ -464,7 +377,7 @@ class Poly:
             raise ValueError(f"unknown variable kind {kind!r}")
         if not self._size():
             return Poly.zero(n)
-        return Poly._from_packed(n, pk.derivative(self._packed_form(), n, field))
+        return Poly._from_packed(n, pk.derivative(self._packed, n, field))
 
     # -- substitution --------------------------------------------------------------
 
@@ -535,8 +448,7 @@ class Poly:
         return self.substitute(zsubs, zbarsubs, Poly.u(n).scale(u_scale))
 
     def at_u_zero(self) -> "Poly":
-        out = {m: c for m, c in self._items() if m[2] == 0}
-        return Poly._raw(self.n, out)
+        return self.u_coefficients().get(0, Poly.zero(self.n))
 
     # -- serialization ---------------------------------------------------------------
 
@@ -579,8 +491,6 @@ class Poly:
             raise ValueError("dimension must be non-negative")
         for entry in entries:
             _check_mono(entry[0], n)
-        if not entries:
-            return cls.zero(n)
         return cls._from_packed(n, pk.pack_rationals(entries))
 
     # -- display ------------------------------------------------------------------
@@ -628,6 +538,29 @@ def _slots(n: int, zsubs, zbarsubs, usub) -> Tuple[list, int]:
     return slots, n_out
 
 
+def real_coefficient_rows(polys: Sequence[Poly]) -> List[List[int]]:
+    """The system sum_j x_j polys[j] = 0 in real unknowns x_j, as integer rows.
+
+    Each monomial of some polys[j] gives the row of its real parts and the
+    row of its imaginary parts.  All rows are scaled by one common
+    denominator, which keeps the kernel.  Monomials come in order of first
+    appearance, poly by poly in key order.
+    """
+    bits = max(p._packed[0] for p in polys)
+    den = lcm(*[p._packed[1] for p in polys])
+    width = len(polys)
+    cells: Dict[int, Tuple[List[int], List[int]]] = {}
+    for j, p in enumerate(polys):
+        f = den // p._packed[1]
+        for key, re, im in zip(*pk.columns(p._widen(bits))):
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = ([0] * width, [0] * width)
+            cell[0][j] = re * f
+            cell[1][j] = im * f
+    return [row for cell in cells.values() for row in cell]
+
+
 class ProductSum:
     """A sum of products c a b of polynomials, built in one accumulator.
 
@@ -664,7 +597,7 @@ class ProductSum:
             return
         if a._size() > b._size():
             a, b = b, a
-        pa, pb = a._packed_form(), b._packed_form()
+        pa, pb = a._packed, b._packed
         n = self.n
         mult = self._reserve(pk.weight(pa, 0, n) + pk.weight(pb, 0, n),
                              pk.weight(pa, -1, n) + pk.weight(pb, -1, n),
@@ -681,7 +614,7 @@ class ProductSum:
             raise ValueError("a Hermitian square takes a real scalar")
         if c.is_zero() or not a._size():
             return
-        pa = a._packed_form()
+        pa = a._packed
         n = self.n
         # packed.square adds twice the half over twice the denominator
         mult = self._reserve(2 * pk.weight(pa, 0, n), 2 * pk.weight(pa, -1, n),
@@ -744,8 +677,6 @@ class ProductSum:
 
     def poly(self) -> Poly:
         """The sum."""
-        if not self.cells:
-            return Poly.zero(self.n)
         return Poly._from_packed(self.n, pk.collect(self.bits, self.den, self.cells))
 
     def real(self) -> Poly:
@@ -761,8 +692,6 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
     are read as the conjugates of the z slots, and a half is added (see
     ProductSum.add_real_substitution).
     """
-    if not p._size():
-        return
     n, n_out, cap = p.n, total.n, total.max_weight
     c = GaussianRational.of(c)
     moved = [i for i, s in enumerate(slots) if s is not None]
@@ -781,7 +710,7 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
         return got[e]
 
     whole = len(moved) == len(slots)
-    for exps, part in pk.split(p._packed_form(), n, moved).items():
+    for exps, part in pk.split(p._packed, n, moved).items():
         coeff = c
         if real:
             z, zb = exps[:n], exps[n:2 * n]
@@ -834,7 +763,7 @@ def _exponents(item: dict, key: str, n: int) -> Tuple[int, ...]:
 
 
 class _TermsView(Mapping):
-    """`Poly.terms`: a read-only mapping over whichever form the Poly stores."""
+    """`Poly.terms`: a read-only mapping over the packed form, which it reads on each access."""
 
     __slots__ = ("_poly",)
 
@@ -845,20 +774,28 @@ class _TermsView(Mapping):
         return self._poly._size()
 
     def __getitem__(self, mono):
-        return self._poly._dict()[mono]
+        c = self._poly.coeff(mono)
+        if c.is_zero():
+            raise KeyError(mono)
+        return c
 
     def __iter__(self):
         poly = self._poly
-        if poly._packed is not None:
-            bits, keys = poly._packed[0], pk.columns(poly._packed)[0]
-            return (pk.unpack_key(key, bits, poly.n) for key in keys)
-        return iter(poly._terms)
-
-    def get(self, mono, default=None):
-        return self._poly._dict().get(mono, default)
+        bits, keys = poly._packed[0], pk.columns(poly._packed)[0]
+        return (pk.unpack_key(key, bits, poly.n) for key in keys)
 
     def items(self):
-        return self._poly._dict().items()
+        return _TermItems(self)
 
     def __repr__(self):
-        return repr(self._poly._dict())
+        return repr(dict(self.items()))
+
+
+class _TermItems(ItemsView):
+    """The items of a `_TermsView`, unpacked in one pass in key order."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        poly = self._mapping._poly
+        return pk.unpack(poly.n, poly._packed)

@@ -47,8 +47,8 @@ class SurfaceParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN_RE = re.compile(  # the group that matched names the token kind
-    r"\s*(?:(?P<num>\d+)|(?P<zbar>~z\d+)|(?P<z>z\d+)|(?P<u>u)|(?P<Q>Q)|(?P<op>[+\-*/^|]))")
+_TOKEN_RE = re.compile(  # the group that matched names the token kind; ASCII digits only
+    r"\s*(?:(?P<num>[0-9]+)|(?P<zbar>~z[0-9]+)|(?P<z>z[0-9]+)|(?P<u>u)|(?P<Q>Q)|(?P<op>[+\-*/^|]))")
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:

@@ -24,6 +24,12 @@ RATIONAL_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                  Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3)]
 
 
+def widened(p: Poly) -> Poly:
+    """p stored at a wider field width: a sum with u^40 (weight 80) re-stores both operands."""
+    far = Poly.u(p.n).pow(40)
+    return (p + far) - far
+
+
 # -- sympy bridges -------------------------------------------------------------
 
 

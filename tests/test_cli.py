@@ -205,6 +205,13 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+
+def test_non_ascii_digits_exit_2_with_a_json_report(tmp_path, capsys):
+    for text in ("\u0663 Q^4", "z\u0661^2 ~z1^2"):
+        surf = write(tmp_path, "digits.json", {"n": 2, "m": 0, "kind": "diagonal", "F": text})
+        code, report = run(capsys, "check", "--surface", surf)
+        assert code == 2 and "unexpected character" in report["error"], report
+
 def test_output_flag_writes_report(tmp_path, capsys):
     surf = write(tmp_path, "q4.json",
                  {"n": 2, "m": 0, "kind": "diagonal", "F": "Q^4"})

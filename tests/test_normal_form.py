@@ -19,7 +19,7 @@ from crmoser.normal_form import (
 from crmoser.poly import Poly
 from crmoser.surface_io import SurfaceParseError, parse_surface, surface_from_json
 
-from helpers import poly_to_sympy, random_real_poly, sympy_trace_oracle
+from helpers import poly_to_sympy, random_real_poly, sympy_trace_oracle, widened
 
 
 def surface(form, f_poly, max_w=None):
@@ -161,9 +161,8 @@ def test_validation_errors_do_not_depend_on_the_stored_form(terms, max_w):
         coeffs[(z, zb, u)] = coeffs.get((z, zb, u), 0) + c
         if paired:
             coeffs[(zb, z, u)] = coeffs.get((zb, z, u), 0) + c.conjugate()
-    as_dict = Poly(2, coeffs)
-    packed = Poly(2, coeffs).mul(Poly.constant(2, 1))
-    assert validation_error(form, as_dict, max_w) == validation_error(form, packed, max_w)
+    narrow, wide = Poly(2, coeffs), widened(Poly(2, coeffs))
+    assert validation_error(form, narrow, max_w) == validation_error(form, wide, max_w)
 
 
 def test_validation_names_the_first_violation_in_weight_order():

@@ -1,20 +1,29 @@
-"""Property tests for Poly in both of its stored forms.
+"""Property tests for Poly against its terms, and across field widths.
 
-A polynomial built from terms holds the term dict; a product holds the
-packed integer form.  Every strategy below yields both kinds, so the laws
-are checked on the packed arithmetic, on the dict arithmetic and across the
-two.  Coefficients include numerators beyond 64 bits, which the packed form
-keeps in tuples instead of machine-integer arrays.
+A Poly stores one packed integer form, whose field width may be wider than
+its exponents need: a sum with a polynomial of higher weight re-stores both
+operands at the wider width.  The `polys` strategy yields both narrow and
+widened polynomials, so the ring laws, the substitutions and equality are
+checked across widths.  The methods that select or lower terms on the
+packed keys are checked against references computed term by term from
+`dict(p.terms)`.  Coefficients include numerators beyond 64 bits, which the
+packed form keeps in tuples instead of machine-integer arrays.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crmoser.forms import HermitianForm
 from crmoser.gaussrat import GaussianRational
-from crmoser.poly import Poly
+from crmoser.linalg import Matrix
+from crmoser.normal_form import trace_op
+from crmoser.poly import Poly, mono_weight, real_coefficient_rows
+
+from helpers import widened
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -28,9 +37,7 @@ def polys(draw, n):
     exps = st.tuples(*[st.integers(0, 2)] * n)
     monos = st.tuples(exps, exps, st.integers(0, 2))
     p = Poly(n, draw(st.dictionaries(monos, coefficients, max_size=5)))
-    if draw(st.booleans()):
-        p = p.mul(Poly.constant(n, 1))  # the same polynomial, packed
-    return p
+    return widened(p) if draw(st.booleans()) else p
 
 
 @st.composite
@@ -98,6 +105,8 @@ def test_coefficient_lookup_on_the_packed_form(ab, exps):
     spread = [((e,) * n, (f,) * n, u) for e, f, u in exps]  # exponents beyond a field too
     for mono in [*rebuilt.terms, *spread]:
         assert product.coeff(mono) == rebuilt.terms.get(mono, 0)
+        present = not product.coeff(mono).is_zero()
+        assert (mono in product.terms) == (product.terms.get(mono) is not None) == present
 
 
 @SETTINGS
@@ -227,12 +236,8 @@ def test_terms_from_json_equals_the_summed_term_dict(doc):
 def test_derivatives_and_bidegrees_agree_with_the_terms(ab):
     a, b = ab
     n = a.n
-
-    def packed(q):  # packed keys carry the weight, which a term dict does not
-        return q.mul(Poly.constant(n, 1))
-
     for p in (a, a * b):
-        terms = dict(p.mul(Poly.constant(n, 1)).terms)  # read a copy: p keeps its stored form
+        terms = dict(p.terms)
         for slot, kind in enumerate(("z", "zbar")):
             for j in range(n):
                 expected = {}
@@ -242,11 +247,97 @@ def test_derivatives_and_bidegrees_agree_with_the_terms(ab):
                         exps = [list(mono[0]), list(mono[1])]
                         exps[slot][j] -= 1
                         expected[(tuple(exps[0]), tuple(exps[1]), mono[2])] = c * e
-                assert p.partial(kind, j) == packed(Poly(n, expected))
-        assert p.partial("u") == packed(Poly(n, {(z, zb, u - 1): c * u
-                                                 for (z, zb, u), c in terms.items() if u}))
+                assert p.partial(kind, j) == Poly(n, expected)
+        assert p.partial("u") == Poly(n, {(z, zb, u - 1): c * u
+                                          for (z, zb, u), c in terms.items() if u})
         degrees = {(sum(z), sum(zb)) for z, zb, _u in terms}
         assert p.bidegrees() == sorted(degrees)
         for k, l in degrees | {(5, 5)}:
-            assert p.bidegree_component(k, l) == packed(Poly(n, {
-                mono: c for mono, c in terms.items() if (sum(mono[0]), sum(mono[1])) == (k, l)}))
+            assert p.bidegree_component(k, l) == Poly(n, {
+                mono: c for mono, c in terms.items() if (sum(mono[0]), sum(mono[1])) == (k, l)})
+
+
+def terms_where(p: Poly, keep) -> Poly:
+    """The terms of p whose monomial satisfies keep, selected term by term."""
+    return Poly(p.n, {mono: c for mono, c in dict(p.terms).items() if keep(mono)})
+
+
+@SETTINGS
+@given(poly_tuples(2), st.integers(0, 20))
+def test_weight_and_u_selections_agree_with_the_terms(ab, cap):
+    a, b = ab
+    for p in (a, a * b):
+        weights = sorted({mono_weight(mono) for mono in p.terms})
+        parts = p.weight_decompose()
+        assert list(parts) == weights
+        for w in weights:
+            assert parts[w] == terms_where(p, lambda mono: mono_weight(mono) == w)
+        for w in (*weights, cap):
+            assert p.weight_component(w) == terms_where(p, lambda mono: mono_weight(mono) == w)
+        assert p.truncate_weight(cap) == terms_where(p, lambda mono: mono_weight(mono) <= cap)
+        assert p.at_u_zero() == terms_where(p, lambda mono: mono[2] == 0)
+        for j, part in p.u_coefficients().items():
+            assert part == Poly(p.n, {(z, zb, 0): c for (z, zb, u), c in dict(p.terms).items()
+                                      if u == j})
+
+
+@st.composite
+def hermitian_forms(draw, n):
+    """A Hermitian form with Gaussian-rational off-diagonal entries.
+
+    The diagonal is +-2n and each off-diagonal entry has modulus at most
+    sqrt(2), so the signature is that of the diagonal (Gershgorin).
+    """
+    m = draw(st.integers(0, n // 2))
+    part = st.builds(Fraction, st.integers(-1, 1), st.integers(1, 3))
+    rows = [[GaussianRational(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = GaussianRational(-2 * n if i < m else 2 * n)
+        for j in range(i + 1, n):
+            c = GaussianRational(draw(part), draw(part))
+            rows[i][j], rows[j][i] = c, c.conjugate()
+    return HermitianForm(n, m, Matrix(rows))
+
+
+@SETTINGS
+@given(st.data())
+def test_trace_op_agrees_with_the_terms(data):
+    a, b = data.draw(poly_tuples(2))
+    n = a.n
+    form = data.draw(hermitian_forms(n))
+    hinv = form.inverse_matrix()
+    for p in (a, a * b):
+        expected = {}
+        for (z, zb, u), c in dict(p.terms).items():
+            for i in range(n):
+                for j in range(n):
+                    if z[i] and zb[j]:
+                        mono = (tuple(e - (k == i) for k, e in enumerate(z)),
+                                tuple(e - (k == j) for k, e in enumerate(zb)), u)
+                        expected[mono] = (expected.get(mono, GaussianRational(0))
+                                          + c * hinv[i, j] * (z[i] * zb[j]))
+        assert trace_op(form, p) == Poly(n, expected)
+
+
+@SETTINGS
+@given(poly_tuples(1))
+def test_equal_polynomials_at_different_field_widths_hash_equal(a):
+    (p,) = a
+    terms = dict(p.terms)
+    narrow, wide = Poly(p.n, terms), widened(Poly(p.n, terms))
+    assert wide._packed[0] > narrow._packed[0]
+    assert hash(narrow) == hash(wide)  # before ==, which re-stores narrow at the wider width
+    assert narrow == wide and wide == narrow
+    other = narrow + Poly.z(p.n, 0)
+    assert other != wide and wide != other
+
+
+@SETTINGS
+@given(poly_tuples(3))
+def test_real_coefficient_rows_are_the_coefficients_over_one_denominator(abc):
+    monos = list(dict.fromkeys(mono for p in abc for mono in p.terms))
+    expected = [[getattr(p.coeff(mono), part) for p in abc]
+                for mono in monos for part in ("re", "im")]
+    rows = real_coefficient_rows(abc)
+    den = lcm(*(e.denominator for row in expected for e in row))
+    assert rows == [[e * den for e in row] for row in expected]

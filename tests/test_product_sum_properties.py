@@ -20,6 +20,8 @@ from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix
 from crmoser.poly import Poly, ProductSum
 
+from helpers import widened
+
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
 numerators = st.one_of(st.integers(-6, 6), st.integers(-10**25, 10**25))
@@ -34,9 +36,7 @@ def polys(draw, n, max_size=5):
     exps = st.tuples(*[st.integers(0, 2)] * n)
     monos = st.tuples(exps, exps, st.integers(0, 2))
     p = Poly(n, draw(st.dictionaries(monos, coefficients, max_size=max_size)))
-    if draw(st.booleans()):
-        p = p.mul(Poly.constant(n, 1))  # the same polynomial, packed
-    return p
+    return widened(p) if draw(st.booleans()) else p
 
 
 @st.composite

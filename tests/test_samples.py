@@ -19,20 +19,20 @@ SURFACES = ("corollary2_2_1", "umbilic_q4", "theorem1_n3")
 MAPS = (("corollary2_2_1", "map_scaled_mu2"),
         ("umbilic_q4", "map_linear_rotation"),
         ("umbilic_q4", "map_jet_rotation"))
-# (expected file stem, argv with paths relative to the repository root)
+# (expected file stem, argv with paths relative to the repository root, exit code)
 GOLDEN = (
-    *((f"{cmd}-{s}", [cmd, "--surface", f"samples/{s}.json"])
+    *((f"{cmd}-{s}", [cmd, "--surface", f"samples/{s}.json"], 0)
       for s in SURFACES for cmd in ("check", "stabdim", "classify")),
-    *((f"stabdim_basis-{s}", ["stabdim", "--surface", f"samples/{s}.json", "--basis"])
+    *((f"stabdim_basis-{s}", ["stabdim", "--surface", f"samples/{s}.json", "--basis"], 0)
       for s in SURFACES),
     *((f"verify-{s}-{m}", ["verify", "--surface", f"samples/{s}.json",
-                           "--map", f"samples/{m}.json"]) for s, m in MAPS),
-    ("model-model_theorem2_s0", ["model", "--spec", "samples/model_theorem2_s0.json"]),
+                           "--map", f"samples/{m}.json"], 0) for s, m in MAPS),
+    ("model-model_theorem2_s0", ["model", "--spec", "samples/model_theorem2_s0.json"], 0),
+    # violates all three trace conditions, with complex residuals: not a sample, which must run clean
+    ("check-non_normal_form", ["check", "--surface", "tests/fixtures/non_normal_form.json"], 3),
+    ("census", ["census", "--n", "2,3", "--m", "0,1", "--samples", "200",
+                "--seed", "20240604"], 0),
 )
-
-# the golden commands and a census run, each checked in fresh processes under two hash seeds
-HASH_SEED_RUNS = (*GOLDEN, ("census", ["census", "--n", "2,3", "--m", "0,1", "--samples", "40",
-                                       "--seed", "20240604"]))
 
 
 def run(capsys, *argv):
@@ -86,16 +86,16 @@ def test_jet_sample_verifies_and_round_trips(capsys):
     assert JetMap.from_json(doc).to_json() == doc
 
 
-@pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
-def test_sample_reports_match_golden_bytes(name, argv, monkeypatch, capsys):
+@pytest.mark.parametrize("name,argv,code", GOLDEN, ids=[name for name, *_ in GOLDEN])
+def test_sample_reports_match_golden_bytes(name, argv, code, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
-    assert main(argv) == 0
+    assert main(argv) == code
     assert capsys.readouterr().out == (EXPECTED / f"{name}.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name,argv", HASH_SEED_RUNS, ids=[name for name, _ in HASH_SEED_RUNS])
-def test_reports_do_not_depend_on_the_hash_seed(name, argv):
-    """Each command in its own process under two hash seeds prints the same bytes."""
+@pytest.mark.parametrize("name,argv,code", GOLDEN, ids=[name for name, *_ in GOLDEN])
+def test_reports_do_not_depend_on_the_hash_seed(name, argv, code):
+    """Each golden command in its own process under two hash seeds prints its golden bytes."""
     procs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -104,7 +104,5 @@ def test_reports_do_not_depend_on_the_hash_seed(name, argv):
         procs.append(subprocess.Popen([sys.executable, "-m", "crmoser.cli", *argv], cwd=ROOT,
                                       env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
     (out0, err0), (out1, err1) = (p.communicate(timeout=300) for p in procs)
-    assert [p.returncode for p in procs] == [0, 0], (err0, err1)
-    assert out0 == out1
-    if name != "census":
-        assert out0 == (EXPECTED / f"{name}.json").read_bytes()
+    assert [p.returncode for p in procs] == [code, code], (err0, err1)
+    assert out0 == out1 == (EXPECTED / f"{name}.json").read_bytes()

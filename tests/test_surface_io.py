@@ -62,6 +62,14 @@ def test_parse_syntax_error_with_position():
         parse_surface_text("|z5|^4", form)
 
 
+
+def test_only_ascii_digits_are_digits():
+    # an Arabic-Indic three and one, which parse_rational rejects in a term list too
+    form = standard_form(2, 0, "diagonal")
+    for text in ("\u0663 Q^4", "z\u0661^2 ~z1^2"):
+        with pytest.raises(SurfaceParseError, match="unexpected character"):
+            parse_surface_text(text, form)
+
 def test_round_trip_serialize_parse_identity():
     rng = random.Random(17)
     for kind, m in (("diagonal", 0), ("antidiagonal", 1)):
