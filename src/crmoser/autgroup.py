@@ -165,14 +165,7 @@ def quadric_automorphism(params: AutoParams, form: HermitianForm, D: int) -> Jet
     aa = form.pair_values(params.a, params.a)  # real by Hermitian symmetry
     tail = za.scale(GaussianRational(0, 2)) + w.scale(
         GaussianRational(params.r) + IU * aa)
-    # 1/delta = sum_k tail^k, truncated by weight
-    series = HoloPoly.constant(n, 1)
-    power = HoloPoly.constant(n, 1)
-    while True:
-        power = power.mul(tail, D)
-        if power.is_zero():
-            break
-        series = series + power
+    series = _geometric(tail, D)  # 1/delta
     vec = [HoloPoly.z(n, i) + w.scale(params.a[i]) for i in range(n)]
     lam_c = GaussianRational(params.lam)
     f = []
@@ -212,9 +205,16 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
         2 Re sum_j ((rho E + X) z)_j dF/dz_j + 2 rho u dF/du - 2 rho F = 0
 
     collected coefficientwise.  The spherical surface (F = 0) satisfies it
-    identically, giving n^2 + 1.  The result keeps the kernel vectors and
-    builds its `basis` on first read, so callers that need only `dim` pay
-    for no recombination.
+    identically, giving n^2 + 1.
+
+    One column per unknown is built in its own ProductSum from products
+    computed once per surface, P[j][k] = z_k dF/dz_j (for the j with
+    dF/dz_j != 0) and u dF/du.  A u(H) column X holds the half
+    sum_{j,k} X[j,k] P[j][k]; the rho column holds the half
+    sum_j P[j][j] + u dF/du - F, whose last two terms are real because F
+    is.  `real` completes each half.  The result keeps the kernel vectors
+    and builds its `basis` on first read, so callers that need only `dim`
+    pay for no recombination.
     """
     form = surface.form
     n = form.n
@@ -225,32 +225,26 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
         kernel = [[one if i == j else zero for j in range(size)] for i in range(size)]
         return StabilizerResult(kernel, basis, spherical=True)
     f_poly = surface.F
-    dfz = [f_poly.partial("z", j) for j in range(n)]
-    dfu = f_poly.partial("u")
-    u_dfu = Poly.u(n) * dfu
-
-    def direction(x_mat: Optional[Matrix], rho: int) -> Poly:
-        acc = Poly.zero(n)
-        for j in range(n):
-            if dfz[j].is_zero():
-                continue
-            lin = Poly.zero(n)
-            if rho:
-                lin = lin + Poly.z(n, j).scale(rho)
-            if x_mat is not None:
-                for k in range(n):
-                    c = x_mat[j, k]
-                    if not c.is_zero():
-                        lin = lin + Poly.z(n, k).scale(c)
-            if lin:
-                acc = acc + lin * dfz[j]
-        total = acc + acc.conjugate()
-        if rho:
-            total = total + u_dfu.scale(2 * rho) - f_poly.scale(2 * rho)
-        return total
-
-    columns = [direction(x_mat, 0) for x_mat in basis]
-    columns.append(direction(None, 1))
+    zvars = [Poly.z(n, k) for k in range(n)]
+    products = []  # (j, P[j])
+    for j in range(n):
+        dfz = f_poly.partial("z", j)
+        if dfz:
+            products.append((j, [zk * dfz for zk in zvars]))
+    columns = []
+    for x_mat in basis:
+        half = ProductSum(n)
+        for j, row in products:
+            for c, p in zip(x_mat.rows[j], row):
+                if c:
+                    half.add(p, c=c)
+        columns.append(half.real())
+    half = ProductSum(n)
+    for j, row in products:
+        half.add(row[j])
+    half.add(Poly.u(n) * f_poly.partial("u"))
+    half.add(f_poly, c=-1)
+    columns.append(half.real())
     kernel = rational_nullspace(real_coefficient_rows(columns), len(columns))
     return StabilizerResult(kernel, basis, spherical=False)
 
@@ -430,8 +424,10 @@ def _geometric(t: Poly, max_w: int) -> Poly:
     mw = t.min_weight()
     if mw is not None and mw < 1:
         raise ValueError("geometric series needs a positive minimal weight")
-    acc = Poly.constant(t.n, 1)
-    power = Poly.constant(t.n, 1)
+    acc = power = type(t).constant(t.n, 1)
+    # a capped product is stored at the field width of its cap, so t is
+    # widened here once instead of for every power
+    t = acc.mul(t, max_w)
     while True:
         power = power.mul(t, max_w)
         if power.is_zero():

@@ -45,6 +45,14 @@ def field_bits(top_weight: int) -> int:
     return max(1, top_weight.bit_length())
 
 
+def one(bits: int) -> Packed:
+    """The constant 1 with fields of `bits` bits; its one key, 0, is the same at every width."""
+    return bits, 1, _ONE_DATA
+
+
+_ONE_DATA = array("q", [0, 1, 0])
+
+
 def size(packed: Packed) -> int:
     return len(packed[2]) // 3
 

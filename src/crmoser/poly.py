@@ -61,11 +61,6 @@ def mono_weight(mono: Mono) -> int:
     return sum(z) + sum(zb) + 2 * u
 
 
-def conj_mono(mono: Mono) -> Mono:
-    z, zb, u = mono
-    return (zb, z, u)
-
-
 class Poly:
     """Exact polynomial over Q(i) in (z, conj z, u); immutable by convention.
 
@@ -254,7 +249,9 @@ class Poly:
         """Exact product, optionally dropping all terms of weight > max_weight.
 
         Weights only add, so a capped product agrees with the exact product
-        on every monomial of weight <= max_weight.
+        on every monomial of weight <= max_weight.  A capped product is
+        stored at the field width of its cap, so the products of one capped
+        computation share one width and are not widened for each other.
         """
         self._check_dim(other)
         n = self.n
@@ -263,20 +260,19 @@ class Poly:
             return cls.zero(n)
         a, b = (other, self) if self._size() > other._size() else (self, other)
         pa, pb = a._packed, b._packed
-        top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
-        if max_weight is not None:
-            if pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > max_weight:
-                return cls.zero(n)
-            top = min(top, max_weight)
+        if max_weight is None:
+            top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
+        elif pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > max_weight:
+            return cls.zero(n)
+        else:
+            top = max_weight
         bits = max(pa[0], pb[0], pk.field_bits(top))
         return cls._from_packed(
             n, pk.product(n, a._widen(bits), b._widen(bits), max_weight))
 
     def _widen(self, bits: int) -> pk.Packed:
-        """The packed form, re-stored with fields of at least `bits` bits."""
-        if self._packed[0] < bits:
-            object.__setattr__(self, "_packed", pk.widen(self._packed, self.n, bits))
-        return self._packed
+        """The packed form with fields of `bits` >= its own width; the stored form is kept."""
+        return pk.widen(self._packed, self.n, bits)
 
     def __pow__(self, exp: int):
         return self.pow(exp)
@@ -568,7 +564,8 @@ class ProductSum:
     over a shared denominator (`crmoser.packed.accumulate`), without its
     terms of weight > max_weight, and the sum is sorted and reduced once,
     by `poly` or `real`.  The denominator and the field width grow when an
-    operand needs it.
+    operand needs it; a capped sum has at least the field width of its cap,
+    as a capped product does.
 
     A real value V can be added as a half H with H + conj(H) = V
     (`add_square`, `add_real_substitution`, or `add` of V/2 or of either
@@ -589,21 +586,24 @@ class ProductSum:
     def add(self, a: Poly, b: Optional[Poly] = None, c: GaussianLike = 1) -> None:
         """Add c a b, or c a when b is None."""
         c = GaussianRational.of(c)
-        if b is None:
-            b = Poly.constant(self.n, 1)
         self._check_dim(a)
-        self._check_dim(b)
-        if c.is_zero() or not a._size() or not b._size():
+        pa = a._packed
+        if b is None:
+            pb = pk.one(pa[0])
+        else:
+            self._check_dim(b)
+            pb = b._packed
+        if c.is_zero() or not pk.size(pa) or not pk.size(pb):
             return
-        if a._size() > b._size():
-            a, b = b, a
-        pa, pb = a._packed, b._packed
+        if pk.size(pa) > pk.size(pb):
+            pa, pb = pb, pa
         n = self.n
         mult = self._reserve(pk.weight(pa, 0, n) + pk.weight(pb, 0, n),
                              pk.weight(pa, -1, n) + pk.weight(pb, -1, n),
                              max(pa[0], pb[0]), pa[1] * pb[1], c)
         if mult is not None:
-            pk.accumulate(self.cells, n, a._widen(self.bits), b._widen(self.bits),
+            bits = self.bits
+            pk.accumulate(self.cells, n, pk.widen(pa, n, bits), pk.widen(pb, n, bits),
                           self.max_weight, mult)
 
     def add_square(self, a: Poly, c: GaussianLike = 1) -> None:
@@ -654,7 +654,7 @@ class ProductSum:
         if cap is not None:
             if low > cap:
                 return None
-            top = min(top, cap)
+            top = cap
         bits = max(bits, pk.field_bits(top))
         if bits > self.bits:
             cells = self.cells
@@ -695,6 +695,12 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
     n, n_out, cap = p.n, total.n, total.max_weight
     c = GaussianRational.of(c)
     moved = [i for i, s in enumerate(slots) if s is not None]
+    if cap is not None:
+        # the capped powers have the field width of the cap (see Poly.mul):
+        # the slots get it here once instead of for each power
+        bits = max(pk.field_bits(cap), *[slots[i]._packed[0] for i in moved])
+        slots = [s if s is None else type(s)._from_packed(n_out, pk.widen(s._packed, n_out, bits))
+                 for s in slots]
     powers = {i: [None] for i in moved}
 
     def power(i: int, e: int) -> Poly:

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import sympy
+from hypothesis import strategies as st
 
 from crmoser.autgroup import InfSym, _geometric
 from crmoser.forms import HermitianForm, standard_form, u_basis
@@ -25,7 +26,7 @@ RATIONAL_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 
 
 def widened(p: Poly) -> Poly:
-    """p stored at a wider field width: a sum with u^40 (weight 80) re-stores both operands."""
+    """p stored at a wider field width: the sum with u^40 (weight 80) is built at its width."""
     far = Poly.u(p.n).pow(40)
     return (p + far) - far
 
@@ -105,6 +106,24 @@ def sympy_real_rank(mats):
 # -- random exact data ----------------------------------------------------------
 
 
+@st.composite
+def hermitian_forms(draw, n):
+    """A Hermitian form with Gaussian-rational off-diagonal entries.
+
+    The diagonal is +-2n and each off-diagonal entry has modulus at most
+    sqrt(2), so the signature is that of the diagonal (Gershgorin).
+    """
+    m = draw(st.integers(0, n // 2))
+    part = st.builds(Fraction, st.integers(-1, 1), st.integers(1, 3))
+    rows = [[GaussianRational(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = GaussianRational(-2 * n if i < m else 2 * n)
+        for j in range(i + 1, n):
+            c = GaussianRational(draw(part), draw(part))
+            rows[i][j], rows[j][i] = c, c.conjugate()
+    return HermitianForm(n, m, Matrix(rows))
+
+
 def random_fraction(rng: random.Random, allow_zero=False) -> Fraction:
     pool = RATIONAL_POOL + ([Fraction(0)] if allow_zero else [])
     return rng.choice(pool)
@@ -158,6 +177,16 @@ def stabilizer_residual(m, x_mat, rho):
     return (acc + acc.conjugate()
             + (Poly.u(n) * f_poly.partial("u")).scale(2 * rho)
             - f_poly.scale(2 * rho))
+
+
+def stabilizer_columns_reference(surface: Hypersurface):
+    """The columns of the invariance system of stabilizer_algebra, one per
+    u_basis element and the last for rho, each built by the chain of Poly
+    operations in stabilizer_residual, which stabilizer_algebra ran before
+    it collected each column in one ProductSum."""
+    n = surface.n
+    columns = [stabilizer_residual(surface, x_mat, 0) for x_mat in u_basis(surface.form)]
+    return columns + [stabilizer_residual(surface, Matrix.zeros(n, n), 1)]
 
 
 def eager_stabilizer_basis(form: HermitianForm, kernel):

@@ -109,6 +109,19 @@ def test_s_dimension_values():
         s_dimension(4, 0)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_models_and_s_land_on_their_dimensions(n):
+    for m in range(n // 2 + 1):
+        kind = "antidiagonal" if m else "diagonal"
+        assert stabilizer_algebra(model_umbilic(n, m, kind, {(4, 0): 1})).dim == n * n
+        if m == 0:
+            assert stabilizer_algebra(model_theorem1(n, {(1, 3, 0): 1})).dim == n * n - 2 * n + 2
+        else:
+            model = model_theorem2(n, m, Fraction(-1, 2), {(0, 2, 0): 1})
+            assert stabilizer_algebra(model).dim == n * n - 2 * n + 3
+            assert s_dimension(n, m) == n * n - 2 * n + 3
+
+
 def test_named_subgroups():
     k = s_named_subgroup("K", 2, 1, t=Fraction(2))
     assert s_to_matrix(k) == Matrix([[2, 0], [0, Fraction(1, 2)]])

@@ -7,7 +7,8 @@ import sympy
 from crmoser.forms import standard_form
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix
-from crmoser.poly import Poly, mono_weight
+from crmoser.models import model_umbilic
+from crmoser.poly import Poly, ProductSum, mono_weight, real_coefficient_rows
 
 from helpers import poly_to_sympy, random_real_poly, sym_vars
 
@@ -234,6 +235,24 @@ def test_weight_additive_and_bidegree_convolution():
             if kb >= 0 and lb >= 0:
                 conv = conv + a.bidegree_component(ka, la) * b.bidegree_component(kb, lb)
         assert conv.bidegree_component(k, l) == prod.bidegree_component(k, l)
+
+
+def test_operands_keep_their_stored_field_width():
+    # a shared memoized power and a surface's F, each used with a wider operand
+    form = standard_form(2, 1, "antidiagonal")
+    model = model_umbilic(2, 1, "antidiagonal", {(4, 0): 1})
+    far = Poly.u(2).pow(40)
+    for p in (form.inner_power(2), model.F, Poly.z(2, 0) * Poly.zbar(2, 1)):
+        stored = p._packed
+        assert stored[0] < far._packed[0]
+        assert p + far != far and p * far != far
+        total = ProductSum(2)
+        total.add(far, p)
+        total.add(p)
+        total.add_square(p)
+        total.real()
+        real_coefficient_rows([far, p])
+        assert p._packed is stored
 
 
 # -- serialization -------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Property tests for Poly against its terms, and across field widths.
 
 A Poly stores one packed integer form, whose field width may be wider than
-its exponents need: a sum with a polynomial of higher weight re-stores both
-operands at the wider width.  The `polys` strategy yields both narrow and
+its exponents need: a sum with a polynomial of higher weight is stored at
+the wider width.  The `polys` strategy yields both narrow and
 widened polynomials, so the ring laws, the substitutions and equality are
 checked across widths.  The methods that select or lower terms on the
 packed keys are checked against references computed term by term from
@@ -17,13 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crmoser.forms import HermitianForm
 from crmoser.gaussrat import GaussianRational
-from crmoser.linalg import Matrix
 from crmoser.normal_form import trace_op
 from crmoser.poly import Poly, mono_weight, real_coefficient_rows
 
-from helpers import widened
+from helpers import hermitian_forms, widened
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -281,24 +279,6 @@ def test_weight_and_u_selections_agree_with_the_terms(ab, cap):
                                       if u == j})
 
 
-@st.composite
-def hermitian_forms(draw, n):
-    """A Hermitian form with Gaussian-rational off-diagonal entries.
-
-    The diagonal is +-2n and each off-diagonal entry has modulus at most
-    sqrt(2), so the signature is that of the diagonal (Gershgorin).
-    """
-    m = draw(st.integers(0, n // 2))
-    part = st.builds(Fraction, st.integers(-1, 1), st.integers(1, 3))
-    rows = [[GaussianRational(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = GaussianRational(-2 * n if i < m else 2 * n)
-        for j in range(i + 1, n):
-            c = GaussianRational(draw(part), draw(part))
-            rows[i][j], rows[j][i] = c, c.conjugate()
-    return HermitianForm(n, m, Matrix(rows))
-
-
 @SETTINGS
 @given(st.data())
 def test_trace_op_agrees_with_the_terms(data):
@@ -326,7 +306,7 @@ def test_equal_polynomials_at_different_field_widths_hash_equal(a):
     terms = dict(p.terms)
     narrow, wide = Poly(p.n, terms), widened(Poly(p.n, terms))
     assert wide._packed[0] > narrow._packed[0]
-    assert hash(narrow) == hash(wide)  # before ==, which re-stores narrow at the wider width
+    assert hash(narrow) == hash(wide)
     assert narrow == wide and wide == narrow
     other = narrow + Poly.z(p.n, 0)
     assert other != wide and wide != other
