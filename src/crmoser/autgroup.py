@@ -209,7 +209,9 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
 
     One column per unknown is built in its own ProductSum from products
     computed once per surface, P[j][k] = z_k dF/dz_j (for the j with
-    dF/dz_j != 0) and u dF/du.  A u(H) column X holds the half
+    dF/dz_j != 0) and u dF/du, each a shift of the derivative's packed keys
+    (Poly.mul_var): no product exceeds F's top weight, so nothing is
+    multiplied, sorted or widened.  A u(H) column X holds the half
     sum_{j,k} X[j,k] P[j][k]; the rho column holds the half
     sum_j P[j][j] + u dF/du - F, whose last two terms are real because F
     is.  `real` completes each half.  The result keeps the kernel vectors
@@ -225,12 +227,11 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
         kernel = [[one if i == j else zero for j in range(size)] for i in range(size)]
         return StabilizerResult(kernel, basis, spherical=True)
     f_poly = surface.F
-    zvars = [Poly.z(n, k) for k in range(n)]
     products = []  # (j, P[j])
     for j in range(n):
         dfz = f_poly.partial("z", j)
         if dfz:
-            products.append((j, [zk * dfz for zk in zvars]))
+            products.append((j, [dfz.mul_var("z", k) for k in range(n)]))
     columns = []
     for x_mat in basis:
         half = ProductSum(n)
@@ -242,7 +243,7 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
     half = ProductSum(n)
     for j, row in products:
         half.add(row[j])
-    half.add(Poly.u(n) * f_poly.partial("u"))
+    half.add(f_poly.partial("u").mul_var("u"))
     half.add(f_poly, c=-1)
     columns.append(half.real())
     kernel = rational_nullspace(real_coefficient_rows(columns), len(columns))

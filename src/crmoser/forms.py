@@ -8,16 +8,18 @@ inertia, never numerically.
 
 Forms are immutable, so each standard form is built and certified once and
 shared: `standard_form` hands out one instance per (n, m, kind) while any
-reference to it lives.  Derived data (inverse, <z,z> and its powers, u(H))
-is memoized on the form itself, so surfaces over one form share it; each
-power <z,z>^k is built once, from the one below it.
+reference to it lives.  Derived data (the inverse and its nonzero entries
+over one denominator, <z,z> and its powers, u(H)) is memoized on the form
+itself, so surfaces over one form share it; each power <z,z>^k is built
+once, from the one below it.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from math import lcm
+from typing import List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
@@ -31,8 +33,8 @@ EXPLICIT = "explicit"
 class HermitianForm:
     """Non-degenerate Hermitian form with signature (n-m, m), n >= 2m."""
 
-    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inner", "_inner_powers", "_u_basis",
-                 "__weakref__")
+    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inverse_entries", "_inner",
+                 "_inner_powers", "_u_basis", "__weakref__")
 
     def __init__(self, n: int, m: int, matrix: Matrix, kind: str = EXPLICIT):
         if n < 1:
@@ -55,6 +57,7 @@ class HermitianForm:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_inverse_entries", None)
         object.__setattr__(self, "_inner", None)
         object.__setattr__(self, "_inner_powers", None)
         object.__setattr__(self, "_u_basis", None)
@@ -77,6 +80,22 @@ class HermitianForm:
         if self._inverse is None:
             object.__setattr__(self, "_inverse", self.matrix.inverse())
         return self._inverse
+
+    def inverse_entries(self) -> Tuple[int, Tuple[Tuple[int, int, int, int], ...]]:
+        """(den, entries): the nonzero entries h_ab of H^{-1} as Gaussian integers over den.
+
+        Each entry is (a, b, re, im) with h_ab = (re + i*im) / den; den is the
+        least common denominator.  Memoized on the form.
+        """
+        if self._inverse_entries is None:
+            nonzero = [(a, b, e) for a, row in enumerate(self.inverse_matrix().rows)
+                       for b, e in enumerate(row) if not e.is_zero()]
+            den = lcm(*[p.denominator for _a, _b, e in nonzero for p in (e.re, e.im)])
+            entries = tuple((a, b, e.re.numerator * (den // e.re.denominator),
+                             e.im.numerator * (den // e.im.denominator))
+                            for a, b, e in nonzero)
+            object.__setattr__(self, "_inverse_entries", (den, entries))
+        return self._inverse_entries
 
     # -- polynomial pairing ---------------------------------------------------
 

@@ -190,15 +190,19 @@ def _dot(row, col):
 def _primitive_row(row: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
     """The row scaled to coprime integers with a positive leading entry.
 
-    None for a zero row.  Entries are read through `.numerator` and
+    None for a zero row.  A row of ints, such as every row of
+    `real_coefficient_rows`, goes straight to the gcd; a row with a
+    Fraction among its entries (which `gcd` refuses) is first brought to
+    the least common denominator, read through `.numerator` and
     `.denominator`, so ints and Fractions mix freely.
     """
-    den = lcm(*[e.denominator for e in row])
-    if den == 1:
-        ints = [e.numerator for e in row]
-    else:
+    try:
+        g = gcd(*row)
+        ints = row
+    except TypeError:
+        den = lcm(*[e.denominator for e in row])
         ints = [e.numerator * (den // e.denominator) for e in row]
-    g = gcd(*ints)
+        g = gcd(*ints)
     if not g:
         return None
     lead = next(x for x in ints if x)

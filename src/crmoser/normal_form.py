@@ -84,20 +84,14 @@ class NormalFormReport:
 
 
 def trace_op(form: HermitianForm, p: Poly) -> Poly:
-    """sum_ab hinv_ab d^2 p / dz_a dzbar_b with hinv = H^{-1}, exactly."""
+    """sum_ab hinv_ab d^2 p / dz_a dzbar_b with hinv = H^{-1}, exactly.
+
+    One packed kernel (Poly.trace) runs over the nonzero entries of H^{-1},
+    which the form keeps as Gaussian integers over one denominator.
+    """
     if p.n != form.n:
         raise ValueError(f"polynomial dimension {p.n} does not match form {form.n}")
-    hinv = form.inverse_matrix()
-    n = form.n
-    out = Poly.zero(n)
-    for a in range(n):
-        da = p.partial("z", a)
-        if da:
-            for b in range(n):
-                h = hinv[a, b]
-                if not h.is_zero():
-                    out = out + da.partial("zbar", b).scale(h)
-    return out
+    return p.trace(form.inverse_entries())
 
 
 def check_normal_form(surface: Hypersurface) -> NormalFormReport:
@@ -129,24 +123,14 @@ def is_umbilic_origin(surface: Hypersurface) -> bool:
 def is_function_of_form_and_u(surface: Hypersurface) -> bool:
     """True iff F is a polynomial in <z,z> and u.
 
-    Decided by exact division: F must vanish in every off-diagonal bidegree
-    and each (k,k) component, sliced by u-power, must be an exact scalar
-    multiple of <z,z>^k.  The candidate scalar is read off the marker
-    monomial (the lexicographically largest monomial of <z,z>^k).
+    F must vanish in every off-diagonal bidegree, and each (k,k) component
+    must be c(u) <z,z>^k for a real polynomial c(u): each of its u-power
+    slices has exactly the packed keys of <z,z>^k and numerators that are
+    one real multiple of its numerators (Poly.is_real_u_multiple).
     """
     f = surface.F
-    if f.is_zero():
-        return True
-    for k, l in f.bidegrees():
-        if k != l:
-            return False
-        qk = surface.form.inner_power(k)
-        marker = max(qk.terms)
-        marker_coeff = qk.coeff(marker)
-        for slice_poly in f.bidegree_component(k, k).u_coefficients().values():
-            scalar = slice_poly.coeff(marker) / marker_coeff
-            if not scalar.is_real():
-                return False
-            if slice_poly != qk.scale(scalar):
-                return False
-    return True
+    bidegrees = f.bidegrees()
+    if any(k != l for k, l in bidegrees):
+        return False
+    return all(f.bidegree_component(k, k).is_real_u_multiple(surface.form.inner_power(k))
+               for k, _l in bidegrees)

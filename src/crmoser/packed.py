@@ -16,7 +16,8 @@ caller owns; `collect` turns such a dict into a reduced form once, so a
 sum of products is sorted and reduced once (`product` is the kernel plus
 one `collect`).  Next to it, `square` adds a half of a * conj(a) from
 each conjugate pair of products once, and `mirror` turns an accumulator
-into itself plus its conjugate.
+into itself plus its conjugate.  A product with one variable needs no
+kernel: `shift` adds one constant to every key.
 """
 
 from __future__ import annotations
@@ -414,6 +415,52 @@ def derivative(packed: Packed, n: int, field: int) -> Packed:
             res.append(re * e)
             ims.append(im * e)
     return reduced(bits, den, keys, res, ims)
+
+
+def trace(packed: Packed, n: int, den: int, entries) -> Packed:
+    """sum_ab h_ab d^2/dz_a dconj(z_b) of the form, with h_ab = (re + i*im) / den.
+
+    `entries` lists the nonzero (a, b, re, im).  For each term and each
+    entry with nonzero exponents e_a of z_a and e_b of conj(z_b), the key
+    loses one from both fields and 2 from the weight, and the numerators
+    are multiplied by e_a e_b (re + i*im).  Every such term goes into one
+    accumulator, which is collected once.
+    """
+    bits = packed[0]
+    mask = (1 << bits) - 1
+    weight2 = 2 << (bits * (2 * n + 1))
+    pairs = [(bits * a, bits * (n + b), (1 << (bits * a)) + (1 << (bits * (n + b))) + weight2,
+              hr, hi) for a, b, hr, hi in entries]
+    acc: Dict[int, List[int]] = {}
+    for key, re, im in zip(*columns(packed)):
+        for off_a, off_b, drop, hr, hi in pairs:
+            ea = (key >> off_a) & mask
+            if ea:
+                eb = (key >> off_b) & mask
+                if eb:
+                    e = ea * eb
+                    ra, ia = re * e, im * e
+                    tr, ti = ra * hr - ia * hi, ra * hi + ia * hr
+                    cell = acc.get(key - drop)
+                    if cell is None:
+                        acc[key - drop] = [tr, ti]
+                    else:
+                        cell[0] += tr
+                        cell[1] += ti
+    return collect(bits, packed[1] * den, acc)
+
+
+def shift(packed: Packed, n: int, field: int) -> Packed:
+    """The form times the variable of `field` (numbered as in split).
+
+    One constant, a one in the field and the variable's weight, is added to
+    every key, so the keys stay in order and the numerators and the
+    denominator are kept.  Every raised exponent must fit in a field.
+    """
+    bits, den, data = packed
+    k = size(packed)
+    step = (1 << (bits * field)) + ((2 if field == 2 * n else 1) << (bits * (2 * n + 1)))
+    return bits, den, column([*[key + step for key in data[:k]], *data[k:]])
 
 
 def split(packed: Packed, n: int, fields: Sequence[int]) -> Dict[Tuple[int, ...], Packed]:

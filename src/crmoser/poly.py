@@ -360,20 +360,74 @@ class Poly:
 
     # -- calculus ----------------------------------------------------------------
 
+    def _field(self, kind: str, idx: int) -> int:
+        """The packed field of the variable z_idx, conj(z_idx) or u (kind 'z', 'zbar', 'u')."""
+        n = self.n
+        if kind == "u":
+            return 2 * n
+        if kind in ("z", "zbar"):
+            if not 0 <= idx < n:
+                raise ValueError(f"variable index {idx} out of range for n={n}")
+            return idx if kind == "z" else n + idx
+        raise ValueError(f"unknown variable kind {kind!r}")
+
     def partial(self, kind: str, idx: int = 0) -> "Poly":
         """Formal partial derivative; kind is 'z', 'zbar' or 'u'."""
         n = self.n
-        if kind == "u":
-            field = 2 * n
-        elif kind in ("z", "zbar"):
-            if not 0 <= idx < n:
-                raise ValueError(f"variable index {idx} out of range for n={n}")
-            field = idx if kind == "z" else n + idx
-        else:
-            raise ValueError(f"unknown variable kind {kind!r}")
+        field = self._field(kind, idx)
         if not self._size():
             return Poly.zero(n)
         return Poly._from_packed(n, pk.derivative(self._packed, n, field))
+
+    def mul_var(self, kind: str, idx: int = 0) -> "Poly":
+        """The product with the variable z_idx, conj(z_idx) or u (kind as in `partial`).
+
+        A shift of the packed keys (see packed.shift).  No exponent exceeds
+        the weight of its monomial, so the form is widened first only when
+        the product's top weight does not fit in a field.
+        """
+        n = self.n
+        field = self._field(kind, idx)
+        if not self._size():
+            return Poly.zero(n)
+        top = pk.weight(self._packed, -1, n) + (2 if kind == "u" else 1)
+        bits = max(self._packed[0], pk.field_bits(top))
+        return Poly._from_packed(n, pk.shift(self._widen(bits), n, field))
+
+    def trace(self, hinv: Tuple[int, Sequence[Tuple[int, int, int, int]]]) -> "Poly":
+        """sum_ab h_ab d^2/dz_a dconj(z_b) of self, for hinv = (den, entries) as in
+        HermitianForm.inverse_entries, by one packed kernel (see packed.trace)."""
+        if not self._size():
+            return Poly.zero(self.n)
+        den, entries = hinv
+        return Poly._from_packed(self.n, pk.trace(self._packed, self.n, den, entries))
+
+    def is_real_u_multiple(self, q: "Poly") -> bool:
+        """True iff self = c(u) q for a polynomial c(u) with real coefficients; q is free of u.
+
+        Read off the packed forms at one field width: every u-power slice of
+        self must have exactly the keys of q, and numerators that are one
+        real multiple of q's, which integer cross-multiplication decides.
+        """
+        self._check_dim(q)
+        n = self.n
+        if not q._size():
+            return not self._size()
+        bits = max(self._packed[0], q._packed[0])
+        keys_q, res_q, ims_q = pk.columns(q._widen(bits))
+        keys_q = list(keys_q)
+        nums_q = [*res_q, *ims_q]
+        ref = next(i for i, x in enumerate(nums_q) if x)  # q's first nonzero numerator
+        at_ref = nums_q[ref]
+        for part in pk.split(self._widen(bits), n, [2 * n]).values():
+            keys, res, ims = pk.columns(part)
+            if list(keys) != keys_q:
+                return False
+            nums = [*res, *ims]
+            c = nums[ref]  # self's slice is (c / at_ref) q
+            if any(x * at_ref != c * y for x, y in zip(nums, nums_q)):
+                return False
+        return True
 
     # -- substitution --------------------------------------------------------------
 

@@ -159,6 +159,44 @@ def random_real_poly(rng: random.Random, n: int, pairs=2, max_bidegree=3,
     return p
 
 
+def trace_op_reference(form: HermitianForm, p: Poly) -> Poly:
+    """trace_op by the chain of Poly operations it ran before its packed
+    kernel: for each nonzero entry h_ab of H^{-1}, one Poly
+    d^2 p / dz_a dzbar_b scaled by h_ab and added to the sum."""
+    hinv = form.inverse_matrix()
+    out = Poly.zero(form.n)
+    for a in range(form.n):
+        da = p.partial("z", a)
+        if da:
+            for b in range(form.n):
+                h = hinv[a, b]
+                if not h.is_zero():
+                    out = out + da.partial("zbar", b).scale(h)
+    return out
+
+
+def is_function_of_form_and_u_reference(surface: Hypersurface) -> bool:
+    """is_function_of_form_and_u by exact division of Poly objects, as it ran
+    before it read the packed keys: each u-power slice of each (k,k) part is
+    compared with <z,z>^k scaled by the ratio at its largest monomial."""
+    f = surface.F
+    if f.is_zero():
+        return True
+    for k, l in f.bidegrees():
+        if k != l:
+            return False
+        qk = surface.form.inner_power(k)
+        marker = max(qk.terms)
+        marker_coeff = qk.coeff(marker)
+        for slice_poly in f.bidegree_component(k, k).u_coefficients().values():
+            scalar = slice_poly.coeff(marker) / marker_coeff
+            if not scalar.is_real():
+                return False
+            if slice_poly != qk.scale(scalar):
+                return False
+    return True
+
+
 def stabilizer_residual(m, x_mat, rho):
     """Direct substitution into the invariance equation (solver oracle):
 

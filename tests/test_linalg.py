@@ -112,6 +112,33 @@ def test_nullspace_equals_sympy(system):
         assert rational_nullspace(rows) == expected
 
 
+@st.composite
+def integer_systems(draw):
+    """(rows, ncols): integer rows with zeros, repeats and multiples among them."""
+    ncols = draw(st.integers(1, 7))
+    ints = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-10**22, 10**22))
+    base = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols), max_size=6))
+    rows = base + [[c * e for e in row] for row in base
+                   for c in draw(st.lists(st.integers(-3, 3), max_size=1))]
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(integer_systems(), st.data())
+def test_nullspace_of_integer_rows_equals_that_of_fraction_and_mixed_rows(system, data):
+    # integer rows take the gcd path of _primitive_row at once; the same
+    # system scaled row by row into Fractions, or mixing int and Fraction
+    # entries within a row, takes the common-denominator path
+    rows, ncols = system
+    scales = data.draw(st.lists(factors, min_size=len(rows), max_size=len(rows)))
+    scaled = [[Fraction(e) * s for e in row] for row, s in zip(rows, scales)]
+    mixed = [[Fraction(e) if data.draw(st.booleans()) else e for e in row] for row in rows]
+    basis = rational_nullspace(rows, ncols)
+    assert rational_nullspace(scaled, ncols) == basis
+    assert rational_nullspace(mixed, ncols) == basis
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+
+
 def test_inertia_known_matrices():
     assert hermitian_inertia(Matrix.identity(3)) == (3, 0, 0)
     assert hermitian_inertia(Matrix([[1, 0], [0, -1]])) == (1, 1, 0)

@@ -5,12 +5,14 @@ system by the chain of Poly sums, scalings, products and conjugates that
 stabilizer_algebra ran before it collected each column in one ProductSum.
 The kernel of the rows of those columns must be the kernel the solve
 keeps.  The surfaces are census draws over the standard forms, F with
-u-terms, and F over explicit forms with complex off-diagonal entries, whose
-u(H) bases have complex entries.
+u-terms, F over explicit forms with complex off-diagonal entries, whose
+u(H) bases have complex entries, and F whose top weight fills its packed
+fields, where the products z_k dF/dz_j are key shifts that reach that top.
 """
 
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -103,3 +105,21 @@ def test_kernel_matches_the_reference_columns_over_explicit_forms(data, invarian
     rng = random.Random(data.draw(seeds))
     make = invariant_f if invariant else random_f
     assert_matches_reference(surface(form, make(rng, form, 0)))
+
+
+@pytest.mark.parametrize("top", [7, 15])
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.n}-{f.m}")
+def test_kernel_matches_the_reference_columns_at_the_top_of_a_field(form, top):
+    # F's top weight is 2^bits - 1 for its field width bits, and the degree
+    # of its first term lies on z_1 and conj(z_1) alone: the key shifts
+    # z_k dF/dz_j reach the top weight without widening F's fields
+    n = form.n
+    rng = random.Random(top)
+    f_poly = Poly.zero(n)
+    for z, zb, r in (((top - 2, 0), (2, 0), 0), ((top - 4, 0), (2, 0), 1),
+                     ((top - 3, 1), (1, 1), 0)):
+        pad = [0] * (n - 2)
+        mono = Poly.monomial(n, [*z, *pad], [*zb, *pad], r, random_gauss(rng))
+        f_poly = f_poly + mono + mono.conjugate()
+    assert f_poly.max_weight() == top and f_poly._packed[0] == top.bit_length()
+    assert_matches_reference(Hypersurface(form, f_poly, top))
