@@ -99,15 +99,8 @@ class StabilizerResult:
     @property
     def basis(self) -> Tuple[InfSym, ...]:
         if self._basis is None:
-            n = self._directions[0].nrows
-            out = []
-            for vec in self._kernel:
-                x_mat = Matrix.zeros(n, n)
-                for x_dir, c in zip(self._directions, vec):
-                    if c:
-                        x_mat = x_mat + x_dir.scale(c)
-                out.append(InfSym(x_mat, vec[-1]))
-            self._basis = tuple(out)
+            self._basis = tuple(InfSym(Matrix.combination(vec[:-1], self._directions), vec[-1])
+                                for vec in self._kernel)
         return self._basis
 
 
@@ -127,16 +120,15 @@ def extract_params(jet: JetMap, form: HermitianForm) -> AutoParams:
     lam = rational_sqrt(abs(gw.re))
     if lam is None:
         raise ExtractionError("irrational scale — supply parameters directly")
-    lam_inv = GaussianRational(Fraction(1) / lam)
-    fz = Matrix([[jet.f[i].z_linear_coeff(k) * lam_inv for k in range(n)]
-                 for i in range(n)])
-    if is_pseudounitary(fz, form) != sigma:
+    # df/dz(0) = lambda U and df/dw(0) = lambda U a, so a = (df/dz(0))^-1 df/dw(0)
+    fz = Matrix([[fi.z_linear_coeff(k) for k in range(n)] for fi in jet.f])
+    u_mat = fz.scale(1 / lam)
+    if is_pseudounitary(u_mat, form) != sigma:
         raise ExtractionError("U not pseudounitary")
-    fw = [jet.f[i].w_linear_coeff() * lam_inv for i in range(n)]
-    a = tuple(fz.inverse().mulvec(fw))
+    a = tuple(fz.inverse().mulvec([fi.w_linear_coeff() for fi in jet.f]))
     gww = jet.g.w_quadratic_coeff() * 2  # d2g/dw2(0)
     r = gww.re / (2 * sigma * lam * lam)
-    return AutoParams(U=fz, a=a, lam=lam, sigma=sigma, r=r)
+    return AutoParams(U=u_mat, a=a, lam=lam, sigma=sigma, r=r)
 
 
 def quadric_automorphism(params: AutoParams, form: HermitianForm, D: int) -> JetMap:
@@ -151,33 +143,23 @@ def quadric_automorphism(params: AutoParams, form: HermitianForm, D: int) -> Jet
     n = form.n
     if len(params.a) != n or params.U.nrows != n:
         raise ValueError("parameter dimensions do not match the form")
-    w = HoloPoly.w(n)
-    # <z, a> as a holomorphic linear form
-    za = HoloPoly.zero(n)
-    for alpha in range(n):
-        c = GaussianRational(0)
-        for beta in range(n):
-            h = form.matrix[alpha, beta]
-            if not h.is_zero():
-                c = c + h * params.a[beta].conjugate()
-        if not c.is_zero():
-            za = za + HoloPoly.z(n, alpha).scale(c)
-    aa = form.pair_values(params.a, params.a)  # real by Hermitian symmetry
-    tail = za.scale(GaussianRational(0, 2)) + w.scale(
-        GaussianRational(params.r) + IU * aa)
+    # <z, a> = sum_alpha (H conj(a))_alpha z_alpha, and <a, a> is real
+    two_i_za = form.matrix.scale(GaussianRational(0, 2)).mulvec([c.conjugate() for c in params.a])
+    aa = form.pair_values(params.a, params.a)
+    tail = _linear(two_i_za, GaussianRational(params.r, aa.re))
     series = _geometric(tail, D)  # 1/delta
-    vec = [HoloPoly.z(n, i) + w.scale(params.a[i]) for i in range(n)]
-    lam_c = GaussianRational(params.lam)
-    f = []
-    for i in range(n):
-        num = HoloPoly.zero(n)
-        for j in range(n):
-            uij = params.U[i, j]
-            if not uij.is_zero():
-                num = num + vec[j].scale(uij)
-        f.append(num.scale(lam_c).mul(series, D))
-    g = w.scale(GaussianRational(params.sigma * params.lam * params.lam)).mul(series, D)
+    lam_c = GaussianRational(params.lam)  # U (z + a w) = U z + (U a) w
+    f = [_linear(row, c).scale(lam_c).mul(series, D)
+         for row, c in zip(params.U.rows, params.U.mulvec(params.a))]
+    g = HoloPoly.w(n).scale(GaussianRational(params.sigma * params.lam * params.lam)).mul(series, D)
     return JetMap(tuple(f), g, D)
+
+
+def _linear(zcoeffs: Sequence[GaussianRational], wcoeff: GaussianRational) -> HoloPoly:
+    """sum_j zcoeffs[j] z_j + wcoeff w."""
+    n = len(zcoeffs)
+    monos = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)] + [((0,) * n, 1)]
+    return HoloPoly(n, dict(zip(monos, [*zcoeffs, wcoeff])))
 
 
 def is_linear_automorphism(surface: Hypersurface, u_mat: Matrix,
@@ -331,11 +313,13 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
 def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
     """Exact invariance check of the defining equation through weight max_w.
 
-    Requires every term of verification_residual to vanish.  The jet
+    Requires every term of verification_residual to vanish, which is read
+    off its accumulator (ProductSum.real_is_zero) without collecting it; f
+    enters it only through weight max_w - 1 (see _residual_half).  The jet
     supports 0 <= max_w <= D - 1 (g enters linearly, so its missing
-    weight->D tail cannot touch weights below D).  A jet whose linear part at
-    the origin, d(f, g)/d(z, w)(0), is singular is no local biholomorphism
-    and fails.
+    weight->D tail cannot touch weights below D).  A jet whose linear part
+    at the origin, d(f, g)/d(z, w)(0), is singular is no local
+    biholomorphism and fails; its determinant is taken over Z[i].
     """
     if max_w < 0:
         raise ValueError(f"verification weight must be non-negative, got {max_w}")
@@ -350,7 +334,7 @@ def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
                        for p in (*jet.f, jet.g)])
     if jacobian.det().is_zero():
         return False
-    return verification_residual(surface, jet, max_w).is_zero()
+    return _residual_half(surface, jet, max_w).real_is_zero()
 
 
 def verification_residual(surface: Hypersurface, jet: JetMap, max_w: int) -> Poly:
@@ -361,17 +345,28 @@ def verification_residual(surface: Hypersurface, jet: JetMap, max_w: int) -> Pol
     Hermitian squares (HermitianForm.add_square) and a half of the real
     substitution of F.
     """
+    return _residual_half(surface, jet, max_w).real()
+
+
+def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum:
+    """The ProductSum of a half of verification_residual.
+
+    f is substituted only through weight max_w - 1: f(0) = 0, so each f_i
+    has no term below weight 1, and every product in <f,f> or in F(f, conj
+    f, Re g) (F has z- and conj(z)-degree >= 2) pairs a term of f with one
+    more factor of weight >= 1.
+    """
     form = surface.form
     n = form.n
     wmix = (Poly.u(n) + (form.inner_poly() + surface.F).scale(IU)).truncate_weight(max_w)
     gm = jet.g.substitute_w(wmix, max_w)
-    fm = [fi.substitute_w(wmix, max_w) for fi in jet.f]
+    fm = [fi.substitute_w(wmix, max_w - 1) for fi in jet.f]
     total = ProductSum(n, max_w)
     total.add(gm, c=GaussianRational(0, Fraction(-1, 2)))
     form.add_square(total, fm, -1)
     if not surface.F.is_zero():
         total.add_real_substitution(surface.F, fm, gm.real_part(), -1)
-    return total.real()
+    return total
 
 
 def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurface:

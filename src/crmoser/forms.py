@@ -88,13 +88,10 @@ class HermitianForm:
         least common denominator.  Memoized on the form.
         """
         if self._inverse_entries is None:
-            nonzero = [(a, b, e) for a, row in enumerate(self.inverse_matrix().rows)
-                       for b, e in enumerate(row) if not e.is_zero()]
-            den = lcm(*[p.denominator for _a, _b, e in nonzero for p in (e.re, e.im)])
-            entries = tuple((a, b, e.re.numerator * (den // e.re.denominator),
-                             e.im.numerator * (den // e.im.denominator))
-                            for a, b, e in nonzero)
-            object.__setattr__(self, "_inverse_entries", (den, entries))
+            inv, n = self.inverse_matrix(), self.n
+            entries = tuple((k // n, k % n, re, im)
+                            for k, (re, im) in enumerate(zip(inv.re, inv.im)) if re or im)
+            object.__setattr__(self, "_inverse_entries", (inv.den, entries))
         return self._inverse_entries
 
     # -- polynomial pairing ---------------------------------------------------
@@ -104,13 +101,10 @@ class HermitianForm:
         if self._inner is None:
             n = self.n
             terms = {}
-            for a in range(n):
-                for b in range(n):
-                    h = self.matrix[a, b]
-                    if not h.is_zero():
-                        za = tuple(1 if i == a else 0 for i in range(n))
-                        zbb = tuple(1 if i == b else 0 for i in range(n))
-                        terms[(za, zbb, 0)] = h
+            for a, b, h in self.matrix.nonzero():
+                za = tuple(1 if i == a else 0 for i in range(n))
+                zbb = tuple(1 if i == b else 0 for i in range(n))
+                terms[(za, zbb, 0)] = h
             object.__setattr__(self, "_inner", Poly(n, terms))
         return self._inner
 
@@ -127,17 +121,11 @@ class HermitianForm:
         return powers[k]
 
     def pair_values(self, left: Sequence[GaussianLike], right: Sequence[GaussianLike]) -> GaussianRational:
-        """<left, right> = sum h_ab left_a conj(right_b) for constant vectors."""
-        acc = GaussianRational(0)
-        for a in range(self.n):
-            la = GaussianRational.of(left[a])
-            if la.is_zero():
-                continue
-            for b in range(self.n):
-                h = self.matrix[a, b]
-                if not h.is_zero():
-                    acc = acc + h * la * GaussianRational.of(right[b]).conjugate()
-        return acc
+        """<left, right> = sum h_ab left_a conj(right_b) for constant vectors.
+
+        The 1 x 1 product left^t H conj(right) of integer matrices.
+        """
+        return (Matrix([left]) * self.matrix * Matrix([right]).conj_transpose())[0, 0]
 
     def pair_polys(self, left: Sequence[Poly], right: Sequence[Poly],
                    max_weight: Optional[int] = None) -> Poly:
@@ -148,11 +136,8 @@ class HermitianForm:
         """
         total = ProductSum(left[0].n, max_weight)
         rbar = [p.conjugate() for p in right]
-        for a in range(self.n):
-            for b in range(self.n):
-                h = self.matrix[a, b]
-                if not h.is_zero():
-                    total.add(left[a], rbar[b], h)
+        for a, b, h in self.matrix.nonzero():
+            total.add(left[a], rbar[b], h)
         return total.poly()
 
     def add_square(self, total: ProductSum, polys: Sequence[Poly], c: GaussianLike = 1) -> None:
@@ -162,26 +147,19 @@ class HermitianForm:
         and one product h_ab polys[a] conj(polys[b]) for each a < b: the
         product for b > a is its conjugate.
         """
-        for a in range(self.n):
-            h = self.matrix[a, a]
-            if not h.is_zero():
+        for a, b, h in self.matrix.nonzero():
+            if a == b:
                 total.add_square(polys[a], h * c)
-            for b in range(a + 1, self.n):
-                h = self.matrix[a, b]
-                if not h.is_zero():
-                    total.add(polys[a], polys[b].conjugate(), h * c)
+            elif a < b:
+                total.add(polys[a], polys[b].conjugate(), h * c)
 
     def pair_poly_const(self, left: Sequence[Poly], right: Sequence[GaussianLike]) -> Poly:
         """<left, right> with polynomial left entries and constant right vector."""
-        n_out = left[0].n
-        acc = Poly.zero(n_out)
-        for a in range(self.n):
-            for b in range(self.n):
-                h = self.matrix[a, b]
-                if not h.is_zero():
-                    c = h * GaussianRational.of(right[b]).conjugate()
-                    if not c.is_zero():
-                        acc = acc + left[a].scale(c)
+        acc = Poly.zero(left[0].n)
+        for a, b, h in self.matrix.nonzero():
+            c = h * GaussianRational.of(right[b]).conjugate()
+            if not c.is_zero():
+                acc = acc + left[a].scale(c)
         return acc
 
 
@@ -199,8 +177,8 @@ def standard_form(n: int, m: int, kind: str) -> HermitianForm:
         if not 0 <= m <= n:
             raise ValueError("diagonal form needs 0 <= m <= n")
     elif kind == ANTIDIAGONAL:
-        if n < 2 * m:
-            raise ValueError(f"antidiagonal form needs n >= 2m, got n={n}, m={m}")
+        if not 0 <= m or n < 2 * m:
+            raise ValueError(f"antidiagonal form needs 0 <= m and n >= 2m, got n={n}, m={m}")
     else:
         raise ValueError(f"unknown standard form kind {kind!r}")
     form = _STANDARD_FORMS.get((n, m, kind))
@@ -244,7 +222,7 @@ def is_pseudounitary(u_mat: Matrix, form: HermitianForm) -> Optional[int]:
     prod = u_mat.transpose() * form.matrix * u_mat.conjugate()
     if prod == form.matrix:
         return 1
-    if prod == form.matrix.scale(-1):
+    if prod == -form.matrix:
         return -1
     return None
 
@@ -303,20 +281,20 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
     """Real basis of u(H), found by exact rational nullspace computation.
 
     The kernel of `pseudounitarity_rows` always has real dimension n^2.
-    The solve is memoized on the form, so surfaces that share a form share
-    one u(H); every call returns a fresh list of the shared, immutable
-    matrices.
+    Each kernel vector is brought to integers over one denominator, whose
+    even and odd columns (see x_column) are the real and imaginary
+    numerators of the matrix in row-major order.  The solve is memoized on
+    the form, so surfaces that share a form share one u(H); every call
+    returns a fresh list of the shared, immutable matrices.
     """
     basis = form._u_basis
     if basis is None:
         n = form.n
-        zero = GaussianRational(0)  # basis elements are mostly zero: share one entry
         out = []
         for vec in rational_nullspace(pseudounitarity_rows(form), 2 * n * n):
-            pairs = [[(vec[x_column(n, a, b)], vec[x_column(n, a, b) + 1]) for b in range(n)]
-                     for a in range(n)]
-            out.append(Matrix([[GaussianRational(re, im) if re or im else zero
-                                for re, im in row] for row in pairs]))
+            den = lcm(*[x.denominator for x in vec])
+            ints = [x.numerator * (den // x.denominator) for x in vec]
+            out.append(Matrix.from_numerators(n, n, den, ints[0::2], ints[1::2]))
         basis = tuple(out)
         object.__setattr__(form, "_u_basis", basis)
     return list(basis)

@@ -41,6 +41,13 @@ def rational_parts(text: str) -> Tuple[int, int]:
     return int(num), int(den or 1)
 
 
+def gaussian_parts(obj) -> Tuple[int, int, int, int]:
+    """(re p, re q, im p, im q) of a JSON {"re", "im"} object; see rational_parts."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a Gaussian rational must be a JSON object, got {obj!r}")
+    return (*rational_parts(obj.get("re", "0")), *rational_parts(obj.get("im", "0")))
+
+
 def parse_int(value, field: str) -> int:
     """An integer document field: a JSON integer or a string of ASCII digits.
 
@@ -220,11 +227,8 @@ class GaussianRational:
 
     @staticmethod
     def from_json(obj: dict) -> "GaussianRational":
-        if not isinstance(obj, dict):
-            raise ValueError(f"a Gaussian rational must be a JSON object, got {obj!r}")
-        return GaussianRational(
-            parse_rational(obj.get("re", "0")), parse_rational(obj.get("im", "0"))
-        )
+        rn, rd, inum, idn = gaussian_parts(obj)
+        return GaussianRational(Fraction(rn, rd), Fraction(inum, idn))
 
 
 GaussianLike = Union[int, Fraction, GaussianRational]

@@ -1,12 +1,14 @@
 """Exact linear algebra over Q and Q(i).
 
-Small dense matrices with GaussianRational entries (products, inverses,
-determinants) plus two rational kernels used throughout the Lie-algebra
-computations: the nullspace over Q, by primitive-row dedup + fraction-free
-elimination on Python ints, and Hermitian inertia by fraction-free
-congruence elimination on Gaussian integers.  Everything is deterministic:
-the nullspace basis is read off the unique reduced row echelon form, and
-inertia pivots are always chosen at the smallest admissible index.
+Small dense matrices over Q(i), stored as Gaussian integers over one
+denominator the way a packed Poly is (products, and determinants and
+inverses by fraction-free elimination over Z[i]), plus two rational kernels
+used throughout the Lie-algebra computations: the nullspace over Q, by
+primitive-row dedup + fraction-free elimination on Python ints, and
+Hermitian inertia by fraction-free congruence elimination on Gaussian
+integers.  Everything is deterministic: the nullspace basis is read off the
+unique reduced row echelon form, and pivots are always chosen at the
+smallest admissible index.
 """
 
 from __future__ import annotations
@@ -15,149 +17,259 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussrat import GaussianLike, GaussianRational
+from .gaussrat import ZERO, GaussianLike, GaussianRational, as_fraction, gaussian_parts
+
+Parts = Tuple[int, int, int, int]  # re numerator, re denominator, im numerator, im denominator
 
 
 class SingularMatrixError(ZeroDivisionError):
     pass
 
 
-class Matrix:
-    """Immutable dense matrix of GaussianRational entries."""
+def _parts(e: GaussianLike) -> Parts:
+    if isinstance(e, GaussianRational):
+        return e.re.numerator, e.re.denominator, e.im.numerator, e.im.denominator
+    e = as_fraction(e)
+    return e.numerator, e.denominator, 0, 1
 
-    __slots__ = ("nrows", "ncols", "rows")
+
+def _over_one_den(parts: Sequence[Parts]) -> Tuple[int, List[int], List[int]]:
+    """(den, re, im): the scalars as Gaussian-integer numerators over a common denominator."""
+    den = lcm(*[d for _rn, rd, _in, idn in parts for d in (rd, idn)])
+    return (den, [rn * (den // rd) for rn, rd, _in, _idn in parts],
+            [inum * (den // idn) for _rn, _rd, inum, idn in parts])
+
+
+def _gauss(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den)) if re or im else ZERO
+
+
+class Matrix:
+    """Immutable dense matrix over Q(i), stored like a packed Poly.
+
+    Entry (i, j) is (re[k] + i*im[k]) / den, k = i*ncols + j: `re` and `im`
+    are tuples of integer numerators in row-major order over their least
+    positive common denominator `den`, so `==` and `hash` compare integers.
+    Arithmetic runs on the numerators.  The GaussianRational entries are
+    built on the first read of `rows` (through which `__getitem__`,
+    `nonzero`, `to_json` and `__str__` read them) and kept.
+    """
+
+    __slots__ = ("nrows", "ncols", "den", "re", "im", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[GaussianLike]]):
-        conv = tuple(
-            tuple(GaussianRational.of(e) for e in row) for row in rows
-        )
-        if conv and any(len(r) != len(conv[0]) for r in conv):
+        self._fill_rows([[_parts(e) for e in row] for row in rows])
+
+    def _fill_rows(self, rows: List[List[Parts]]) -> None:
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", conv)
-        object.__setattr__(self, "nrows", len(conv))
-        object.__setattr__(self, "ncols", len(conv[0]) if conv else 0)
+        self._fill(len(rows), ncols, *_over_one_den([p for row in rows for p in row]))
+
+    def _fill(self, nrows: int, ncols: int, den: int, re, im) -> None:
+        """Store numerators re, im over den > 0, brought to the least denominator."""
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [x // g for x in im]
+        for name, value in zip(Matrix.__slots__, (nrows, ncols, den, tuple(re), tuple(im), None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_numerators(cls, nrows: int, ncols: int, den: int, re, im) -> "Matrix":
+        """The matrix of row-major numerators re, im over den > 0 (see the class)."""
+        m = object.__new__(cls)
+        m._fill(nrows, ncols, den, re, im)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_numerators(n, n, 1, [int(i == j) for i in range(n) for j in range(n)],
+                                   [0] * (n * n))
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls([[0] * c for _ in range(r)])
+        return cls.from_numerators(r, c, 1, [0] * (r * c), [0] * (r * c))
 
-    def __getitem__(self, ij):
+    @classmethod
+    def combination(cls, coeffs: Sequence[Fraction], mats: Sequence["Matrix"]) -> "Matrix":
+        """sum_i coeffs[i] mats[i] for as many rationals as matrices, all of one shape."""
+        if len(coeffs) != len(mats) or not mats:
+            raise ValueError("a combination needs one coefficient per matrix, and a matrix")
+        terms = [(as_fraction(c), m) for c, m in zip(coeffs, mats) if c]
+        den = lcm(*[c.denominator * m.den for c, m in terms])
+        re, im = [0] * len(mats[0].re), [0] * len(mats[0].re)
+        for c, m in terms:
+            mats[0]._same_shape(m)
+            f = c.numerator * (den // (c.denominator * m.den))
+            for k, (x, y) in enumerate(zip(m.re, m.im)):
+                if x or y:
+                    re[k] += f * x
+                    im[k] += f * y
+        return cls.from_numerators(mats[0].nrows, mats[0].ncols, den, re, im)
+
+    def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
         return self.rows[i][j]
+
+    @property
+    def rows(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
+        """The entries row by row, built on first read and kept; zeros share one object."""
+        if self._rows is None:
+            c, den = self.ncols, self.den
+            object.__setattr__(self, "_rows", tuple(
+                tuple(_gauss(self.re[k], self.im[k], den) for k in range(i * c, i * c + c))
+                for i in range(self.nrows)))
+        return self._rows
+
+    def nonzero(self) -> List[Tuple[int, int, GaussianRational]]:
+        """(i, j, entry) for each nonzero entry in row-major order; zeros are skipped as ints."""
+        c, rows = self.ncols, self.rows
+        return [(k // c, k % c, rows[k // c][k % c])
+                for k, (re, im) in enumerate(zip(self.re, self.im)) if re or im]
+
+    def _int_rows(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """The rows of the numerators (re, im), as lists the caller may change."""
+        c = self.ncols
+        return ([list(self.re[i * c:i * c + c]) for i in range(self.nrows)],
+                [list(self.im[i * c:i * c + c]) for i in range(self.nrows)])
+
+    def _key(self):
+        return self.nrows, self.ncols, self.den, self.re, self.im
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._key())
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(self.re) and not any(self.im)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix([
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         self._same_shape(other)
-        return Matrix([
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return Matrix.from_numerators(self.nrows, self.ncols, den,
+                                      [x * fa + y * fb for x, y in zip(self.re, other.re)],
+                                      [x * fa + y * fb for x, y in zip(self.im, other.im)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-e for e in row] for row in self.rows])
+        return Matrix.from_numerators(self.nrows, self.ncols, self.den,
+                                      [-x for x in self.re], [-x for x in self.im])
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
 
     def scale(self, c: GaussianLike) -> "Matrix":
-        c = GaussianRational.of(c)
-        return Matrix([[e * c for e in row] for row in self.rows])
+        cd, (cr,), (ci,) = _over_one_den([_parts(c)])
+        return Matrix.from_numerators(self.nrows, self.ncols, self.den * cd,
+                                      [x * cr - y * ci for x, y in zip(self.re, self.im)],
+                                      [x * ci + y * cr for x, y in zip(self.re, self.im)])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch in product")
-            cols = list(zip(*other.rows))
-            return Matrix([
-                [_dot(row, col) for col in cols] for row in self.rows
-            ])
-        return self.scale(other)
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch in product")
+        m, p = self.ncols, other.ncols
+        bre, bim = other.re, other.im
+        re, im = [0] * (self.nrows * p), [0] * (self.nrows * p)
+        for k, (ar, ai) in enumerate(zip(self.re, self.im)):
+            if ar or ai:  # skip the zeros of sparse forms and matrices
+                out = (k // m) * p
+                row = (k % m) * p
+                for j in range(p):
+                    br, bi = bre[row + j], bim[row + j]
+                    if br or bi:
+                        re[out + j] += ar * br - ai * bi
+                        im[out + j] += ar * bi + ai * br
+        return Matrix.from_numerators(self.nrows, p, self.den * other.den, re, im)
 
     __rmul__ = scale
 
     def mulvec(self, vec: Sequence[GaussianLike]) -> List[GaussianRational]:
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        v = [GaussianRational.of(e) for e in vec]
-        return [_dot(row, v) for row in self.rows]
+        vden, vre, vim = _over_one_den([_parts(e) for e in vec])
+        c, den = self.ncols, self.den * vden
+        out = []
+        for i in range(self.nrows):
+            sr = si = 0
+            row = slice(i * c, i * c + c)
+            for ar, ai, br, bi in zip(self.re[row], self.im[row], vre, vim):
+                sr += ar * br - ai * bi
+                si += ar * bi + ai * br
+            out.append(_gauss(sr, si, den))
+        return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows))) if self.rows else self
+        r, c = self.nrows, self.ncols
+        order = [i * c + j for j in range(c) for i in range(r)]
+        return Matrix.from_numerators(c, r, self.den, [self.re[k] for k in order],
+                                      [self.im[k] for k in order])
 
     def conjugate(self) -> "Matrix":
-        return Matrix([[e.conjugate() for e in row] for row in self.rows])
+        return Matrix.from_numerators(self.nrows, self.ncols, self.den, self.re,
+                                      [-x for x in self.im])
 
     def conj_transpose(self) -> "Matrix":
         return self.transpose().conjugate()
 
     def det(self) -> GaussianRational:
+        """The determinant, by Bareiss's fraction-free elimination over Z[i].
+
+        The numerators form N = den A; the last pivot of `_eliminate` is
+        +-det N = +-den^n det A, the sign that of the row swaps.
+        """
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        a = [list(row) for row in self.rows]
-        n = self.nrows
-        det = GaussianRational(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                return GaussianRational(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = GaussianRational(1) / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col].is_zero():
-                    continue
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - f * a[col][c]
-        return det
+        re, im = self._int_rows()
+        last = _eliminate(re, im, self.nrows, jordan=False)
+        if last is None:
+            return ZERO
+        dr, di, sign = last
+        return _gauss(sign * dr, sign * di, self.den ** self.nrows)
 
     def inverse(self) -> "Matrix":
+        """The inverse, by fraction-free Gauss-Jordan elimination over Z[i].
+
+        `_eliminate` turns [N | E], N = den A, into [d E | R] with d its last
+        pivot and N R = d E, so A^-1 = den R / d = den R conj(d) / |d|^2, one
+        denominator for all entries.
+        """
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        a = [list(row) + [GaussianRational(1 if i == j else 0) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-            inv = GaussianRational(1) / a[col][col]
-            a[col] = [e * inv for e in a[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [e - f * p for e, p in zip(a[r], a[col])]
-        return Matrix([row[n:] for row in a])
+        re, im = self._int_rows()
+        for i in range(n):
+            re[i] += [int(i == j) for j in range(n)]
+            im[i] += [0] * n
+        last = _eliminate(re, im, n, jordan=True)
+        if last is None:
+            raise SingularMatrixError("matrix is singular")
+        dr, di, _sign = last
+        f = self.den
+        pairs = [(re[i][j], im[i][j]) for i in range(n) for j in range(n, 2 * n)]
+        return Matrix.from_numerators(n, n, dr * dr + di * di,
+                                      [f * (x * dr + y * di) for x, y in pairs],
+                                      [f * (y * dr - x * di) for x, y in pairs])
 
     # -- serialization: row-major entries with string rationals -----------------
 
@@ -166,9 +278,12 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":
+        """The matrix of a JSON list of rows of {"re", "im"} objects, read straight to integers."""
         if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
             raise ValueError(f"a matrix must be a JSON list of rows, got {obj!r}")
-        return cls([[GaussianRational.from_json(e) for e in row] for row in obj])
+        m = object.__new__(cls)
+        m._fill_rows([[gaussian_parts(e) for e in row] for row in obj])
+        return m
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -179,12 +294,47 @@ class Matrix:
         ) + "]"
 
 
-def _dot(row, col):
-    acc = GaussianRational(0)
-    for a, b in zip(row, col):
-        if a and b:  # skip the zeros of sparse forms and matrices
-            acc = acc + a * b
-    return acc
+def _eliminate(re: List[List[int]], im: List[List[int]], n: int,
+               jordan: bool) -> Optional[Tuple[int, int, int]]:
+    """Bareiss's fraction-free elimination of columns 0..n-1 over Z[i], in place.
+
+    re and im hold a Gaussian-integer matrix of n rows and at least n
+    columns.  Step k swaps up the first row at or below k with a nonzero
+    entry p in column k, the pivot, and replaces each entry (i, j), j > k,
+    of the rows below (with `jordan`, of all other rows) by
+    (p a_ij - a_ik a_kj) / q, q the previous pivot (1 at first): a minor,
+    so the division is exact.  The pivots of earlier rows are left as they
+    are (each would end as the last pivot).  Returns the last pivot's
+    (re, im) and the sign of the row permutation, or None when a column
+    has no pivot.
+    """
+    width = len(re[0]) if n else 0
+    qr, qi, sign = 1, 0, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if re[r][k] or im[r][k]), None)
+        if piv is None:
+            return None
+        if piv != k:
+            re[k], re[piv] = re[piv], re[k]
+            im[k], im[piv] = im[piv], im[k]
+            sign = -sign
+        kre, kim = re[k], im[k]
+        pr, pi = kre[k], kim[k]
+        norm = qr * qr + qi * qi
+        for i in range(0 if jordan else k + 1, n):
+            if i == k:
+                continue
+            ire, iim = re[i], im[i]
+            cr, ci = ire[k], iim[k]
+            for j in range(k + 1, width):
+                # (p a_ij - c a_kj) conj(q) / |q|^2
+                tr = pr * ire[j] - pi * iim[j] - cr * kre[j] + ci * kim[j]
+                ti = pr * iim[j] + pi * ire[j] - cr * kim[j] - ci * kre[j]
+                ire[j] = (tr * qr + ti * qi) // norm
+                iim[j] = (ti * qr - tr * qi) // norm
+            ire[k] = iim[k] = 0
+        qr, qi = pr, pi
+    return qr, qi, sign
 
 
 def _primitive_row(row: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
@@ -276,8 +426,8 @@ def hermitian_inertia(m: Matrix) -> Tuple[int, int, int]:
     """(positive, negative, zero) inertia of a Hermitian matrix.
 
     Exact congruence diagonalization on Gaussian integers, fraction-free as
-    in `rational_nullspace`.  The matrix is scaled by the least common
-    denominator of its entries.  A nonzero pivot d on the diagonal (real)
+    in `rational_nullspace`, run on the numerators of the matrix (positive
+    multiples of its entries).  A nonzero pivot d on the diagonal (real)
     takes the Schur complement |d| (a_ij - a_ik conj(a_jk) / d), and the
     active block is divided by the gcd of its parts; positive scalings keep
     the inertia.  When the whole active diagonal vanishes, the first nonzero
@@ -288,10 +438,7 @@ def hermitian_inertia(m: Matrix) -> Tuple[int, int, int]:
     if not m.is_square():
         raise ValueError("inertia of non-square matrix")
     n = m.nrows
-    den = lcm(*[p.denominator for row in m.rows for e in row for p in (e.re, e.im)])
-    # entry (i, j) is the Gaussian integer re[i][j] + i*im[i][j]
-    re = [[e.re.numerator * (den // e.re.denominator) for e in row] for row in m.rows]
-    im = [[e.im.numerator * (den // e.im.denominator) for e in row] for row in m.rows]
+    re, im = m._int_rows()  # entry (i, j) is re[i][j] + i*im[i][j], times den
     pos = neg = 0
     for k in range(n):
         piv = next((j for j in range(k, n) if re[j][j]), None)

@@ -15,8 +15,9 @@ of a scaled product into an accumulator dict key -> [re, im] that the
 caller owns; `collect` turns such a dict into a reduced form once, so a
 sum of products is sorted and reduced once (`product` is the kernel plus
 one `collect`).  Next to it, `square` adds a half of a * conj(a) from
-each conjugate pair of products once, and `mirror` turns an accumulator
-into itself plus its conjugate.  A product with one variable needs no
+each conjugate pair of products once, `mirror` turns an accumulator
+into itself plus its conjugate, and `mirror_is_zero` tells whether that
+sum vanishes without building it.  A product with one variable needs no
 kernel: `shift` adds one constant to every key.
 """
 
@@ -328,6 +329,24 @@ def mirror(acc: Dict[int, List[int]], n: int, bits: int) -> None:
                 other[0], other[1] = re, -im
         elif ckey not in acc:  # a present partner is or was handled from its side
             acc[ckey] = [cell[0], -cell[1]]
+
+
+_NO_CELL = (0, 0)  # the cell of a key absent from an accumulator
+
+
+def mirror_is_zero(acc: Dict[int, List[int]], n: int, bits: int) -> bool:
+    """Whether acc + conj(acc) is zero (see mirror), read off acc without changing it.
+
+    Its cell at each key is the key's cell plus the conjugate of the cell
+    at the conjugate key (the same cell when the key is its own conjugate).
+    """
+    keys = list(acc)
+    for key, ckey in zip(keys, conjugate_keys(keys, n, bits)):
+        re, im = acc[key]
+        cre, cim = acc.get(ckey, _NO_CELL)
+        if re + cre or im != cim:
+            return False
+    return True
 
 
 def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:

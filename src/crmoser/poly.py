@@ -738,6 +738,10 @@ class ProductSum:
         pk.mirror(self.cells, self.n, self.bits)
         return self.poly()
 
+    def real_is_zero(self) -> bool:
+        """Whether `real` is zero, read off the accumulator without collecting it."""
+        return pk.mirror_is_zero(self.cells, self.n, self.bits)
+
 
 def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: bool) -> None:
     """Add c p(slots) into total (see Poly.substitute).

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from crmoser.linalg import Matrix
 from crmoser.models import model_umbilic
 from crmoser.normal_form import Hypersurface
 from crmoser.poly import Poly
+from crmoser.surface_io import surface_from_json
 
 from helpers import (
     cayley_pseudounitary,
@@ -39,6 +42,7 @@ from helpers import (
 )
 
 I = GaussianRational(0, 1)
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def surface(form, f_poly, max_w=None):
@@ -534,6 +538,46 @@ def test_verify_rejects_a_singular_linear_part():
     no_w = JetMap((HoloPoly.z(2, 0), HoloPoly.z(2, 1)), HoloPoly.zero(2), 6)
     assert not verify_automorphism(quadric, no_w, 5)
     assert verify_automorphism(quadric, JetMap.identity(2, 6), 5)
+
+
+def holo_terms_of_weight(n, k):
+    """Two holomorphic monomials of weight k >= 2: z_1^k and z_n^(k-2) w."""
+    first = tuple(k if i == 0 else 0 for i in range(n))
+    last = tuple(k - 2 if i == n - 1 else 0 for i in range(n))
+    c = GaussianRational(Fraction(1, 3), Fraction(-2, 5))
+    return [HoloPoly(n, {(first, 0): c}), HoloPoly(n, {(last, 1): c})]
+
+
+@pytest.mark.parametrize("case", ["quadric jet on F = 0", "linear jet on umbilic_q4"])
+def test_a_jet_term_of_weight_k_first_fails_at_k_plus_one_in_f_and_at_k_in_g(case):
+    # f(0) = 0, so a term of weight k in f_i first reaches the residual in
+    # <f,f> at weight k + 1, where it meets the weight-1 part of conj(f);
+    # a term in g reaches Im g at its own weight.  This pins the weight cap
+    # of f in verify_automorphism and its zero test of the residual.
+    D = 10
+    if case == "quadric jet on F = 0":
+        form = standard_form(2, 1, "antidiagonal")
+        m = surface(form, Poly.zero(2), D)
+        params = AutoParams(U=Matrix([[2, 0], [0, Fraction(1, 2)]]),
+                            a=(GaussianRational(Fraction(1, 2), 1), GaussianRational(-1, 3)),
+                            lam=Fraction(2), sigma=1, r=Fraction(1, 3))
+        base = quadric_automorphism(params, form, D)
+    else:
+        m = surface_from_json(json.loads((SAMPLES / "umbilic_q4.json").read_text()))
+        base = linear_jet(Matrix([[I, 0], [0, 1]]), Fraction(1), 1, D)
+    assert verify_automorphism(m, base, D - 1)
+    for k in range(2, D):
+        for term in holo_terms_of_weight(2, k):
+            if k + 1 < D:
+                for i in range(2):
+                    f = list(base.f)
+                    f[i] = f[i] + term
+                    jet = JetMap(tuple(f), base.g, D)
+                    assert verify_automorphism(m, jet, k), (case, k, i)
+                    assert not verify_automorphism(m, jet, k + 1), (case, k, i)
+            jet = JetMap(base.f, base.g + term, D)
+            assert verify_automorphism(m, jet, k - 1), (case, k)
+            assert not verify_automorphism(m, jet, k), (case, k)
 
 
 # -- reparametrize ------------------------------------------------------------------------

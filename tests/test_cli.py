@@ -234,6 +234,18 @@ def test_document_shape_errors_are_json_reports(tmp_path, capsys):
                                                  "g": [7]})
     code, report = run(capsys, "verify", "--surface", surf, "--map", term_not_object)
     assert code == 2 and "JSON object" in report["error"]
+    # a negative m on an antidiagonal form is refused before any row is built
+    negative_m = write(tmp_path, "neg.json", {"n": 2, "m": -1, "kind": "antidiagonal",
+                                              "F": "|z2|^4", "maxWeight": 10})
+    for command in ("check", "classify", "stabdim"):
+        code, report = run(capsys, command, "--surface", negative_m)
+        assert code == 2 and "0 <= m" in report["error"], (command, report)
+    code, report = run(capsys, "verify", "--surface", negative_m,
+                       "--map", str(SAMPLES / "map_jet_rotation.json"))
+    assert code == 2 and "0 <= m" in report["error"]
+    spec = write(tmp_path, "spec.json", {"family": "umbilic", "n": 2, "m": -1})
+    code, report = run(capsys, "model", "--spec", spec)
+    assert code == 2 and "0 <= m" in report["error"]
 
 
 def test_null_integer_fields_are_json_reports(tmp_path, capsys):

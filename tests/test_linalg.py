@@ -14,7 +14,7 @@ from crmoser.linalg import (
     rational_nullspace,
 )
 
-from helpers import matrix_to_sympy, random_gauss
+from helpers import gauss_to_sympy, matrix_to_sympy, random_gauss
 
 
 def random_matrix(rng, n):
@@ -218,3 +218,100 @@ def test_matrix_json_round_trip():
     rng = random.Random(7)
     m = random_matrix(rng, 2)
     assert Matrix.from_json(m.to_json()) == m
+    # an unreduced entry is read to the least denominator
+    half = Matrix([[Fraction(1, 2)]])
+    assert Matrix.from_json([[{"re": "2/4"}]]) == half
+    assert hash(Matrix.from_json([[{"re": "2/4"}]])) == hash(half)
+
+
+# -- Matrix against sympy over Gaussian rationals with large parts ----------------------
+
+
+def matrix_of(rows, ncols):
+    """The matrix of a list of rows; with no rows, the zero matrix of shape 0 x ncols."""
+    return Matrix(rows) if rows else Matrix.zeros(0, ncols)
+
+
+@st.composite
+def matrices(draw, nrows, ncols):
+    return matrix_of([[draw(gaussians) for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of size 0..4; half of them singular: one row a Gaussian
+    combination of two others (or zero), rows shuffled."""
+    n = draw(st.integers(0, 4))
+    rows = [[draw(gaussians) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        c, d = draw(gaussians), draw(gaussians)
+        i, j = draw(st.integers(0, max(n - 2, 0))), draw(st.integers(0, max(n - 2, 0)))
+        rows[-1] = [c * x + d * y for x, y in zip(rows[i], rows[j])] if n > 1 else [0]
+        rows = draw(st.permutations(rows))
+    return matrix_of(rows, n)
+
+
+def assert_equals_sympy(ours: Matrix, theirs):
+    assert (ours.nrows, ours.ncols) == theirs.shape
+    assert (matrix_to_sympy(ours) - theirs).expand() == sympy.zeros(*theirs.shape)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_product_mulvec_and_conj_transpose_equal_sympy(r, k, c, data):
+    a = data.draw(matrices(r, k))
+    b = data.draw(matrices(k, c))
+    vec = data.draw(st.lists(gaussians, min_size=k, max_size=k))
+    sa = matrix_to_sympy(a)
+    assert_equals_sympy(a * b, sa * matrix_to_sympy(b))
+    column = sympy.Matrix(k, 1, [gauss_to_sympy(x) for x in vec])
+    assert_equals_sympy(matrix_of([[x] for x in a.mulvec(vec)], 1), sa * column)
+    assert_equals_sympy(a.conj_transpose(), sa.H)
+    assert_equals_sympy(a.transpose(), sa.T)
+    assert_equals_sympy(a + a.conjugate(), sa + sa.conjugate())
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(square_matrices())
+def test_det_and_inverse_equal_sympy(m):
+    sm = matrix_to_sympy(m)
+    det = sympy.expand(sm.det())
+    assert gauss_to_sympy(m.det()) == det
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert m * inv == Matrix.identity(m.nrows) == inv * m
+    assert_equals_sympy(Matrix.identity(m.nrows), sm * matrix_to_sympy(inv))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 10**6), st.data())
+def test_equal_matrices_from_different_denominators_are_equal_and_hash_alike(r, c, k, data):
+    m = data.draw(matrices(r, c))
+    # the same entries with numerator and denominator multiplied by k
+    unreduced = [[{part: f"{getattr(e, part).numerator * k}/{getattr(e, part).denominator * k}"
+                   for part in ("re", "im")} for e in row] for row in m.rows]
+    again = Matrix.from_json(unreduced)
+    by_numerators = Matrix.from_numerators(r, c, m.den * k, [x * k for x in m.re],
+                                           [x * k for x in m.im])
+    assert again == m == by_numerators
+    assert hash(again) == hash(m) == hash(by_numerators)
+    assert again.den == m.den and again.re == m.re
+    assert m.scale(2) != m or m.is_zero()
+
+
+def test_empty_shapes():
+    empty, row = Matrix([]), Matrix([[]])
+    assert (empty.nrows, empty.ncols) == (0, 0) and (row.nrows, row.ncols) == (1, 0)
+    assert empty == Matrix.identity(0) == Matrix.zeros(0, 0) != row
+    assert empty.det() == GaussianRational(1)
+    assert empty.inverse() == empty
+    assert row.transpose() == Matrix.zeros(0, 1)
+    assert row * Matrix.zeros(0, 3) == Matrix.zeros(1, 3)
+    assert row.mulvec([]) == [GaussianRational(0)]
+    assert row.conj_transpose().conj_transpose() == row
+    with pytest.raises(ValueError):
+        row.det()
+    assert str(empty) == "[]" and row.to_json() == [[]]

@@ -32,10 +32,10 @@ offsets = st.one_of(st.none(), st.integers(0, 6))
 
 
 @st.composite
-def polys(draw, n, max_size=5):
+def polys(draw, n, max_size=5, coeffs=coefficients):
     exps = st.tuples(*[st.integers(0, 2)] * n)
     monos = st.tuples(exps, exps, st.integers(0, 2))
-    p = Poly(n, draw(st.dictionaries(monos, coefficients, max_size=max_size)))
+    p = Poly(n, draw(st.dictionaries(monos, coeffs, max_size=max_size)))
     return widened(p) if draw(st.booleans()) else p
 
 
@@ -112,6 +112,58 @@ def test_real_is_the_sum_plus_its_conjugate(case, offset):
         total.add(a, b, c)
         expected = expected + (capped(a, cap) if b is None else a.mul(b, cap)).scale(c)
     assert total.real() == expected + expected.conjugate()
+
+
+@st.composite
+def mirrored_sums(draw):
+    """(n, cap, parts, extra): parts of a sum S, a list of ("add", c, a, b)
+    and ("square", c, a), with S + conj(S) = 0 unless `extra` names a last
+    part: a random one, or r p or i r p for a rational r and a polynomial p
+    with rational coefficients, whose imaginary or real parts cancel.
+
+    Each block cancels in S + conj(S) only across conjugate keys: q and
+    -conj(q), the product a b and -conj(a) conj(b), i times a real
+    polynomial (whose self-conjugate keys hold imaginary numerators), and
+    the half of c |a|^2 from add_square against -c/2 a conj(a).
+    """
+    n = draw(st.integers(1, 3))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["conj", "product", "imaginary", "square"]),
+                              min_size=1, max_size=3)):
+        a, b, c = draw(polys(n)), draw(polys(n)), draw(coefficients)
+        if kind == "conj":
+            parts += [("add", c, a, None), ("add", -c.conjugate(), a.conjugate(), None)]
+        elif kind == "product":
+            parts += [("add", c, a, b), ("add", -c.conjugate(), a.conjugate(), b.conjugate())]
+        elif kind == "imaginary":
+            parts.append(("add", GaussianRational(0, c.re), a + a.conjugate(), None))
+        else:
+            parts += [("square", c.re, a), ("add", -c.re / 2, a, a.conjugate())]
+    extra = draw(st.sampled_from([None, "any", "real", "imaginary"]))
+    if extra == "any":
+        parts.append(("add", draw(coefficients), draw(polys(n)),
+                      draw(st.one_of(st.none(), polys(n)))))
+    elif extra:
+        r = draw(rationals)
+        parts.append(("add", GaussianRational(r) if extra == "real" else GaussianRational(0, r),
+                      draw(polys(n, coeffs=rationals)), None))
+    cap = cap_above(draw(offsets), *(p for part in parts for p in part[2:] if p is not None))
+    return n, cap, parts, extra
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(mirrored_sums())
+def test_real_is_zero_equals_the_zero_test_of_real(case):
+    n, cap, parts, extra = case
+    total = ProductSum(n, cap)
+    for kind, c, *operands in parts:
+        if kind == "square":
+            total.add_square(operands[0], c)
+        else:
+            total.add(*operands, c)
+    answer = total.real_is_zero()  # reads the accumulator, which `real` then uses up
+    assert answer == total.real().is_zero()
+    assert answer or extra
 
 
 @SETTINGS
