@@ -81,14 +81,15 @@ class InfSym:
 class StabilizerResult:
     """Solution space of the linear-invariance system (stabilizer_algebra).
 
-    `dim` and `spherical` are read off the solve.  The kernel vectors hold
+    `dim` and `spherical` are read off the solve.  The kernel vectors are
+    kept as `rational_nullspace` gives them, (den, nums) with integer
     coordinates over (u_basis(form), rho); `basis` recombines them into
     InfSym elements on first read and keeps that tuple.
     """
 
     __slots__ = ("dim", "spherical", "_kernel", "_directions", "_basis")
 
-    def __init__(self, kernel: Sequence[Sequence[Fraction]],
+    def __init__(self, kernel: Sequence[Tuple[int, Sequence[int]]],
                  directions: Sequence[Matrix], spherical: bool):
         self.dim = len(kernel)
         self.spherical = spherical
@@ -99,8 +100,9 @@ class StabilizerResult:
     @property
     def basis(self) -> Tuple[InfSym, ...]:
         if self._basis is None:
-            self._basis = tuple(InfSym(Matrix.combination(vec[:-1], self._directions), vec[-1])
-                                for vec in self._kernel)
+            dirs = self._directions
+            self._basis = tuple(InfSym(Matrix.combination(den, nums[:-1], dirs),
+                                       Fraction(nums[-1], den)) for den, nums in self._kernel)
         return self._basis
 
 
@@ -204,9 +206,8 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
     n = form.n
     basis = u_basis(form)
     if surface.F.is_zero():
-        one, zero = Fraction(1), Fraction(0)
         size = n * n + 1
-        kernel = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        kernel = [(1, [int(i == j) for j in range(size)]) for i in range(size)]
         return StabilizerResult(kernel, basis, spherical=True)
     f_poly = surface.F
     products = []  # (j, P[j])

@@ -17,8 +17,6 @@ once, from the one below it.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianLike, GaussianRational, parse_int
@@ -240,61 +238,58 @@ def x_column(n: int, a: int, b: int) -> int:
     return 2 * (a * n + b)
 
 
-def pseudounitarity_rows(form: HermitianForm) -> List[List[Fraction]]:
-    """The linearized pseudounitarity system X^t H + H conj(X) = 0.
+def pseudounitarity_rows(form: HermitianForm) -> List[List[int]]:
+    """The linearized pseudounitarity system X^t H + H conj(X) = 0, as integer rows.
 
     Each complex entry X_ab is split into real unknowns x_ab + i*y_ab at
     columns x_column(n, a, b) and the one after it; the n^2 complex
-    equations contribute two rational rows apiece, real part first.
+    equations contribute two rows apiece, real part first.  The
+    coefficients are the numerators `form.matrix.re`, `.im` of den*H: the
+    system times den, which has the same kernel.
     """
     n = form.n
     nv = 2 * n * n
-    rows: List[List[Fraction]] = []
+    hre, him = form.matrix.re, form.matrix.im  # entry (a, b) at a*n + b
+    rows: List[List[int]] = []
     for alpha in range(n):
         for beta in range(n):
             # entry (alpha, beta) of X^t H + H conj(X)
-            row_re = [Fraction(0)] * nv
-            row_im = [Fraction(0)] * nv
+            row_re = [0] * nv
+            row_im = [0] * nv
             for k in range(n):
-                h = form.matrix[k, beta]
-                if not h.is_zero():
-                    c = x_column(n, k, alpha)
-                    # coefficient of X_{k alpha} is h
-                    row_re[c] += h.re
-                    row_re[c + 1] += -h.im
-                    row_im[c] += h.im
-                    row_im[c + 1] += h.re
-                g = form.matrix[alpha, k]
-                if not g.is_zero():
-                    c = x_column(n, k, beta)
-                    # coefficient of conj(X_{k beta}) is g
-                    row_re[c] += g.re
-                    row_re[c + 1] += g.im
-                    row_im[c] += g.im
-                    row_im[c + 1] += -g.re
+                hr, hi = hre[k * n + beta], him[k * n + beta]
+                c = x_column(n, k, alpha)
+                # coefficient of X_{k alpha} is h_{k beta}
+                row_re[c] += hr
+                row_re[c + 1] -= hi
+                row_im[c] += hi
+                row_im[c + 1] += hr
+                gr, gi = hre[alpha * n + k], him[alpha * n + k]
+                c = x_column(n, k, beta)
+                # coefficient of conj(X_{k beta}) is h_{alpha k}
+                row_re[c] += gr
+                row_re[c + 1] += gi
+                row_im[c] += gi
+                row_im[c + 1] -= gr
             rows.append(row_re)
             rows.append(row_im)
     return rows
 
 
 def u_basis(form: HermitianForm) -> List[Matrix]:
-    """Real basis of u(H), found by exact rational nullspace computation.
+    """Real basis of u(H), found by exact nullspace computation.
 
     The kernel of `pseudounitarity_rows` always has real dimension n^2.
-    Each kernel vector is brought to integers over one denominator, whose
-    even and odd columns (see x_column) are the real and imaginary
-    numerators of the matrix in row-major order.  The solve is memoized on
-    the form, so surfaces that share a form share one u(H); every call
-    returns a fresh list of the shared, immutable matrices.
+    The even and odd numerators of each kernel vector (see x_column) are
+    the real and imaginary numerators of its matrix in row-major order,
+    over the vector's denominator.  The solve is memoized on the form, so
+    surfaces that share a form share one u(H); every call returns a fresh
+    list of the shared, immutable matrices.
     """
     basis = form._u_basis
     if basis is None:
         n = form.n
-        out = []
-        for vec in rational_nullspace(pseudounitarity_rows(form), 2 * n * n):
-            den = lcm(*[x.denominator for x in vec])
-            ints = [x.numerator * (den // x.denominator) for x in vec]
-            out.append(Matrix.from_numerators(n, n, den, ints[0::2], ints[1::2]))
-        basis = tuple(out)
+        basis = tuple(Matrix.from_numerators(n, n, den, nums[0::2], nums[1::2])
+                      for den, nums in rational_nullspace(pseudounitarity_rows(form), 2 * n * n))
         object.__setattr__(form, "_u_basis", basis)
     return list(basis)

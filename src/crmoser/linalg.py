@@ -2,13 +2,13 @@
 
 Small dense matrices over Q(i), stored as Gaussian integers over one
 denominator the way a packed Poly is (products, and determinants and
-inverses by fraction-free elimination over Z[i]), plus two rational kernels
-used throughout the Lie-algebra computations: the nullspace over Q, by
-primitive-row dedup + fraction-free elimination on Python ints, and
-Hermitian inertia by fraction-free congruence elimination on Gaussian
-integers.  Everything is deterministic: the nullspace basis is read off the
-unique reduced row echelon form, and pivots are always chosen at the
-smallest admissible index.
+inverses by fraction-free elimination over Z[i]), plus two kernels of the
+Lie-algebra computations: the nullspace of an integer matrix as integer
+vectors over one denominator each, by primitive-row dedup + fraction-free
+elimination on Python ints, and Hermitian inertia by fraction-free
+congruence elimination on Gaussian integers.  Everything is deterministic:
+the nullspace basis is read off the unique reduced row echelon form, and
+pivots are always chosen at the smallest admissible index.
 """
 
 from __future__ import annotations
@@ -96,21 +96,21 @@ class Matrix:
         return cls.from_numerators(r, c, 1, [0] * (r * c), [0] * (r * c))
 
     @classmethod
-    def combination(cls, coeffs: Sequence[Fraction], mats: Sequence["Matrix"]) -> "Matrix":
-        """sum_i coeffs[i] mats[i] for as many rationals as matrices, all of one shape."""
+    def combination(cls, den: int, coeffs: Sequence[int], mats: Sequence["Matrix"]) -> "Matrix":
+        """sum_i (coeffs[i] / den) mats[i]: integer coefficients over den > 0, one per matrix."""
         if len(coeffs) != len(mats) or not mats:
             raise ValueError("a combination needs one coefficient per matrix, and a matrix")
-        terms = [(as_fraction(c), m) for c, m in zip(coeffs, mats) if c]
-        den = lcm(*[c.denominator * m.den for c, m in terms])
+        terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+        common = lcm(*[m.den for _c, m in terms])
         re, im = [0] * len(mats[0].re), [0] * len(mats[0].re)
         for c, m in terms:
             mats[0]._same_shape(m)
-            f = c.numerator * (den // (c.denominator * m.den))
+            f = c * (common // m.den)
             for k, (x, y) in enumerate(zip(m.re, m.im)):
                 if x or y:
                     re[k] += f * x
                     im[k] += f * y
-        return cls.from_numerators(mats[0].nrows, mats[0].ncols, den, re, im)
+        return cls.from_numerators(mats[0].nrows, mats[0].ncols, den * common, re, im)
 
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
@@ -337,28 +337,15 @@ def _eliminate(re: List[List[int]], im: List[List[int]], n: int,
     return qr, qi, sign
 
 
-def _primitive_row(row: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
-    """The row scaled to coprime integers with a positive leading entry.
-
-    None for a zero row.  A row of ints, such as every row of
-    `real_coefficient_rows`, goes straight to the gcd; a row with a
-    Fraction among its entries (which `gcd` refuses) is first brought to
-    the least common denominator, read through `.numerator` and
-    `.denominator`, so ints and Fractions mix freely.
-    """
-    try:
-        g = gcd(*row)
-        ints = row
-    except TypeError:
-        den = lcm(*[e.denominator for e in row])
-        ints = [e.numerator * (den // e.denominator) for e in row]
-        g = gcd(*ints)
+def _primitive_row(row: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """The integer row divided by its gcd, signed for a positive leading entry; None for zero."""
+    g = gcd(*row)
     if not g:
         return None
-    lead = next(x for x in ints if x)
+    lead = next(x for x in row if x)
     if lead < 0:
         g = -g
-    return tuple([x // g for x in ints]) if g != 1 else tuple(ints)
+    return tuple([x // g for x in row]) if g != 1 else tuple(row)
 
 
 def _combine(a: int, row: Sequence[int], b: int, other: Sequence[int]) -> List[int]:
@@ -369,26 +356,24 @@ def _combine(a: int, row: Sequence[int], b: int, other: Sequence[int]) -> List[i
     return [a * x - b * y for x, y in zip(row, other)]
 
 
-def rational_nullspace(rows: List[List[Fraction]], ncols: Optional[int] = None) -> List[List[Fraction]]:
-    """Basis of the kernel of a rational matrix, deterministically ordered.
+def rational_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, List[int]]]:
+    """Basis of the kernel of an integer matrix with ncols columns, deterministically ordered.
 
-    Basis vectors carry a 1 in their free column and are listed by
-    ascending free-column index; they are read off the reduced row echelon
-    form, which is unique, so they do not depend on row order.
+    Each basis vector is (den, nums): integer numerators over their least
+    positive denominator, with nums[fc] == den at the vector's free column
+    fc.  The vectors are listed by ascending free column; they are read off
+    the reduced row echelon form, which is unique, so they do not depend on
+    row order, and scaling a row by a nonzero integer changes none of them.
 
     Primitive-row dedup + fraction-free elimination: each nonzero row is
-    scaled to coprime integers with a positive leading entry and kept once.
+    divided by its gcd, signed for a positive leading entry, and kept once.
     Gauss-Jordan elimination then runs on Python ints.  A kept row is
     reduced by every pivot row, divided by its gcd and, if it is not zero,
     pivots at its first nonzero column, which is then cleared from the
     earlier pivot rows.  Every pivot row stays zero left of its pivot and
-    at the other pivot columns, so pivot row r divided by r[pc] is the
+    at the other pivot columns, so pivot row r divided by r[pc] > 0 is the
     reduced row echelon row with pivot pc.
     """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty system")
-        ncols = len(rows[0])
     distinct = dict.fromkeys(p for p in map(_primitive_row, rows) if p is not None)
     pivots: Dict[int, List[int]] = {}  # pivot column -> primitive integer row
     for row in distinct:
@@ -414,11 +399,13 @@ def rational_nullspace(rows: List[List[Fraction]], ncols: Optional[int] = None) 
     for fc in range(ncols):
         if fc in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        # entry pc is -prow[fc] / prow[pc]; den is the lcm of their reduced denominators
+        den = lcm(*[prow[pc] // gcd(prow[fc], prow[pc]) for pc, prow in pivots.items()])
+        nums = [0] * ncols
+        nums[fc] = den
         for pc, prow in pivots.items():
-            vec[pc] = Fraction(-prow[fc], prow[pc])
-        basis.append(vec)
+            nums[pc] = -prow[fc] * den // prow[pc]
+        basis.append((den, nums))
     return basis
 
 

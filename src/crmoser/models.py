@@ -38,9 +38,8 @@ from .forms import (
     DIAGONAL,
     HermitianForm,
     is_pseudounitary,
-    pseudounitarity_rows,
     standard_form,
-    x_column,
+    u_basis,
 )
 from .gaussrat import GaussianLike, GaussianRational, as_fraction, parse_int, rational_root
 from .linalg import Matrix, rational_nullspace
@@ -193,29 +192,23 @@ def is_in_S(u_mat: Matrix, m: int) -> bool:
 def s_dimension(n: int, m: int) -> int:
     """Dimension of the Lie algebra of S by exact nullspace computation.
 
-    Tangent vectors are n x n matrices satisfying the linearized
-    pseudounitarity condition X^t H + H conj(X) = 0 together with the
-    upper-triangular zero pattern of S (column 1 below the diagonal and row
-    n left of the diagonal vanish); pseudounitarity pairs entry (a,b) with
-    entry (n+1-b, n+1-a), so this system carries exactly the A-block
-    condition and the differentiated corner constraint Re(dc) = 0.
+    Tangent vectors are the X in u(H), H the antidiagonal form, with the
+    upper-triangular zero pattern of S: column 1 below the diagonal and row
+    n left of it vanish.  The unknowns are the n^2 real coordinates of X
+    over the memoized u_basis, and each zero-pattern cell gives one row of
+    the basis matrices' real numerators there and one of their imaginary
+    numerators; a basis matrix's denominator only rescales its coordinate.
+    Pseudounitarity pairs entry (a,b) with entry (n+1-b, n+1-a), so this
+    system carries exactly the A-block condition and the differentiated
+    corner constraint Re(dc) = 0.
     """
     if m < 1 or n < 2 * m:
         raise ModelError(f"S is defined for m >= 1 and n >= 2m, got ({n},{m})")
-    form = standard_form(n, m, ANTIDIAGONAL)
-    nv = 2 * n * n
-    rows = pseudounitarity_rows(form)
-    for i in range(1, n):
-        for part in (0, 1):
-            row = [Fraction(0)] * nv
-            row[x_column(n, i, 0) + part] = Fraction(1)
-            rows.append(row)
-    for j in range(n - 1):
-        for part in (0, 1):
-            row = [Fraction(0)] * nv
-            row[x_column(n, n - 1, j) + part] = Fraction(1)
-            rows.append(row)
-    return len(rational_nullspace(rows, nv))
+    basis = u_basis(standard_form(n, m, ANTIDIAGONAL))
+    # row-major indices: column 1 below the diagonal, then the rest of row n left of it
+    cells = [i * n for i in range(1, n)] + [(n - 1) * n + j for j in range(1, n - 1)]
+    rows = [[x.re[k] for x in basis] for k in cells] + [[x.im[k] for x in basis] for k in cells]
+    return len(rational_nullspace(rows, n * n))
 
 
 def s_named_subgroup(kind: str, n: int, m: int,

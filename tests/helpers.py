@@ -228,18 +228,18 @@ def stabilizer_columns_reference(surface: Hypersurface):
 
 
 def eager_stabilizer_basis(form: HermitianForm, kernel):
-    """Kernel vectors over (u_basis(form), rho) recombined into InfSym
+    """Kernel vectors (den, nums) over (u_basis(form), rho) recombined into InfSym
     elements one by one (the loop stabilizer_algebra ran before its basis
     was built on first read)."""
     n = form.n
     basis = u_basis(form)
     out = []
-    for vec in kernel:
+    for den, nums in kernel:
         x_mat = Matrix.zeros(n, n)
-        for i, c in enumerate(vec[:-1]):
+        for i, c in enumerate(nums[:-1]):
             if c:
-                x_mat = x_mat + basis[i].scale(c)
-        out.append(InfSym(x_mat, vec[-1]))
+                x_mat = x_mat + basis[i].scale(Fraction(c, den))
+        out.append(InfSym(x_mat, Fraction(nums[-1], den)))
     return tuple(out)
 
 

@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crmoser import forms
 from crmoser.forms import (
@@ -188,13 +190,39 @@ def test_u_basis_of_a_complex_explicit_form_is_the_nullspace():
     form = HermitianForm(n, m, matrix, EXPLICIT)
     u_basis(standard_form(n, m, "diagonal"))  # a memo entry of the same signature
     vecs = rational_nullspace(pseudounitarity_rows(form), 2 * n * n)
-    expected = [Matrix([[GaussianRational(v[x_column(n, a, b)], v[x_column(n, a, b) + 1])
-                         for b in range(n)] for a in range(n)]) for v in vecs]
+    expected = [Matrix([[GaussianRational(Fraction(nums[x_column(n, a, b)], den),
+                                          Fraction(nums[x_column(n, a, b) + 1], den))
+                         for b in range(n)] for a in range(n)]) for den, nums in vecs]
     basis = u_basis(form)
     assert basis == expected and len(basis) == n * n
     # the complex off-diagonal entries reach the basis: some entry has re and im
     assert any(e.re and e.im for x in basis for row in x.rows for e in row)
     assert all(is_in_lie_algebra(x, form) for x in basis)
+
+
+@st.composite
+def congruent_forms(draw):
+    """H = P^* D P, D = diag(+1 x (n-m), -1 x m) and P an invertible
+    Gaussian-rational matrix: complex off-diagonal entries, den > 1."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(0, n // 2))
+    part = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    p = Matrix([[GaussianRational(draw(part), draw(part)) for _ in range(n)] for _ in range(n)])
+    assume(not p.det().is_zero())
+    h = p.conj_transpose() * standard_form(n, m, "diagonal").matrix * p
+    assume(h.den > 1 and any(h.im[a * n + b] for a in range(n) for b in range(n) if a != b))
+    return HermitianForm(n, m, h, EXPLICIT)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(congruent_forms())
+def test_u_basis_of_explicit_congruent_forms(form):
+    n = form.n
+    assert all(type(x) is int for row in pseudounitarity_rows(form) for x in row)
+    basis = u_basis(form)
+    assert len(basis) == n * n
+    assert all(is_in_lie_algebra(x, form) for x in basis)
+    assert sympy_real_rank(basis) == n * n
 
 
 def test_u1_basis():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -54,24 +55,28 @@ def test_singular_matrix_raises():
     assert m.det() == GaussianRational(0)
 
 
+def cleared(row):
+    """A rational row times the lcm of its denominators: integers, with the same kernel."""
+    den = lcm(*[Fraction(e).denominator for e in row])
+    return [int(e * den) for e in row]
+
+
 def test_nullspace_vectors_annihilate():
     rng = random.Random(3)
     pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
     for _ in range(10):
         rows = [[rng.choice(pool) for _ in range(6)] for _ in range(4)]
-        basis = rational_nullspace([list(r) for r in rows], 6)
-        for vec in basis:
+        basis = rational_nullspace([cleared(r) for r in rows], 6)
+        for den, nums in basis:
             for row in rows:
-                assert sum(a * b for a, b in zip(row, vec)) == 0
+                assert sum(a * b for a, b in zip(row, nums)) == 0
         oracle_rank = sympy.Matrix(rows).rank()
         assert len(basis) == 6 - oracle_rank
 
 
 def test_nullspace_empty_system():
     basis = rational_nullspace([], 3)
-    assert basis == [[Fraction(int(i == j)) for i in range(3)] for j in range(3)]
-    with pytest.raises(ValueError):
-        rational_nullspace([])
+    assert basis == [(1, [int(i == j) for i in range(3)]) for j in range(3)]
 
 
 entries = st.one_of(
@@ -84,8 +89,8 @@ factors = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4)
 
 @st.composite
 def systems(draw):
-    """(rows, ncols): a few base rows plus duplicates, nonzero multiples and
-    zero rows of them, shuffled, with integral entries as int or Fraction."""
+    """(rows, ncols): a few rational base rows plus duplicates, nonzero
+    multiples and zero rows of them, shuffled."""
     ncols = draw(st.integers(1, 6))
     base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=4))
     rows = [list(r) for r in base]
@@ -93,23 +98,25 @@ def systems(draw):
         for c in draw(st.lists(st.one_of(st.just(1), factors), max_size=2)):
             rows.append([c * e for e in row])
     rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
-    rows = draw(st.permutations(rows))
-    return [[int(e) if e.denominator == 1 and draw(st.booleans()) else Fraction(e)
-             for e in row] for row in rows], ncols
+    return draw(st.permutations(rows)), ncols
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(systems())
 def test_nullspace_equals_sympy(system):
+    # sympy solves the rational rows; rational_nullspace takes each row with
+    # its denominators cleared, and gives the same vectors over their least
+    # denominators
     rows, ncols = system
     oracle = sympy.Matrix(len(rows), ncols, [sympy.Rational(e.numerator, e.denominator)
                                              for row in rows for e in row]).nullspace()
-    expected = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in oracle]
-    basis = rational_nullspace(rows, ncols)
+    expected = []
+    for vec in oracle:
+        den = lcm(*[int(x.q) for x in vec])
+        expected.append((den, [int(x.p) * (den // int(x.q)) for x in vec]))
+    basis = rational_nullspace([cleared(r) for r in rows], ncols)
     assert basis == expected
-    assert all(type(x) is Fraction for vec in basis for x in vec)
-    if rows:
-        assert rational_nullspace(rows) == expected
+    assert all(type(x) is int for den, nums in basis for x in (den, *nums))
 
 
 @st.composite
@@ -125,18 +132,16 @@ def integer_systems(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(integer_systems(), st.data())
-def test_nullspace_of_integer_rows_equals_that_of_fraction_and_mixed_rows(system, data):
-    # integer rows take the gcd path of _primitive_row at once; the same
-    # system scaled row by row into Fractions, or mixing int and Fraction
-    # entries within a row, takes the common-denominator path
+def test_nullspace_is_unchanged_by_scaling_integer_rows(system, data):
+    # a nonzero multiple of a row has the same primitive row, and the kernel
+    # is read off the unique reduced row echelon form
     rows, ncols = system
-    scales = data.draw(st.lists(factors, min_size=len(rows), max_size=len(rows)))
-    scaled = [[Fraction(e) * s for e in row] for row, s in zip(rows, scales)]
-    mixed = [[Fraction(e) if data.draw(st.booleans()) else e for e in row] for row in rows]
+    scales = data.draw(st.lists(st.integers(-10**6, 10**6).filter(bool),
+                                min_size=len(rows), max_size=len(rows)))
     basis = rational_nullspace(rows, ncols)
+    scaled = [[e * s for e in row] for row, s in zip(rows, scales)]
     assert rational_nullspace(scaled, ncols) == basis
-    assert rational_nullspace(mixed, ncols) == basis
-    assert all(type(x) is Fraction for vec in basis for x in vec)
+    assert all(type(x) is int for den, nums in basis for x in (den, *nums))
 
 
 def test_inertia_known_matrices():

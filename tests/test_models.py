@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from crmoser import forms, models
 from crmoser.autgroup import is_linear_automorphism, stabilizer_algebra
-from crmoser.forms import is_pseudounitary, standard_form
+from crmoser.forms import is_pseudounitary, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
-from crmoser.linalg import Matrix
+from crmoser.linalg import Matrix, rational_nullspace
 from crmoser.models import (
     ModelError,
     ScaledSAuto,
@@ -107,6 +108,23 @@ def test_s_dimension_values():
         s_dimension(3, 2)
     with pytest.raises(ModelError):
         s_dimension(4, 0)
+
+
+def test_s_dimension_is_one_solve_over_the_memoized_u_basis(monkeypatch):
+    solves = []
+
+    def counting_nullspace(rows, ncols):
+        solves.append(ncols)
+        return rational_nullspace(rows, ncols)
+
+    monkeypatch.setattr(models, "rational_nullspace", counting_nullspace)
+    monkeypatch.setattr(forms, "rational_nullspace", counting_nullspace)
+    for n, m in ((2, 1), (5, 1), (6, 3)):
+        form = standard_form(n, m, "antidiagonal")  # held: standard forms are kept weakly
+        u_basis(form)
+        solves.clear()
+        assert s_dimension(n, m) == n * n - 2 * n + 3
+        assert solves == [n * n]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
