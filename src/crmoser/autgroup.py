@@ -249,7 +249,7 @@ def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> 
         raise ValueError("vector a must have one entry per dimension")
     a = [GaussianRational.of(c) for c in a]
     zvars = [Poly.z(n, i) for i in range(n)]
-    za = form.pair_poly_const(zvars, a)
+    za = form.pair_polys(zvars, [Poly.constant(n, c) for c in a])
     upz = Poly.u(n) + form.inner_poly().scale(IU)
     dfz = [fg.partial("z", j) for j in range(n)]
     sum_a = Poly.zero(n)

@@ -59,8 +59,9 @@ class CensusConfig:
                 f"normal-form term, bidegree (2,2) at u^0, has weight {MIN_WEIGHT}")
 
     def pairs(self) -> List[Tuple[int, int]]:
-        out = [(n, m) for n in self.ns for m in self.ms
-               if n >= 2 and 0 <= m and n >= 2 * m]
+        # a repeated pair runs once, at its first place
+        out = list(dict.fromkeys((n, m) for n in self.ns for m in self.ms
+                                 if n >= 2 and 0 <= m and n >= 2 * m))
         if not out:
             raise ValueError("no admissible (n, m) pairs in the census config")
         return out

@@ -151,15 +151,6 @@ class HermitianForm:
             elif a < b:
                 total.add(polys[a], polys[b].conjugate(), h * c)
 
-    def pair_poly_const(self, left: Sequence[Poly], right: Sequence[GaussianLike]) -> Poly:
-        """<left, right> with polynomial left entries and constant right vector."""
-        acc = Poly.zero(left[0].n)
-        for a, b, h in self.matrix.nonzero():
-            c = h * GaussianRational.of(right[b]).conjugate()
-            if not c.is_zero():
-                acc = acc + left[a].scale(c)
-        return acc
-
 
 _STANDARD_FORMS = weakref.WeakValueDictionary()  # (n, m, kind) -> HermitianForm
 

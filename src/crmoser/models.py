@@ -338,7 +338,7 @@ def model_theorem2(n: int, m: int, s: Fraction,
         f_poly = f_poly + (zn_abs2**p * form.inner_power(q) * Poly.u(n).pow(r)).scale(value)
         max_w = max(max_w, 2 * (p + q) + 2 * r)
     surface = Hypersurface(form, f_poly, max_w)
-    if not f_poly.bidegree_component(2, 3).is_zero():
+    if (2, 3) in f_poly.bidegree_parts():
         raise ModelError("F_23 does not vanish")  # unreachable for this family
     report = check_normal_form(surface)
     if not report.passed:

@@ -15,7 +15,7 @@ the form matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, Tuple
 
 from .forms import HermitianForm
 from .poly import Poly
@@ -42,7 +42,8 @@ class Hypersurface:
         if not self.F.is_real():
             raise NormalFormError(
                 f"coefficient symmetry broken at monomial {self.F.real_violation()}")
-        harmonic = self.F.harmonic_bidegree()
+        # parts come in the order of their first key: this is the first harmonic term's
+        harmonic = next((d for d in self.F.bidegree_parts() if min(d) < 2), None)
         if harmonic is not None:
             raise NormalFormError(
                 f"harmonic term (degree ({harmonic[0]},{harmonic[1]})) not allowed "
@@ -96,14 +97,16 @@ def trace_op(form: HermitianForm, p: Poly) -> Poly:
 
 def check_normal_form(surface: Hypersurface) -> NormalFormReport:
     """Evaluate the three trace conditions exactly, with full u-dependence."""
-    form = surface.form
-    f22 = surface.F.bidegree_component(2, 2)
-    f23 = surface.F.bidegree_component(2, 3)
-    f33 = surface.F.bidegree_component(3, 3)
+    return _trace_report(surface.form, surface.F.bidegree_parts())
+
+
+def _trace_report(form: HermitianForm, parts: Dict[Tuple[int, int], Poly]) -> NormalFormReport:
+    """check_normal_form on the bidegree parts of F."""
+    zero = Poly.zero(form.n)
     residuals = [
-        ("trF22", trace_op(form, f22)),
-        ("tr2F23", trace_op(form, trace_op(form, f23))),
-        ("tr3F33", trace_op(form, trace_op(form, trace_op(form, f33)))),
+        ("trF22", trace_op(form, parts.get((2, 2), zero))),
+        ("tr2F23", trace_op(form, trace_op(form, parts.get((2, 3), zero)))),
+        ("tr3F33", trace_op(form, trace_op(form, trace_op(form, parts.get((3, 3), zero))))),
     ]
     violations = tuple((name, r) for name, r in residuals if not r.is_zero())
     return NormalFormReport(passed=not violations, violations=violations)
@@ -111,26 +114,25 @@ def check_normal_form(surface: Hypersurface) -> NormalFormReport:
 
 def is_umbilic_origin(surface: Hypersurface) -> bool:
     """True iff F_{2 2bar}(., ., 0) = 0; requires the surface in normal form."""
-    report = check_normal_form(surface)
+    parts = surface.F.bidegree_parts()
+    report = _trace_report(surface.form, parts)
     if not report.passed:
         names = ", ".join(name for name, _ in report.violations)
         raise NormalFormError(
             f"umbilicity is defined for normal-form surfaces only; "
             f"violated: {names}")
-    return surface.F.bidegree_component(2, 2).at_u_zero().is_zero()
+    return parts.get((2, 2), Poly.zero(surface.n)).at_u_zero().is_zero()
 
 
 def is_function_of_form_and_u(surface: Hypersurface) -> bool:
     """True iff F is a polynomial in <z,z> and u.
 
-    F must vanish in every off-diagonal bidegree, and each (k,k) component
-    must be c(u) <z,z>^k for a real polynomial c(u): each of its u-power
-    slices has exactly the packed keys of <z,z>^k and numerators that are
-    one real multiple of its numerators (Poly.is_real_u_multiple).
+    F must vanish in every off-diagonal bidegree, and each (k,k) part must
+    be c(u) <z,z>^k for a real polynomial c(u): each of its u-power slices
+    has exactly the packed keys of <z,z>^k and numerators that are one real
+    multiple of its numerators (Poly.is_real_u_multiple).
     """
-    f = surface.F
-    bidegrees = f.bidegrees()
-    if any(k != l for k, l in bidegrees):
-        return False
-    return all(f.bidegree_component(k, k).is_real_u_multiple(surface.form.inner_power(k))
-               for k, _l in bidegrees)
+    parts = surface.F.bidegree_parts()
+    return (all(k == l for k, l in parts)
+            and all(part.is_real_u_multiple(surface.form.inner_power(k))
+                    for (k, _l), part in parts.items()))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -123,21 +123,30 @@ def unpack_key(key: int, bits: int, n: int) -> tuple:
     return (tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n])
 
 
-def bidegrees(packed: Packed, n: int) -> Iterator[Tuple[int, int]]:
-    """(z-degree, conj(z)-degree) of each term in key order, read off the key fields.
+def by_bidegree(packed: Packed, n: int) -> Dict[Tuple[int, int], Packed]:
+    """The terms grouped by (z-degree, conj(z)-degree), read off the key fields in one pass.
 
-    The n fields of one kind are summed by one multiplication: no degree
-    exceeds the weight of its monomial, which fits in a field, so no field
-    sum carries.
+    One multiplication sums the n fields of each kind into the top field of
+    its half: no degree exceeds the weight of its monomial, which fits in a
+    field, so no field sum carries.  Each group keeps its keys in order, and
+    the groups come in the order of their first key.
     """
-    bits = packed[0]
+    bits, den, _data = packed
+    keys, res, ims = columns(packed)
     span = bits * n
-    mask = (1 << span) - 1
     field = (1 << bits) - 1
     ones = sum(1 << (bits * i) for i in range(n))
-    top = max(span - bits, 0)  # the field that holds the sum of all n
-    for key in columns(packed)[0]:
-        yield ((key & mask) * ones >> top) & field, (((key >> span) & mask) * ones >> top) & field
+    top = max(span - bits, 0)  # the field that holds the sum of the z fields
+    low = (1 << (2 * span)) - 1
+    pick = field | (field << span)
+    groups: Dict[int, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(((key & low) * ones >> top) & pick, []).append(i)
+    if len(groups) == 1:  # one bidegree: the form is its own part
+        return {(d & field, d >> span): packed for d in groups}
+    return {(d & field, d >> span): reduced(bits, den, [keys[i] for i in rows],
+                                            [res[i] for i in rows], [ims[i] for i in rows])
+            for d, rows in groups.items()}
 
 
 def coeff(packed: Packed, mono: tuple) -> GaussianRational:
@@ -405,14 +414,6 @@ def truncate(packed: Packed, n: int, max_weight: int, min_weight: int = 0) -> Pa
         return packed
     return reduced(bits, den, data[start:end], data[k + start:k + end],
                    data[2 * k + start:2 * k + end])
-
-
-def select(packed: Packed, keep: Sequence[bool]) -> Packed:
-    """The terms whose flag in `keep`, one per term in key order, is true."""
-    bits, den, _data = packed
-    keys, res, ims = columns(packed)
-    return reduced(bits, den, list(compress(keys, keep)), list(compress(res, keep)),
-                   list(compress(ims, keep)))
 
 
 def derivative(packed: Packed, n: int, field: int) -> Packed:

@@ -13,6 +13,10 @@ Two gradings run through everything:
   * bidegree (k, l)  --  k = sum(zexp), l = sum(zbexp);
   * weight           --  k + l + 2*uexp  (z of weight 1, u of weight 2).
 
+Both are read off the packed keys: a weight band is one slice of them, and
+`bidegree_parts` splits a polynomial into all of its bidegree parts in one
+pass, from which a caller reads every part it needs.
+
 Conjugation swaps zexp and zbexp and conjugates the coefficient; a
 polynomial is *real* (real-valued on the real locus) exactly when it is
 fixed by that involution.
@@ -320,20 +324,20 @@ class Poly:
 
     # -- gradings ---------------------------------------------------------------
 
+    def bidegree_parts(self) -> Dict[Tuple[int, int], "Poly"]:
+        """{(k, l): the terms of bidegree (k, l)}, one pass over the packed keys.
+
+        The parts come in the order of their first key (see packed.by_bidegree).
+        """
+        n = self.n
+        return {d: Poly._from_packed(n, part)
+                for d, part in pk.by_bidegree(self._packed, n).items()}
+
     def bidegree_component(self, k: int, l: int) -> "Poly":
-        keep = [d == (k, l) for d in pk.bidegrees(self._packed, self.n)]
-        return Poly._from_packed(self.n, pk.select(self._packed, keep))
+        return self.bidegree_parts().get((k, l), Poly.zero(self.n))
 
     def bidegrees(self) -> List[Tuple[int, int]]:
-        return sorted(set(pk.bidegrees(self._packed, self.n)))
-
-    def harmonic_bidegree(self) -> Optional[Tuple[int, int]]:
-        """The bidegree (k, l) with k < 2 or l < 2 of the first such term in key order, or None.
-
-        The degrees are read off the packed keys (see packed.bidegrees).
-        """
-        return next(((k, l) for k, l in pk.bidegrees(self._packed, self.n)
-                     if k < 2 or l < 2), None)
+        return sorted(self.bidegree_parts())
 
     def weight_decompose(self) -> Dict[int, "Poly"]:
         weights = sorted(set(pk.weights(self._packed, self.n)))
@@ -483,19 +487,10 @@ class Poly:
         u_scale = as_fraction(u_scale)
         if u_scale == 0:
             raise ValueError("u scale must be nonzero")
-        zsubs = []
-        zbarsubs = []
-        for a in range(n):
-            pz = Poly.zero(n)
-            pzb = Poly.zero(n)
-            for j in range(n):
-                coeff = GaussianRational.of(rows[a][j])
-                if not coeff.is_zero():
-                    pz = pz + Poly.z(n, j).scale(coeff)
-                    pzb = pzb + Poly.zbar(n, j).scale(coeff.conjugate())
-            zsubs.append(pz)
-            zbarsubs.append(pzb)
-        return self.substitute(zsubs, zbarsubs, Poly.u(n).scale(u_scale))
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        zeros = (0,) * n
+        zsubs = [Poly(n, {(units[j], zeros, 0): c for j, c in enumerate(row)}) for row in rows]
+        return self.substitute(zsubs, [p.conjugate() for p in zsubs], Poly.u(n).scale(u_scale))
 
     def at_u_zero(self) -> "Poly":
         return self.u_coefficients().get(0, Poly.zero(self.n))

@@ -199,7 +199,12 @@ def parse_surface(text: str, form: HermitianForm,
                   max_weight: Optional[int] = None) -> Hypersurface:
     """Parse, expand and validate a surface; reality and harmonic-freeness
     are checked on the expanded polynomial."""
-    f_poly = parse_surface_text(text, form)
+    return _surface(form, parse_surface_text(text, form), max_weight)
+
+
+def _surface(form: HermitianForm, f_poly: Poly, max_weight: Optional[int]) -> Hypersurface:
+    """v = <z,z> + f_poly, maxWeight defaulting to F's top weight or 4; SurfaceParseError
+    when it is not a valid surface."""
     if max_weight is None:
         max_weight = f_poly.max_weight() or 4
     try:
@@ -219,13 +224,7 @@ def surface_from_json(obj: dict) -> Hypersurface:
     if "F" in obj:
         return parse_surface(str(obj["F"]), form, max_weight)
     if "terms" in obj:
-        f_poly = Poly.terms_from_json(form.n, obj["terms"])
-        if max_weight is None:
-            max_weight = f_poly.max_weight() or 4
-        try:
-            return Hypersurface(form, f_poly, max_weight)
-        except NormalFormError as exc:
-            raise SurfaceParseError(str(exc)) from exc
+        return _surface(form, Poly.terms_from_json(form.n, obj["terms"]), max_weight)
     raise SurfaceParseError("surface document needs an 'F' or 'terms' field")
 
 

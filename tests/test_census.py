@@ -54,6 +54,13 @@ def test_census_controls_classify_full():
     assert pair["dims"].get(str(full_dim), 0) >= pair["function_controls"]
 
 
+def test_census_runs_a_repeated_pair_once():
+    # each pair at its first place in the listed order
+    assert CensusConfig(ns=(2, 3, 2), ms=(0, 1, 0)).pairs() == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    repeated = run_census(CensusConfig(ns=(2, 2), ms=(0,), samples=1, seed=4))
+    assert repeated == run_census(CensusConfig(ns=(2,), ms=(0,), samples=1, seed=4))
+
+
 def test_census_config_rejects_empty():
     with pytest.raises(ValueError):
         CensusConfig(ns=(3,), ms=(2,)).pairs()  # n < 2m

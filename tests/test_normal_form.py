@@ -17,7 +17,12 @@ from crmoser.normal_form import (
     trace_op,
 )
 from crmoser.poly import Poly
-from crmoser.surface_io import SurfaceParseError, parse_surface, surface_from_json
+from crmoser.surface_io import (
+    SurfaceParseError,
+    parse_surface,
+    parse_surface_text,
+    surface_from_json,
+)
 
 from helpers import poly_to_sympy, random_real_poly, sympy_trace_oracle, widened
 
@@ -119,6 +124,20 @@ def test_hypersurface_rejects_harmonic_terms():
     bad = Poly.monomial(2, (1, 0), (1, 0), 0)
     with pytest.raises(NormalFormError):
         surface(form, bad)
+
+
+def test_hypersurface_names_the_first_harmonic_bidegree_in_key_order():
+    # harmonic (2,0), (0,2), (3,1) and (1,3) parts: z1^2 has the least key,
+    # though (0,2) is the least bidegree
+    form = standard_form(2, 0, "diagonal")
+    text = "z1^2 + ~z1^2 + z2^3 ~z1 + z1 ~z2^3 + z1^2 ~z1^2"
+    message = "harmonic term (degree (2,0)) not allowed in a normal-form F"
+    with pytest.raises(NormalFormError) as raised:
+        surface(form, parse_surface_text(text, form))
+    assert str(raised.value) == message
+    with pytest.raises(SurfaceParseError) as raised:
+        parse_surface(text, form)
+    assert str(raised.value) == message
 
 
 def test_hypersurface_rejects_broken_reality():

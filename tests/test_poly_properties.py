@@ -253,6 +253,14 @@ def test_derivatives_and_bidegrees_agree_with_the_terms(ab):
         for k, l in degrees | {(5, 5)}:
             assert p.bidegree_component(k, l) == Poly(n, {
                 mono: c for mono, c in terms.items() if (sum(mono[0]), sum(mono[1])) == (k, l)})
+        # one split into all parts: they sum to p, each holds exactly the terms of
+        # its bidegree, and they come in the order of their first key
+        parts = p.bidegree_parts()
+        assert sum(parts.values(), Poly.zero(n)) == p
+        for (k, l), part in parts.items():
+            assert dict(part.terms) == {
+                mono: c for mono, c in terms.items() if (sum(mono[0]), sum(mono[1])) == (k, l)}
+        assert list(parts) == list(dict.fromkeys((sum(z), sum(zb)) for z, zb, _u in p.terms))
 
 
 def terms_where(p: Poly, keep) -> Poly:
