@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .forms import HermitianForm, is_pseudounitary, u_basis
+from .forms import HermitianForm, WTable, is_pseudounitary, u_basis
 from .gaussrat import GaussianRational, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
@@ -29,6 +29,8 @@ from .normal_form import Hypersurface
 from .poly import Poly, ProductSum, real_coefficient_rows
 
 IU = GaussianRational(0, 1)
+_MINUS_HALF = Fraction(-1, 2)
+_MINUS_HALF_I = GaussianRational(0, _MINUS_HALF)
 
 
 class ExtractionError(ValueError):
@@ -315,9 +317,11 @@ def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
     """Exact invariance check of the defining equation through weight max_w.
 
     Requires every term of verification_residual to vanish, which is read
-    off its accumulator (ProductSum.real_is_zero) without collecting it; f
-    enters it only through weight max_w - 1 (see _residual_half).  The jet
-    supports 0 <= max_w <= D - 1 (g enters linearly, so its missing
+    off its accumulator (ProductSum.real_is_zero) without collecting it.
+    The residual is built from the w-graded parts of the jet over the
+    powers of w = u + i(<z,z> + F) (see _residual_half); on the
+    hyperquadric those powers are the form's, built once per weight.  The
+    jet supports 0 <= max_w <= D - 1 (g enters linearly, so its missing
     weight->D tail cannot touch weights below D).  A jet whose linear part
     at the origin, d(f, g)/d(z, w)(0), is singular is no local
     biholomorphism and fails; its determinant is taken over Z[i].
@@ -342,9 +346,9 @@ def verification_residual(surface: Hypersurface, jet: JetMap, max_w: int) -> Pol
     """Im g - <f,f> - F(f, conj f, Re g) at w = u + i(<z,z> + F), through weight max_w.
 
     The residual is real, so one ProductSum holds a half H of it and `real`
-    returns H + conj(H): g/(2i) for Im g, a half of <f,f> built from
-    Hermitian squares (HermitianForm.add_square) and a half of the real
-    substitution of F.
+    returns H + conj(H): g/(2i) for Im g, a half of <f,f> from its blocks
+    A_ee' w^e conj(w)^e' with e <= e' (see _residual_half) and a half of
+    the real substitution of F.
     """
     return _residual_half(surface, jet, max_w).real()
 
@@ -352,21 +356,47 @@ def verification_residual(surface: Hypersurface, jet: JetMap, max_w: int) -> Pol
 def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum:
     """The ProductSum of a half of verification_residual.
 
-    f is substituted only through weight max_w - 1: f(0) = 0, so each f_i
-    has no term below weight 1, and every product in <f,f> or in F(f, conj
-    f, Re g) (F has z- and conj(z)-degree >= 2) pairs a term of f with one
-    more factor of weight >= 1.
+    With f_a = sum_e p_ae(z) w^e and W = u + i(<z,z> + F),
+
+        <f(z,W), f(z,W)> = sum_{e,e'} A_ee' W^e conj(W)^e',
+        A_ee' = sum_ab h_ab p_ae conj(p_be'),   A_e'e = conj(A_ee'),
+
+    so a half of it is each block with e < e' once and half of each block
+    with e = e'.  g(z,W) = sum_e q_e W^e reads the same powers.  When F = 0,
+    W and its table of powers and blocks (WTable) depend on the form
+    alone and are memoized on it per weight cap.  Otherwise f and g are
+    also substituted for the F term, f only through weight max_w - 1:
+    f(0) = 0, so each f_a has no term below weight 1, and F has z- and
+    conj(z)-degree >= 2, so every product pairs a term of f with one more
+    factor of weight >= 1.
     """
-    form = surface.form
+    form, f_poly = surface.form, surface.F
     n = form.n
-    wmix = (Poly.u(n) + (form.inner_poly() + surface.F).scale(IU)).truncate_weight(max_w)
-    gm = jet.g.substitute_w(wmix, max_w)
-    fm = [fi.substitute_w(wmix, max_w - 1) for fi in jet.f]
+    if f_poly.is_zero():
+        table = form.w_table(max_w)
+    else:
+        table = WTable(Poly.u(n) + (form.inner_poly() + f_poly).scale(IU), max_w)
     total = ProductSum(n, max_w)
-    total.add(gm, c=GaussianRational(0, Fraction(-1, 2)))
-    form.add_square(total, fm, -1)
-    if not surface.F.is_zero():
-        total.add_real_substitution(surface.F, fm, gm.real_part(), -1)
+    for e, q in jet.g.u_coefficients().items():
+        total.add(q, table.power(e), _MINUS_HALF_I)
+    parts = [fi.u_coefficients() for fi in jet.f]
+    grades = sorted({e for pa in parts for e in pa if 2 * e <= max_w})
+    bars = [{e: p.conjugate() for e, p in pa.items() if 2 * e <= max_w} for pa in parts]
+    entries = form.matrix.nonzero()
+    for i, e in enumerate(grades):
+        for e2 in grades[i:]:
+            cap = max_w - 2 * (e + e2)  # W^e conj(W)^e2 has weight >= 2(e + e2)
+            if cap < 0:
+                break
+            block = ProductSum(n, cap)  # A_{e e2}
+            for a, b, h in entries:
+                if e in parts[a] and e2 in bars[b]:
+                    block.add(parts[a][e], bars[b][e2], h)
+            total.add(block.poly(), table.block(e, e2), -1 if e < e2 else _MINUS_HALF)
+    if not f_poly.is_zero():
+        fm = [fi.substitute_w(table.base, max_w - 1) for fi in jet.f]
+        gm = jet.g.substitute_w(table.base, max_w)
+        total.add_real_substitution(f_poly, fm, gm.real_part(), -1)
     return total
 
 

@@ -9,9 +9,10 @@ inertia, never numerically.
 Forms are immutable, so each standard form is built and certified once and
 shared: `standard_form` hands out one instance per (n, m, kind) while any
 reference to it lives.  Derived data (the inverse and its nonzero entries
-over one denominator, <z,z> and its powers, u(H)) is memoized on the form
-itself, so surfaces over one form share it; each power <z,z>^k is built
-once, from the one below it.
+over one denominator, <z,z> and its powers, u(H), and per weight cap the
+`WTable` of w = u + i<z,z>) is memoized on the form itself, so surfaces
+over one form share it; each power <z,z>^k is built once, from the one
+below it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class HermitianForm:
     """Non-degenerate Hermitian form with signature (n-m, m), n >= 2m."""
 
     __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inverse_entries", "_inner",
-                 "_inner_powers", "_u_basis", "__weakref__")
+                 "_inner_powers", "_u_basis", "_w_tables", "__weakref__")
 
     def __init__(self, n: int, m: int, matrix: Matrix, kind: str = EXPLICIT):
         if n < 1:
@@ -59,6 +60,7 @@ class HermitianForm:
         object.__setattr__(self, "_inner", None)
         object.__setattr__(self, "_inner_powers", None)
         object.__setattr__(self, "_u_basis", None)
+        object.__setattr__(self, "_w_tables", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianForm is immutable")
@@ -129,8 +131,7 @@ class HermitianForm:
                    max_weight: Optional[int] = None) -> Poly:
         """<left, right> with polynomial entries; the right slot is conjugated.
 
-        All n^2 products go into one ProductSum.  A real <f, f> is built
-        from half its products by `add_square`.
+        All n^2 products go into one ProductSum.
         """
         total = ProductSum(left[0].n, max_weight)
         rbar = [p.conjugate() for p in right]
@@ -138,18 +139,53 @@ class HermitianForm:
             total.add(left[a], rbar[b], h)
         return total.poly()
 
-    def add_square(self, total: ProductSum, polys: Sequence[Poly], c: GaussianLike = 1) -> None:
-        """Add to `total` a half of c <polys, polys>, c real (see ProductSum.real).
+    def w_table(self, cap: int) -> WTable:
+        """The WTable of w = u + i<z,z> truncated at weight `cap`, memoized on the form per cap.
 
-        The half is h_aa times a Hermitian square of polys[a] on the diagonal
-        and one product h_ab polys[a] conj(polys[b]) for each a < b: the
-        product for b > a is its conjugate.
+        On the hyperquadric v = <z,z>, w restricts to u + i<z,z>, so every
+        jet verified there at one weight reads one table (see
+        autgroup.verify_automorphism).
         """
-        for a, b, h in self.matrix.nonzero():
-            if a == b:
-                total.add_square(polys[a], h * c)
-            elif a < b:
-                total.add(polys[a], polys[b].conjugate(), h * c)
+        tables = self._w_tables
+        if tables is None:
+            tables = {}
+            object.__setattr__(self, "_w_tables", tables)
+        table = tables.get(cap)
+        if table is None:
+            wmix = Poly.u(self.n) + self.inner_poly().scale(GaussianRational(0, 1))
+            table = tables[cap] = WTable(wmix, cap)
+        return table
+
+
+class WTable:
+    """Powers W^e and blocks W^e conj(W)^e' of one polynomial W, truncated at weight `cap`.
+
+    Each entry is built on first read and kept, W^e from W^(e-1) and a
+    block from two powers, so the readers of one table build each entry
+    once.  W must have positive minimal weight.
+    """
+
+    __slots__ = ("base", "cap", "_powers", "_blocks")
+
+    def __init__(self, base: Poly, cap: int):
+        self.base = base.truncate_weight(cap)
+        self.cap = cap
+        self._powers = [Poly.constant(base.n, 1)]
+        self._blocks = {}
+
+    def power(self, e: int) -> Poly:
+        """W^e."""
+        powers = self._powers
+        while len(powers) <= e:
+            powers.append(powers[-1].mul(self.base, self.cap))
+        return powers[e]
+
+    def block(self, e: int, e2: int) -> Poly:
+        """W^e conj(W)^e2; conj of it is block(e2, e)."""
+        block = self._blocks.get((e, e2))
+        if block is None:
+            block = self._blocks[(e, e2)] = self.power(e).mul(self.power(e2).conjugate(), self.cap)
+        return block
 
 
 _STANDARD_FORMS = weakref.WeakValueDictionary()  # (n, m, kind) -> HermitianForm

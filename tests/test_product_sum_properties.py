@@ -2,9 +2,8 @@
 
 `ProductSum` adds every product into one packed accumulator; the
 references are the separate paths it replaced: one `Poly.mul` per product
-added up with `+`, a term-by-term product over GaussianRational, the
-general `pair_polys`, and `Poly.substitute`
-with the conjugate targets written out.
+added up with `+`, a term-by-term product over GaussianRational, and
+`Poly.substitute` with the conjugate targets written out.
 """
 
 import random
@@ -15,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crmoser.census import random_normal_form_surface
-from crmoser.forms import HermitianForm, standard_form
+from crmoser.forms import standard_form
 from crmoser.gaussrat import GaussianRational
-from crmoser.linalg import Matrix
 from crmoser.poly import Poly, ProductSum
 
 from helpers import widened
@@ -178,28 +176,6 @@ def test_square_halves_complete_to_hermitian_squares(ps, scalars, offset):
         total.add_square(p, c)
         expected = expected + (p * p.conjugate()).scale(c)
     assert total.real() == capped(expected, cap)
-
-
-EXPLICIT_FORMS = [
-    HermitianForm(2, 0, Matrix([[GaussianRational(2), GaussianRational(0, 1)],
-                                [GaussianRational(0, -1), GaussianRational(1)]])),
-    HermitianForm(2, 1, Matrix([[GaussianRational(0), GaussianRational(1, 1)],
-                                [GaussianRational(1, -1), GaussianRational(Fraction(1, 2))]])),
-]
-FORMS = [standard_form(n, m, kind) for n in (1, 2, 3) for m in range(n // 2 + 1)
-         for kind in ("diagonal", "antidiagonal")] + EXPLICIT_FORMS
-
-
-@SETTINGS
-@given(st.sampled_from(FORMS).flatmap(
-    lambda form: st.tuples(st.just(form), st.lists(polys(form.n, 4), min_size=form.n,
-                                                   max_size=form.n))), rationals, offsets)
-def test_hermitian_square_pairing_equals_the_general_pairing(case, c, offset):
-    form, f = case
-    cap = cap_above(offset, *(p * q for p in f for q in f))
-    total = ProductSum(form.n, cap)
-    form.add_square(total, f, c)
-    assert total.real() == form.pair_polys(f, list(f), cap).scale(c)
 
 
 @st.composite

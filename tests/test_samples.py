@@ -18,7 +18,8 @@ EXPECTED = pathlib.Path(__file__).resolve().parent / "expected"
 SURFACES = ("corollary2_2_1", "umbilic_q4", "theorem1_n3")
 MAPS = (("corollary2_2_1", "map_scaled_mu2"),
         ("umbilic_q4", "map_linear_rotation"),
-        ("umbilic_q4", "map_jet_rotation"))
+        ("umbilic_q4", "map_jet_rotation"),
+        ("quadric_2_1", "map_jet_quadric"))
 # (expected file stem, argv with paths relative to the repository root, exit code)
 GOLDEN = (
     *((f"{cmd}-{s}", [cmd, "--surface", f"samples/{s}.json"], 0)
@@ -28,6 +29,10 @@ GOLDEN = (
     *((f"verify-{s}-{m}", ["verify", "--surface", f"samples/{s}.json",
                            "--map", f"samples/{m}.json"], 0) for s, m in MAPS),
     ("model-model_theorem2_s0", ["model", "--spec", "samples/model_theorem2_s0.json"], 0),
+    # the quadric jet perturbed at weight 4: not a sample, which must run clean
+    ("verify-quadric_2_1-map_jet_quadric_perturbed",
+     ["verify", "--surface", "samples/quadric_2_1.json",
+      "--map", "tests/fixtures/map_jet_quadric_perturbed.json"], 3),
     # violates all three trace conditions, with complex residuals: not a sample, which must run clean
     ("check-non_normal_form", ["check", "--surface", "tests/fixtures/non_normal_form.json"], 3),
     ("census", ["census", "--n", "2,3", "--m", "0,1", "--samples", "200",
