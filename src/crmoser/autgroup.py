@@ -29,6 +29,7 @@ from .normal_form import Hypersurface
 from .poly import Poly, ProductSum, real_coefficient_rows
 
 IU = GaussianRational(0, 1)
+_HALF = Fraction(1, 2)
 _MINUS_HALF = Fraction(-1, 2)
 _MINUS_HALF_I = GaussianRational(0, _MINUS_HALF)
 
@@ -243,6 +244,7 @@ def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> 
                         + i<z,a> (u+i<z,z>) dF/du ).
 
     Real-linear in F, additive in a, raises pure weight by exactly one.
+    The products inside Re go into one ProductSum, whose `real` is T.
     """
     n = form.n
     if fg.n != n:
@@ -253,20 +255,14 @@ def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> 
     zvars = [Poly.z(n, i) for i in range(n)]
     za = form.pair_polys(zvars, [Poly.constant(n, c) for c in a])
     upz = Poly.u(n) + form.inner_poly().scale(IU)
-    dfz = [fg.partial("z", j) for j in range(n)]
-    sum_a = Poly.zero(n)
-    sum_z = Poly.zero(n)
-    for j in range(n):
-        if dfz[j].is_zero():
-            continue
-        if not a[j].is_zero():
-            sum_a = sum_a + dfz[j].scale(a[j])
-        sum_z = sum_z + zvars[j] * dfz[j]
-    inner = (za * fg).scale(GaussianRational(0, -2)) \
-        + upz * sum_a \
-        + (za * sum_z).scale(GaussianRational(0, 2)) \
-        + (za * upz * fg.partial("u")).scale(IU)
-    return inner + inner.conjugate()
+    half = ProductSum(n)
+    half.add(za, fg, GaussianRational(0, -2))
+    for j, c in enumerate(a):
+        dfz = fg.partial("z", j)
+        half.add(upz, dfz, c)
+        half.add(za, dfz.mul_var("z", j), GaussianRational(0, 2))
+    half.add(za * upz, fg.partial("u"), IU)
+    return half.real()
 
 
 def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
@@ -278,7 +274,9 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
 
     Here (f~, g~) = jet - quadric_automorphism(extract_params(jet)), and the
     restriction is realized by substituting w = u + i<z,z> before weight
-    extraction.
+    extraction.  The pairing is sum_kb M_kb f~_k conj(z_b) with
+    M = (lambda U)^-T H, and a half of everything but T goes into one
+    ProductSum.
     """
     form = surface.form
     n = form.n
@@ -293,24 +291,16 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
     gt = (jet.g - phi_q.g).substitute_w(wmix, cap)
     f_gamma = [p.weight_component(gamma) for p in ft]
     g_up = gt.weight_component(gamma + 1)
-    uinv = params.U.inverse().scale(Fraction(1) / params.lam)
-    vec = []
-    for i in range(n):
-        acc = Poly.zero(n)
-        for k in range(n):
-            c = uinv[i, k]
-            if not c.is_zero():
-                acc = acc + f_gamma[k].scale(c)
-        vec.append(acc)
-    zvars = [Poly.z(n, i) for i in range(n)]
-    pairing = form.pair_polys(vec, zvars)
-    lhs = (g_up.scale(IU) + pairing.scale(2)).real_part()
-    lhs = lhs + T_operator(surface.F.weight_component(gamma), params.a, form)
+    lam_u = params.U.scale(params.lam)
     f_up = surface.F.weight_component(gamma + 1)
     lam2 = params.lam * params.lam
-    moved = f_up.substitute_linear(params.U.scale(params.lam), lam2)
-    rhs = f_up - moved.scale(Fraction(1) / lam2)
-    return lhs - rhs
+    half = ProductSum(n)
+    half.add(g_up, c=IU * _HALF)
+    for k, b, c in (lam_u.inverse().transpose() * form.matrix).nonzero():
+        half.add(f_gamma[k].mul_var("zbar", b), c=c)
+    half.add(f_up, c=_MINUS_HALF)
+    half.add(f_up.substitute_linear(lam_u, lam2), c=1 / (2 * lam2))
+    return half.real() + T_operator(surface.F.weight_component(gamma), params.a, form)
 
 
 def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
@@ -434,9 +424,10 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
         wmix = (Poly.u(n) + (inner + current).scale(IU)).truncate_weight(max_w)
         series = _geometric(wmix.scale(q), max_w)       # 1/(1 - q w)
         slot_u = ProductSum(n, max_w)                   # Re(w/(1 - q w))
-        slot_u.add(wmix, series, Fraction(1, 2))
+        slot_u.add(wmix, series, _HALF)
+        d = one - wmix.scale(q)
         prefactor = ProductSum(n, max_w)                # |1 - q w|^2
-        prefactor.add_square(one - wmix.scale(q))
+        prefactor.add(d, d.conjugate(), _HALF)
         zs = [zv.mul(series, max_w) for zv in zvars]
         candidate = surface.F.substitute_real(zs, slot_u.real(), max_weight=max_w)
         candidate = prefactor.real().mul(candidate, max_w)
@@ -451,12 +442,12 @@ def _geometric(t: Poly, max_w: int) -> Poly:
     mw = t.min_weight()
     if mw is not None and mw < 1:
         raise ValueError("geometric series needs a positive minimal weight")
-    acc = power = type(t).constant(t.n, 1)
+    power = type(t).constant(t.n, 1)
     # a capped product is stored at the field width of its cap, so t is
     # widened here once instead of for every power
-    t = acc.mul(t, max_w)
-    while True:
+    t = power.mul(t, max_w)
+    total = ProductSum(t.n, max_w)
+    while power:
+        total.add(power)
         power = power.mul(t, max_w)
-        if power.is_zero():
-            return acc
-        acc = acc + power
+    return total.poly()._as(type(t))

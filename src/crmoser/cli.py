@@ -172,6 +172,8 @@ def _build_model(spec: dict):
     coeffs = {}
     for item in term_list(spec.get("coeffs", [])):
         key = tuple(parse_int(item.get(k, 0), f"coefficient field {k!r}") for k in "rpq")
+        if key in coeffs:
+            raise CliInputError("repeated coefficient key (r={}, p={}, q={})".format(*key))
         coeffs[key] = parse_rational(str(item["c"]))
     if family == "umbilic":
         m = parse_int(spec.get("m", 0), "model field 'm'")

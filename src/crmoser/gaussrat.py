@@ -137,10 +137,6 @@ class GaussianRational:
             return value
         return GaussianRational(as_fraction(value))
 
-    @staticmethod
-    def parse(re: str, im: str = "0") -> "GaussianRational":
-        return GaussianRational(parse_rational(re), parse_rational(im))
-
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -234,5 +230,3 @@ class GaussianRational:
 GaussianLike = Union[int, Fraction, GaussianRational]
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)

@@ -44,7 +44,7 @@ from .forms import (
 from .gaussrat import GaussianLike, GaussianRational, as_fraction, parse_int, rational_root
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface, check_normal_form, is_function_of_form_and_u
-from .poly import Poly
+from .poly import Poly, ProductSum
 
 CASE_FULL = "FULL"
 CASE_T1 = "T1_CASE"
@@ -128,56 +128,33 @@ class SElement:
 
 def s_to_matrix(element: SElement) -> Matrix:
     """Assemble the n x n matrix of an S element."""
-    n = element.n
-    hp = _central_form(element.n, element.m)
-    rows = [[GaussianRational(0)] * n for _ in range(n)]
-    rows[0][0] = element.mu
-    rows[0][n - 1] = element.c
-    if n > 2:
-        # top middle block: -mu conj(x)^T H' A
-        xbar_h = [GaussianRational(0)] * (n - 2)
-        for j in range(n - 2):
-            acc = GaussianRational(0)
-            for k in range(n - 2):
-                h = hp.matrix[k, j]
-                if not h.is_zero():
-                    acc = acc + element.x[k].conjugate() * h
-            xbar_h[j] = acc
-        for j in range(n - 2):
-            acc = GaussianRational(0)
-            for k in range(n - 2):
-                if not xbar_h[k].is_zero():
-                    acc = acc + xbar_h[k] * element.A[k, j]
-            rows[0][j + 1] = -(element.mu * acc)
-        for i in range(n - 2):
-            for j in range(n - 2):
-                rows[i + 1][j + 1] = element.A[i, j]
-            rows[i + 1][n - 1] = element.x[i]
-    rows[n - 1][n - 1] = GaussianRational(1) / element.mu.conjugate()
+    n, mu, x, a_mat = element.n, element.mu, element.x, element.A
+    zero = GaussianRational(0)
+    top = [zero] * (n - 2)
+    if n > 2:  # -mu conj(x)^T H' A
+        hp = _central_form(n, element.m)
+        top = (Matrix([[v.conjugate() for v in x]]) * hp.matrix * a_mat).scale(-mu).rows[0]
+    rows = [[mu, *top, element.c]]
+    rows += [[zero, *row, v] for row, v in zip(a_mat.rows, x)]
+    rows.append([zero] * (n - 1) + [1 / mu.conjugate()])
     return Matrix(rows)
 
 
 def s_decompose(u_mat: Matrix, m: int) -> Optional[SElement]:
-    """Recover the (mu, c, x, A) parameters, or None if U is not in S."""
+    """Recover the (mu, c, x, A) parameters, or None if U is not in S.
+
+    The parameters are read off U, and U is in S exactly when they make an
+    element whose matrix is U: that equality also fixes the zero pattern
+    and the corner 1/conj(mu).
+    """
     n = u_mat.nrows
     if not u_mat.is_square() or n < 2:
         return None
-    for i in range(1, n):
-        if not u_mat[i, 0].is_zero():
-            return None
-    for j in range(n - 1):
-        if not u_mat[n - 1, j].is_zero():
-            return None
-    mu = u_mat[0, 0]
-    if mu.is_zero():
-        return None
-    if not (u_mat[n - 1, n - 1] * mu.conjugate() - 1).is_zero():
-        return None
-    x = tuple(u_mat[i + 1, n - 1] for i in range(n - 2))
-    a_block = Matrix([[u_mat[i + 1, j + 1] for j in range(n - 2)]
-                      for i in range(n - 2)]) if n > 2 else Matrix.identity(0)
+    rows = u_mat.rows
     try:
-        element = SElement(n=n, m=m, mu=mu, c=u_mat[0, n - 1], x=x, A=a_block)
+        element = SElement(n=n, m=m, mu=rows[0][0], c=rows[0][n - 1],
+                           x=tuple(row[n - 1] for row in rows[1:n - 1]),
+                           A=Matrix([row[1:n - 1] for row in rows[1:n - 1]]))
     except ModelError:
         return None
     if s_to_matrix(element) != u_mat:
@@ -253,26 +230,38 @@ def _as_coeff(value) -> Fraction:
     return as_fraction(value)
 
 
-def model_umbilic(n: int, m: int, kind: str,
-                  coeffs: Mapping[Tuple[int, int], object]) -> Hypersurface:
-    """v = <z,z> + sum_{k>=4} C_{kr} u^r <z,z>^k; stability dimension n^2."""
-    form = standard_form(n, m, kind)
+def _clean(coeffs: Mapping[tuple, object]) -> Dict[tuple, Fraction]:
+    """The nonzero coefficients as rationals; ModelError when none is left."""
     clean = {key: _as_coeff(val) for key, val in coeffs.items()}
     clean = {key: val for key, val in clean.items() if val}
     if not clean:
         raise ModelError("at least one coefficient must be nonzero")
+    return clean
+
+
+def _family(form: HermitianForm, idx: int, terms) -> Poly:
+    """sum C u^r |z_idx|^{2p} <z,z>^q over the ((r, p, q), C) of terms, in one ProductSum."""
+    n = form.n
+    total = ProductSum(n)
+    for (r, p, q), c in terms:
+        zp = tuple(p if i == idx else 0 for i in range(n))
+        total.add(Poly.monomial(n, zp, zp, r), form.inner_power(q), c)
+    return total.poly()
+
+
+def model_umbilic(n: int, m: int, kind: str,
+                  coeffs: Mapping[Tuple[int, int], object]) -> Hypersurface:
+    """v = <z,z> + sum_{k>=4} C_{kr} u^r <z,z>^k; stability dimension n^2."""
+    form = standard_form(n, m, kind)
+    clean = _clean(coeffs)
     for (k, r) in clean:
         if k < 4:
             raise ModelError(
                 f"power k={k} < 4: the trace conditions force F_22 = F_33 = 0")
         if r < 0:
             raise ModelError("u-power must be non-negative")
-    f_poly = Poly.zero(n)
-    max_w = 0
-    for (k, r), value in sorted(clean.items()):
-        f_poly = f_poly + (form.inner_power(k) * Poly.u(n).pow(r)).scale(value)
-        max_w = max(max_w, 2 * k + 2 * r)
-    return Hypersurface(form, f_poly, max_w)
+    f_poly = _family(form, 0, [((r, 0, k), c) for (k, r), c in clean.items()])
+    return Hypersurface(form, f_poly, max(2 * k + 2 * r for k, r in clean))
 
 
 def model_theorem1(n: int, coeffs: Mapping[Tuple[int, int, int], object]) -> Hypersurface:
@@ -283,10 +272,7 @@ def model_theorem1(n: int, coeffs: Mapping[Tuple[int, int, int], object]) -> Hyp
     family).  Stability dimension n^2 - 2n + 2 = 1 + (n-1)^2.
     """
     form = standard_form(n, 0, DIAGONAL)
-    clean = {key: _as_coeff(val) for key, val in coeffs.items()}
-    clean = {key: val for key, val in clean.items() if val}
-    if not clean:
-        raise ModelError("at least one coefficient must be nonzero")
+    clean = _clean(coeffs)
     for (p, q, r) in clean:
         if p < 0 or q < 0 or r < 0:
             raise ModelError("exponents must be non-negative")
@@ -294,14 +280,8 @@ def model_theorem1(n: int, coeffs: Mapping[Tuple[int, int, int], object]) -> Hyp
             raise ModelError(f"key (p={p}, q={q}): p+q >= 4 is required")
     if not any(p >= 1 for (p, q, r) in clean):
         raise ModelError("some nonzero coefficient must have p >= 1")
-    z1_abs2 = Poly.monomial(n, _unit(n, 0), _unit(n, 0), 0)
-    f_poly = Poly.zero(n)
-    max_w = 0
-    for (p, q, r), value in sorted(clean.items()):
-        term = (z1_abs2**p * form.inner_power(q) * Poly.u(n).pow(r)).scale(value)
-        f_poly = f_poly + term
-        max_w = max(max_w, 2 * (p + q) + 2 * r)
-    return Hypersurface(form, f_poly, max_w)
+    f_poly = _family(form, 0, [((r, p, q), c) for (p, q, r), c in clean.items()])
+    return Hypersurface(form, f_poly, max(2 * (p + q + r) for p, q, r in clean))
 
 
 def model_theorem2(n: int, m: int, s: Fraction,
@@ -318,10 +298,7 @@ def model_theorem2(n: int, m: int, s: Fraction,
     if s < Fraction(-1, 2):
         raise ModelError("s must be a rational >= -1/2")
     form = standard_form(n, m, ANTIDIAGONAL)
-    clean = {key: _as_coeff(val) for key, val in coeffs.items()}
-    clean = {key: val for key, val in clean.items() if val}
-    if not clean:
-        raise ModelError("at least one coefficient must be nonzero")
+    clean = _clean(coeffs)
     for (r, p, q) in clean:
         if p < 1 or q < 0 or r < 0:
             raise ModelError("exponents must satisfy p >= 1, q >= 0, r >= 0")
@@ -331,13 +308,8 @@ def model_theorem2(n: int, m: int, s: Fraction,
         if p + q < 2:
             raise ModelError(
                 f"key (r={r}, p={p}, q={q}): p+q >= 2 is required in normal form")
-    zn_abs2 = Poly.monomial(n, _unit(n, n - 1), _unit(n, n - 1), 0)
-    f_poly = Poly.zero(n)
-    max_w = 0
-    for (r, p, q), value in sorted(clean.items()):
-        f_poly = f_poly + (zn_abs2**p * form.inner_power(q) * Poly.u(n).pow(r)).scale(value)
-        max_w = max(max_w, 2 * (p + q) + 2 * r)
-    surface = Hypersurface(form, f_poly, max_w)
+    f_poly = _family(form, n - 1, clean.items())
+    surface = Hypersurface(form, f_poly, max(2 * (r + p + q) for r, p, q in clean))
     if (2, 3) in f_poly.bidegree_parts():
         raise ModelError("F_23 does not vanish")  # unreachable for this family
     report = check_normal_form(surface)
@@ -356,10 +328,6 @@ def model_corollary2(n: int, m: int, sign: int) -> Hypersurface:
     return model_theorem2(n, m, Fraction(-1, 2), {(0, 2, 0): Fraction(sign)})
 
 
-def _unit(n: int, idx: int) -> Tuple[int, ...]:
-    return tuple(1 if i == idx else 0 for i in range(n))
-
-
 def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Fraction]:
     """Exact (r, p, q) coefficients of F = sum C u^r |z_n|^{2p} <z,z>^q.
 
@@ -373,9 +341,7 @@ def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Frac
     f_poly = surface.F
     if f_poly.is_zero():
         raise ModelError("spherical surface is not a theorem2 model")
-    zn_abs2 = Poly.monomial(n, _unit(n, n - 1), _unit(n, n - 1), 0)
     found: Dict[Tuple[int, int, int], Fraction] = {}
-    reconstructed = Poly.zero(n)
     for (z, zb, r) in f_poly.terms:
         p = z[n - 1]
         q = z[0] if n >= 2 else 0
@@ -388,11 +354,8 @@ def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Frac
         coeff = f_poly.coeff((z, zb, r))
         if not coeff.is_real():
             raise ModelError("family coefficients must be real")
-        key = (r, p, q)
-        found[key] = coeff.re
-        reconstructed = reconstructed + (
-            zn_abs2**p * surface.form.inner_power(q) * Poly.u(n).pow(r)).scale(coeff.re)
-    if reconstructed != f_poly:
+        found[(r, p, q)] = coeff.re
+    if _family(surface.form, n - 1, found.items()) != f_poly:
         raise ModelError("F is not a polynomial in u, |z_n|^2 and <z,z>")
     out = {key: val for key, val in found.items() if val}
     if any(p == 0 for (_r, p, _q) in out):

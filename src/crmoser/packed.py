@@ -14,10 +14,9 @@ Products run through one kernel, `accumulate`, which adds the numerators
 of a scaled product into an accumulator dict key -> [re, im] that the
 caller owns; `collect` turns such a dict into a reduced form once, so a
 sum of products is sorted and reduced once (`product` is the kernel plus
-one `collect`).  Next to it, `square` adds a half of a * conj(a) from
-each conjugate pair of products once, `mirror` turns an accumulator
-into itself plus its conjugate, and `mirror_is_zero` tells whether that
-sum vanishes without building it.  A product with one variable needs no
+one `collect`).  Next to it, `mirror` turns an accumulator into itself
+plus its conjugate, and `mirror_is_zero` tells whether that sum vanishes
+without building it.  A product with one variable needs no
 kernel: `shift` adds one constant to every key.
 """
 
@@ -267,51 +266,6 @@ def accumulate(acc: Dict[int, List[int]], n: int, a: Packed, b: Packed,
             key = ka + kb
             re = ra * rb - ia * ib
             im = ra * ib + ia * rb
-            cell = acc.get(key)
-            if cell is None:
-                acc[key] = [re, im]
-            else:
-                cell[0] += re
-                cell[1] += im
-
-
-def square(acc: Dict[int, List[int]], n: int, a: Packed,
-           max_weight: Optional[int], mult: Tuple[int, int] = (1, 0)) -> None:
-    """Add 2 mult H into acc, where H + conj(H) = a * conj(a) (see accumulate).
-
-    With c_i the terms of a, 2H is the sum of 2 c_i conj(c_j) over the pairs
-    i < j plus the diagonal |c_i|^2, so each conjugate pair of products is
-    computed once; `mirror` then completes mult * a * conj(a) over twice
-    the product's denominator.
-    """
-    bits = a[0]
-    keys, res, ims = columns(a)
-    shift = bits * (2 * n + 1)
-    rows = list(zip(conjugate_keys(keys, n, bits), res, ims))
-    mre, mim = mult
-    end = len(rows)
-    for i, (ka, ra, ia) in enumerate(zip(keys, res, ims)):
-        if max_weight is not None:
-            # the terms j that keep the product within the cap; weights only grow
-            end = bisect_left(keys, (max_weight - (ka >> shift) + 1) << shift)
-            if end <= i:
-                break
-        ra, ia = ra * mre - ia * mim, ra * mim + ia * mre
-        kb, rb, ib = rows[i]
-        key = ka + kb
-        re = ra * rb + ia * ib
-        im = ia * rb - ra * ib
-        cell = acc.get(key)
-        if cell is None:
-            acc[key] = [re, im]
-        else:
-            cell[0] += re
-            cell[1] += im
-        ra, ia = 2 * ra, 2 * ia
-        for kb, rb, ib in rows[i + 1:end]:
-            key = ka + kb
-            re = ra * rb + ia * ib
-            im = ia * rb - ra * ib
             cell = acc.get(key)
             if cell is None:
                 acc[key] = [re, im]

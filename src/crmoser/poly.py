@@ -617,8 +617,8 @@ class ProductSum:
     as a capped product does.
 
     A real value V can be added as a half H with H + conj(H) = V
-    (`add_square`, `add_real_substitution`, or `add` of V/2 or of either
-    half of a conjugate pair of products).  `real` returns S + conj(S) for
+    (`add_real_substitution`, or `add` of V/2 or of either half of a
+    conjugate pair of products).  `real` returns S + conj(S) for
     the sum S, so it completes every half at once; a sum that holds halves
     must be read with `real`.
     """
@@ -654,22 +654,6 @@ class ProductSum:
             bits = self.bits
             pk.accumulate(self.cells, n, pk.widen(pa, n, bits), pk.widen(pb, n, bits),
                           self.max_weight, mult)
-
-    def add_square(self, a: Poly, c: GaussianLike = 1) -> None:
-        """Add a half of c a conj(a), c real, from each conjugate pair of products once."""
-        c = GaussianRational.of(c)
-        self._check_dim(a)
-        if not c.is_real():
-            raise ValueError("a Hermitian square takes a real scalar")
-        if c.is_zero() or not a._size():
-            return
-        pa = a._packed
-        n = self.n
-        # packed.square adds twice the half over twice the denominator
-        mult = self._reserve(2 * pk.weight(pa, 0, n), 2 * pk.weight(pa, -1, n),
-                             pa[0], 2 * pa[1] * pa[1], c)
-        if mult is not None:
-            pk.square(self.cells, n, a._widen(self.bits), self.max_weight, mult)
 
     def add_real_substitution(self, p: Poly, zsubs: Sequence[Poly], usub: Optional[Poly],
                               c: GaussianLike = 1) -> None:

@@ -21,7 +21,7 @@ from crmoser.autgroup import (
     verify_automorphism,
 )
 from crmoser.census import random_normal_form_surface
-from crmoser.forms import is_in_lie_algebra, standard_form, u_basis
+from crmoser.forms import HermitianForm, is_in_lie_algebra, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
 from crmoser.linalg import Matrix
@@ -415,6 +415,19 @@ def test_T_matches_sympy_formula():
     a2 = (GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational(2))
     got2 = T_operator(fg, a2, form)
     assert poly_to_sympy(got2) == sympy_T_oracle(fg, a2, form)
+    # F with u terms, so the i<z,a>(u+i<z,z>) dF/du product is compared too
+    rng = random.Random(89)
+    p = Matrix([[1, I, 0], [0, 1, Fraction(1, 2)], [1, 0, 2]])
+    d = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    forms = [standard_form(n, m, "diagonal" if m == 0 else "antidiagonal")
+             for n in (2, 3) for m in (0, 1)]
+    forms.append(HermitianForm(3, 1, p.conj_transpose() * d * p))
+    for form in forms:
+        n = form.n
+        fg = random_real_poly(rng, n, pairs=1) + random_real_poly(rng, n, pairs=1).mul_var("u")
+        assert not fg.partial("u").is_zero()
+        a = [random_gauss(rng, allow_zero=True) for _ in range(n)]
+        assert poly_to_sympy(T_operator(fg, a, form)) == sympy_T_oracle(fg, a, form)
 
 
 def test_T_raises_weight_by_one_and_is_linear():

@@ -165,6 +165,15 @@ def test_model_bad_family(tmp_path, capsys):
     assert code == 2
 
 
+def test_model_rejects_a_repeated_coefficient_key(tmp_path, capsys):
+    # an absent exponent reads as 0, so both items carry the key (r, p, q) = (0, 0, 4)
+    spec = write(tmp_path, "model.json",
+                 {"family": "umbilic", "n": 2, "m": 0,
+                  "coeffs": [{"q": 4, "c": "1"}, {"r": 0, "q": 4, "c": "-1"}]})
+    code, report = run(capsys, "model", "--spec", spec)
+    assert code == 2 and "repeated coefficient key (r=0, p=0, q=4)" in report["error"]
+
+
 def test_census_command(tmp_path, capsys):
     code, report = run(capsys, "census", "--n", "2", "--m", "1",
                        "--samples", "10", "--seed", "7")

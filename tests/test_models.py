@@ -88,6 +88,39 @@ def test_is_in_S_examples():
             assert back == element
 
 
+def test_is_in_S_rejects_products_with_pseudounitaries_outside_S():
+    """S elements times pseudounitaries of the antidiagonal form that break one cell each.
+
+    N = E + (i/2) E_n1 is pseudounitary.  U N moves column 1 below the
+    diagonal, N U moves row n left of it, and N J, with J in the subgroup J
+    and c != 0, moves the corner U_nn conj(mu) off 1.  N U and N J keep
+    rows 1..n-1, from which (mu, c, x, A) are read, so only the equality
+    with the reassembled matrix rejects them.  At (2,1), diag(1, -1) U
+    keeps the zero pattern and has corner -1 (sigma = -1).
+    """
+    rng = random.Random(13)
+    for n, m in ((2, 1), (3, 1), (4, 1), (5, 2)):
+        form = standard_form(n, m, "antidiagonal")
+        nil = Matrix([[GaussianRational(0, Fraction(1, 2)) if (i, j) == (n - 1, 0) else int(i == j)
+                       for j in range(n)] for i in range(n)])
+        assert is_pseudounitary(nil, form) == 1
+        j_mat = s_to_matrix(s_named_subgroup("J", n, m, c=GaussianRational(0, 2)))
+        corner = nil * j_mat
+        assert not (corner[n - 1, n - 1] * corner[0, 0].conjugate() - 1).is_zero()
+        broken = [corner]
+        for _ in range(5):
+            u_mat = s_to_matrix(random_s_element(rng, n, m))
+            column, row = u_mat * nil, nil * u_mat
+            assert any(column[i, 0] for i in range(1, n))
+            assert any(row[n - 1, j] for j in range(n - 1))
+            broken += [column, row]
+            if n == 2:
+                broken.append(Matrix([[1, 0], [0, -1]]) * u_mat)
+        for p in broken:
+            assert is_pseudounitary(p, form) in (1, -1)
+            assert not is_in_S(p, m)
+
+
 def test_s_pseudounitary_and_group_closure():
     rng = random.Random(7)
     for n, m in ((2, 1), (3, 1), (4, 1), (4, 2), (5, 1), (5, 2)):

@@ -249,7 +249,7 @@ def test_operands_keep_their_stored_field_width():
         total = ProductSum(2)
         total.add(far, p)
         total.add(p)
-        total.add_square(p)
+        total.add(p, p.conjugate(), Fraction(1, 2))
         total.real()
         real_coefficient_rows([far, p])
         assert p._packed is stored

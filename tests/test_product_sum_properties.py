@@ -114,38 +114,34 @@ def test_real_is_the_sum_plus_its_conjugate(case, offset):
 
 @st.composite
 def mirrored_sums(draw):
-    """(n, cap, parts, extra): parts of a sum S, a list of ("add", c, a, b)
-    and ("square", c, a), with S + conj(S) = 0 unless `extra` names a last
-    part: a random one, or r p or i r p for a rational r and a polynomial p
-    with rational coefficients, whose imaginary or real parts cancel.
+    """(n, cap, parts, extra): parts of a sum S, a list of (c, a, b) for c a b
+    (c a when b is None), with S + conj(S) = 0 unless `extra` names a last part: a random one, or
+    r p or i r p for a rational r and a polynomial p with rational
+    coefficients, whose imaginary or real parts cancel.
 
     Each block cancels in S + conj(S) only across conjugate keys: q and
-    -conj(q), the product a b and -conj(a) conj(b), i times a real
-    polynomial (whose self-conjugate keys hold imaginary numerators), and
-    the half of c |a|^2 from add_square against -c/2 a conj(a).
+    -conj(q), the product a b and -conj(a) conj(b), and i times a real
+    polynomial (whose self-conjugate keys hold imaginary numerators).
     """
     n = draw(st.integers(1, 3))
     parts = []
-    for kind in draw(st.lists(st.sampled_from(["conj", "product", "imaginary", "square"]),
+    for kind in draw(st.lists(st.sampled_from(["conj", "product", "imaginary"]),
                               min_size=1, max_size=3)):
         a, b, c = draw(polys(n)), draw(polys(n)), draw(coefficients)
         if kind == "conj":
-            parts += [("add", c, a, None), ("add", -c.conjugate(), a.conjugate(), None)]
+            parts += [(c, a, None), (-c.conjugate(), a.conjugate(), None)]
         elif kind == "product":
-            parts += [("add", c, a, b), ("add", -c.conjugate(), a.conjugate(), b.conjugate())]
-        elif kind == "imaginary":
-            parts.append(("add", GaussianRational(0, c.re), a + a.conjugate(), None))
+            parts += [(c, a, b), (-c.conjugate(), a.conjugate(), b.conjugate())]
         else:
-            parts += [("square", c.re, a), ("add", -c.re / 2, a, a.conjugate())]
+            parts.append((GaussianRational(0, c.re), a + a.conjugate(), None))
     extra = draw(st.sampled_from([None, "any", "real", "imaginary"]))
     if extra == "any":
-        parts.append(("add", draw(coefficients), draw(polys(n)),
-                      draw(st.one_of(st.none(), polys(n)))))
+        parts.append((draw(coefficients), draw(polys(n)), draw(st.one_of(st.none(), polys(n)))))
     elif extra:
         r = draw(rationals)
-        parts.append(("add", GaussianRational(r) if extra == "real" else GaussianRational(0, r),
+        parts.append((GaussianRational(r) if extra == "real" else GaussianRational(0, r),
                       draw(polys(n, coeffs=rationals)), None))
-    cap = cap_above(draw(offsets), *(p for part in parts for p in part[2:] if p is not None))
+    cap = cap_above(draw(offsets), *(p for _c, a, b in parts for p in (a, b) if p is not None))
     return n, cap, parts, extra
 
 
@@ -154,28 +150,11 @@ def mirrored_sums(draw):
 def test_real_is_zero_equals_the_zero_test_of_real(case):
     n, cap, parts, extra = case
     total = ProductSum(n, cap)
-    for kind, c, *operands in parts:
-        if kind == "square":
-            total.add_square(operands[0], c)
-        else:
-            total.add(*operands, c)
+    for c, a, b in parts:
+        total.add(a, b, c)
     answer = total.real_is_zero()  # reads the accumulator, which `real` then uses up
     assert answer == total.real().is_zero()
     assert answer or extra
-
-
-@SETTINGS
-@given(st.integers(1, 3).flatmap(lambda n: st.lists(polys(n), min_size=1, max_size=3)),
-       st.lists(rationals, min_size=3, max_size=3), offsets)
-def test_square_halves_complete_to_hermitian_squares(ps, scalars, offset):
-    n = ps[0].n
-    cap = cap_above(offset, *(p * p for p in ps))
-    total = ProductSum(n, cap)
-    expected = Poly.zero(n)
-    for p, c in zip(ps, scalars):
-        total.add_square(p, c)
-        expected = expected + (p * p.conjugate()).scale(c)
-    assert total.real() == capped(expected, cap)
 
 
 @st.composite
@@ -222,8 +201,6 @@ def test_product_sum_rejects_operands_of_another_dimension():
         total.add(Poly.z(2, 0), Poly.z(3, 1))
     with pytest.raises(ValueError):
         total.add(Poly.z(3, 0))
-    with pytest.raises(ValueError):
-        total.add_square(Poly.z(3, 0))
     assert total.poly() == Poly.zero(2)
 
 

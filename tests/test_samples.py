@@ -19,7 +19,9 @@ SURFACES = ("corollary2_2_1", "umbilic_q4", "theorem1_n3")
 MAPS = (("corollary2_2_1", "map_scaled_mu2"),
         ("umbilic_q4", "map_linear_rotation"),
         ("umbilic_q4", "map_jet_rotation"),
-        ("quadric_2_1", "map_jet_quadric"))
+        ("quadric_2_1", "map_jet_quadric"),
+        # n = 4 with nonzero x and A: the top block of the S matrix is built
+        ("theorem2_4_2", "map_scaled_4_2"))
 # (expected file stem, argv with paths relative to the repository root, exit code)
 GOLDEN = (
     *((f"{cmd}-{s}", [cmd, "--surface", f"samples/{s}.json"], 0)
@@ -28,7 +30,8 @@ GOLDEN = (
       for s in SURFACES),
     *((f"verify-{s}-{m}", ["verify", "--surface", f"samples/{s}.json",
                            "--map", f"samples/{m}.json"], 0) for s, m in MAPS),
-    ("model-model_theorem2_s0", ["model", "--spec", "samples/model_theorem2_s0.json"], 0),
+    *((f"model-{s}", ["model", "--spec", f"samples/{s}.json"], 0)
+      for s in ("model_theorem2_s0", "model_umbilic_n3", "model_theorem1_n3")),
     # the quadric jet perturbed at weight 4: not a sample, which must run clean
     ("verify-quadric_2_1-map_jet_quadric_perturbed",
      ["verify", "--surface", "samples/quadric_2_1.json",
