@@ -130,7 +130,8 @@ def extract_params(jet: JetMap, form: HermitianForm) -> AutoParams:
     u_mat = fz.scale(1 / lam)
     if is_pseudounitary(u_mat, form) != sigma:
         raise ExtractionError("U not pseudounitary")
-    a = tuple(fz.inverse().mulvec([fi.w_linear_coeff() for fi in jet.f]))
+    a_col = fz.inverse() * Matrix([[fi.w_linear_coeff()] for fi in jet.f])
+    a = tuple(a_col[i, 0] for i in range(n))
     gww = jet.g.w_quadratic_coeff() * 2  # d2g/dw2(0)
     r = gww.re / (2 * sigma * lam * lam)
     return AutoParams(U=u_mat, a=a, lam=lam, sigma=sigma, r=r)
@@ -148,15 +149,16 @@ def quadric_automorphism(params: AutoParams, form: HermitianForm, D: int) -> Jet
     n = form.n
     if len(params.a) != n or params.U.nrows != n:
         raise ValueError("parameter dimensions do not match the form")
+    a_col = Matrix([[c] for c in params.a])
     # <z, a> = sum_alpha (H conj(a))_alpha z_alpha, and <a, a> is real
-    two_i_za = form.matrix.scale(GaussianRational(0, 2)).mulvec([c.conjugate() for c in params.a])
+    two_i_za = form.matrix.scale(GaussianRational(0, 2)) * a_col.conjugate()
     aa = form.pair_values(params.a, params.a)
-    tail = _linear(two_i_za, GaussianRational(params.r, aa.re))
+    tail = _linear([two_i_za[i, 0] for i in range(n)], GaussianRational(params.r, aa.re))
     series = _geometric(tail, D)  # 1/delta
-    lam_c = GaussianRational(params.lam)  # U (z + a w) = U z + (U a) w
-    f = [_linear(row, c).scale(lam_c).mul(series, D)
-         for row, c in zip(params.U.rows, params.U.mulvec(params.a))]
-    g = HoloPoly.w(n).scale(GaussianRational(params.sigma * params.lam * params.lam)).mul(series, D)
+    u_a = params.U * a_col  # U (z + a w) = U z + (U a) w
+    f = [_linear([params.U[i, j] for j in range(n)], u_a[i, 0]).scale(params.lam).mul(series, D)
+         for i in range(n)]
+    g = HoloPoly.w(n).scale(params.sigma * params.lam * params.lam).mul(series, D)
     return JetMap(tuple(f), g, D)
 
 
@@ -194,16 +196,14 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
     collected coefficientwise.  The spherical surface (F = 0) satisfies it
     identically, giving n^2 + 1.
 
-    One column per unknown is built in its own ProductSum from products
-    computed once per surface, P[j][k] = z_k dF/dz_j (for the j with
-    dF/dz_j != 0) and u dF/du, each a shift of the derivative's packed keys
-    (Poly.mul_var): no product exceeds F's top weight, so nothing is
-    multiplied, sorted or widened.  A u(H) column X holds the half
-    sum_{j,k} X[j,k] P[j][k]; the rho column holds the half
-    sum_j P[j][j] + u dF/du - F, whose last two terms are real because F
-    is.  `real` completes each half.  The result keeps the kernel vectors
-    and builds its `basis` on first read, so callers that need only `dim`
-    pay for no recombination.
+    One column per unknown is built in its own ProductSum.  A u(H) column
+    X holds the half sum_{j,k} X[j,k] z_k dF/dz_j, one `add_form` of X's
+    numerators against the derivatives dF/dz_j and the variables z_k; the
+    rho column holds the half sum_j z_j dF/dz_j + u dF/du - F, the same
+    form of the identity plus two terms that are real because F is.
+    `real` completes each half.  The result keeps the kernel vectors and
+    builds its `basis` on first read, so callers that need only `dim` pay
+    for no recombination.
     """
     form = surface.form
     n = form.n
@@ -213,22 +213,15 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
         kernel = [(1, [int(i == j) for j in range(size)]) for i in range(size)]
         return StabilizerResult(kernel, basis, spherical=True)
     f_poly = surface.F
-    products = []  # (j, P[j])
-    for j in range(n):
-        dfz = f_poly.partial("z", j)
-        if dfz:
-            products.append((j, [dfz.mul_var("z", k) for k in range(n)]))
+    dfz = [f_poly.partial("z", j) for j in range(n)]
+    zvars = [Poly.z(n, k) for k in range(n)]
     columns = []
     for x_mat in basis:
         half = ProductSum(n)
-        for j, row in products:
-            for c, p in zip(x_mat.rows[j], row):
-                if c:
-                    half.add(p, c=c)
+        half.add_form(x_mat, dfz, zvars)
         columns.append(half.real())
     half = ProductSum(n)
-    for j, row in products:
-        half.add(row[j])
+    half.add_form(Matrix.identity(n), dfz, zvars)
     half.add(f_poly.partial("u").mul_var("u"))
     half.add(f_poly, c=-1)
     columns.append(half.real())
@@ -251,7 +244,6 @@ def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> 
         raise ValueError("polynomial dimension does not match the form")
     if len(a) != n:
         raise ValueError("vector a must have one entry per dimension")
-    a = [GaussianRational.of(c) for c in a]
     zvars = [Poly.z(n, i) for i in range(n)]
     za = form.pair_polys(zvars, [Poly.constant(n, c) for c in a])
     upz = Poly.u(n) + form.inner_poly().scale(IU)
@@ -296,8 +288,8 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
     lam2 = params.lam * params.lam
     half = ProductSum(n)
     half.add(g_up, c=IU * _HALF)
-    for k, b, c in (lam_u.inverse().transpose() * form.matrix).nonzero():
-        half.add(f_gamma[k].mul_var("zbar", b), c=c)
+    half.add_form(lam_u.inverse().transpose() * form.matrix, f_gamma,
+                  [Poly.zbar(n, b) for b in range(n)])
     half.add(f_up, c=_MINUS_HALF)
     half.add(f_up.substitute_linear(lam_u, lam2), c=1 / (2 * lam2))
     return half.real() + T_operator(surface.F.weight_component(gamma), params.a, form)
@@ -372,16 +364,13 @@ def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum
     parts = [fi.u_coefficients() for fi in jet.f]
     grades = sorted({e for pa in parts for e in pa if 2 * e <= max_w})
     bars = [{e: p.conjugate() for e, p in pa.items() if 2 * e <= max_w} for pa in parts]
-    entries = form.matrix.nonzero()
     for i, e in enumerate(grades):
         for e2 in grades[i:]:
             cap = max_w - 2 * (e + e2)  # W^e conj(W)^e2 has weight >= 2(e + e2)
             if cap < 0:
                 break
             block = ProductSum(n, cap)  # A_{e e2}
-            for a, b, h in entries:
-                if e in parts[a] and e2 in bars[b]:
-                    block.add(parts[a][e], bars[b][e2], h)
+            block.add_form(form.matrix, [pa.get(e) for pa in parts], [pb.get(e2) for pb in bars])
             total.add(block.poly(), table.block(e, e2), -1 if e < e2 else _MINUS_HALF)
     if not f_poly.is_zero():
         fm = [fi.substitute_w(table.base, max_w - 1) for fi in jet.f]

@@ -8,17 +8,17 @@ inertia, never numerically.
 
 Forms are immutable, so each standard form is built and certified once and
 shared: `standard_form` hands out one instance per (n, m, kind) while any
-reference to it lives.  Derived data (the inverse and its nonzero entries
-over one denominator, <z,z> and its powers, u(H), and per weight cap the
-`WTable` of w = u + i<z,z>) is memoized on the form itself, so surfaces
-over one form share it; each power <z,z>^k is built once, from the one
-below it.
+reference to it lives.  Derived data (the inverse matrix, <z,z> and its
+powers, u(H), and per weight cap the `WTable` of w = u + i<z,z>) is
+memoized on the form itself, so surfaces over one form share it; each
+power <z,z>^k is built once, from the one below it.  The kernel reads the
+form and its inverse as Matrix numerators, never entry by entry.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
@@ -32,8 +32,8 @@ EXPLICIT = "explicit"
 class HermitianForm:
     """Non-degenerate Hermitian form with signature (n-m, m), n >= 2m."""
 
-    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inverse_entries", "_inner",
-                 "_inner_powers", "_u_basis", "_w_tables", "__weakref__")
+    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inner", "_inner_powers", "_u_basis",
+                 "_w_tables", "__weakref__")
 
     def __init__(self, n: int, m: int, matrix: Matrix, kind: str = EXPLICIT):
         if n < 1:
@@ -56,7 +56,6 @@ class HermitianForm:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_inverse", None)
-        object.__setattr__(self, "_inverse_entries", None)
         object.__setattr__(self, "_inner", None)
         object.__setattr__(self, "_inner_powers", None)
         object.__setattr__(self, "_u_basis", None)
@@ -81,31 +80,13 @@ class HermitianForm:
             object.__setattr__(self, "_inverse", self.matrix.inverse())
         return self._inverse
 
-    def inverse_entries(self) -> Tuple[int, Tuple[Tuple[int, int, int, int], ...]]:
-        """(den, entries): the nonzero entries h_ab of H^{-1} as Gaussian integers over den.
-
-        Each entry is (a, b, re, im) with h_ab = (re + i*im) / den; den is the
-        least common denominator.  Memoized on the form.
-        """
-        if self._inverse_entries is None:
-            inv, n = self.inverse_matrix(), self.n
-            entries = tuple((k // n, k % n, re, im)
-                            for k, (re, im) in enumerate(zip(inv.re, inv.im)) if re or im)
-            object.__setattr__(self, "_inverse_entries", (inv.den, entries))
-        return self._inverse_entries
-
     # -- polynomial pairing ---------------------------------------------------
 
     def inner_poly(self) -> Poly:
-        """<z,z> as a bidegree-(1,1) real polynomial."""
+        """<z,z> as a bidegree-(1,1) real polynomial, memoized on the form."""
         if self._inner is None:
-            n = self.n
-            terms = {}
-            for a, b, h in self.matrix.nonzero():
-                za = tuple(1 if i == a else 0 for i in range(n))
-                zbb = tuple(1 if i == b else 0 for i in range(n))
-                terms[(za, zbb, 0)] = h
-            object.__setattr__(self, "_inner", Poly(n, terms))
+            zvars = [Poly.z(self.n, i) for i in range(self.n)]
+            object.__setattr__(self, "_inner", self.pair_polys(zvars, zvars))
         return self._inner
 
     def inner_power(self, k: int) -> Poly:
@@ -131,12 +112,10 @@ class HermitianForm:
                    max_weight: Optional[int] = None) -> Poly:
         """<left, right> with polynomial entries; the right slot is conjugated.
 
-        All n^2 products go into one ProductSum.
+        The products go into one ProductSum (see ProductSum.add_form).
         """
         total = ProductSum(left[0].n, max_weight)
-        rbar = [p.conjugate() for p in right]
-        for a, b, h in self.matrix.nonzero():
-            total.add(left[a], rbar[b], h)
+        total.add_form(self.matrix, left, [p.conjugate() for p in right])
         return total.poly()
 
     def w_table(self, cap: int) -> WTable:

@@ -7,10 +7,11 @@ arithmetic is exact; there is no floating-point mode anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -46,6 +47,25 @@ def gaussian_parts(obj) -> Tuple[int, int, int, int]:
     if not isinstance(obj, dict):
         raise ValueError(f"a Gaussian rational must be a JSON object, got {obj!r}")
     return (*rational_parts(obj.get("re", "0")), *rational_parts(obj.get("im", "0")))
+
+
+def scalar_parts(value) -> Tuple[int, int, int, int]:
+    """(re p, re q, im p, im q) of an int, a Fraction or a GaussianRational; see gaussian_parts."""
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        return re.numerator, re.denominator, im.numerator, im.denominator
+    if isinstance(value, int):
+        return value, 1, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator, 0, 1
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _over_one_den(parts: Sequence[Tuple[int, int, int, int]]) -> Tuple[int, List[int], List[int]]:
+    """(den, re, im): scalar_parts as Gaussian-integer numerators over their least common den."""
+    den = math.lcm(*[d for _rn, rd, _in, idn in parts for d in (rd, idn)])
+    return (den, [rn * (den // rd) for rn, rd, _in, _idn in parts],
+            [inum * (den // idn) for _rn, _rd, inum, idn in parts])
 
 
 def parse_int(value, field: str) -> int:
@@ -111,6 +131,18 @@ def _integer_root(n: int, k: int) -> Optional[int]:
 _FRACTION_ZERO = Fraction(0)
 
 
+def _exact_operand(op):
+    """op(self, other) for an exact scalar other, else NotImplemented (a Poly or Matrix answers)."""
+    @functools.wraps(op)
+    def operator(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        elif not isinstance(other, GaussianRational):
+            return NotImplemented
+        return op(self, other)
+    return operator
+
+
 class GaussianRational:
     """Immutable exact complex number re + im*i with rational parts.
 
@@ -154,24 +186,25 @@ class GaussianRational:
         """|z|^2, always an exact rational."""
         return self.re * self.re + self.im * self.im
 
+    @_exact_operand
     def __add__(self, other):
-        other = GaussianRational.of(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_exact_operand
     def __sub__(self, other):
-        other = GaussianRational.of(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
+    @_exact_operand
     def __rsub__(self, other):
-        return GaussianRational.of(other) - self
+        return other - self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    @_exact_operand
     def __mul__(self, other):
-        other = GaussianRational.of(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -179,8 +212,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    @_exact_operand
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
         d = other.abs2()
         if not d:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -189,14 +222,8 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
-
+    @_exact_operand
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):

@@ -17,27 +17,20 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gaussrat import ZERO, GaussianLike, GaussianRational, as_fraction, gaussian_parts
+from .gaussrat import (
+    ZERO,
+    GaussianLike,
+    GaussianRational,
+    _over_one_den,
+    gaussian_parts,
+    scalar_parts,
+)
 
 Parts = Tuple[int, int, int, int]  # re numerator, re denominator, im numerator, im denominator
 
 
 class SingularMatrixError(ZeroDivisionError):
     pass
-
-
-def _parts(e: GaussianLike) -> Parts:
-    if isinstance(e, GaussianRational):
-        return e.re.numerator, e.re.denominator, e.im.numerator, e.im.denominator
-    e = as_fraction(e)
-    return e.numerator, e.denominator, 0, 1
-
-
-def _over_one_den(parts: Sequence[Parts]) -> Tuple[int, List[int], List[int]]:
-    """(den, re, im): the scalars as Gaussian-integer numerators over a common denominator."""
-    den = lcm(*[d for _rn, rd, _in, idn in parts for d in (rd, idn)])
-    return (den, [rn * (den // rd) for rn, rd, _in, _idn in parts],
-            [inum * (den // idn) for _rn, _rd, inum, idn in parts])
 
 
 def _gauss(re: int, im: int, den: int) -> GaussianRational:
@@ -50,15 +43,15 @@ class Matrix:
     Entry (i, j) is (re[k] + i*im[k]) / den, k = i*ncols + j: `re` and `im`
     are tuples of integer numerators in row-major order over their least
     positive common denominator `den`, so `==` and `hash` compare integers.
-    Arithmetic runs on the numerators.  The GaussianRational entries are
-    built on the first read of `rows` (through which `__getitem__`,
-    `nonzero`, `to_json` and `__str__` read them) and kept.
+    Arithmetic, and every reader in the kernel, runs on the numerators.  A
+    GaussianRational is built only when an entry is read, one by `m[i, j]`
+    and all of them by `rows` (for `to_json` and `str`); none is kept.
     """
 
-    __slots__ = ("nrows", "ncols", "den", "re", "im", "_rows")
+    __slots__ = ("nrows", "ncols", "den", "re", "im")
 
     def __init__(self, rows: Sequence[Sequence[GaussianLike]]):
-        self._fill_rows([[_parts(e) for e in row] for row in rows])
+        self._fill_rows([[scalar_parts(e) for e in row] for row in rows])
 
     def _fill_rows(self, rows: List[List[Parts]]) -> None:
         ncols = len(rows[0]) if rows else 0
@@ -73,7 +66,7 @@ class Matrix:
             den //= g
             re = [x // g for x in re]
             im = [x // g for x in im]
-        for name, value in zip(Matrix.__slots__, (nrows, ncols, den, tuple(re), tuple(im), None)):
+        for name, value in zip(Matrix.__slots__, (nrows, ncols, den, tuple(re), tuple(im))):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -114,23 +107,17 @@ class Matrix:
 
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
-        return self.rows[i][j]
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
+        k = i * self.ncols + j
+        return _gauss(self.re[k], self.im[k], self.den)
 
     @property
     def rows(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
-        """The entries row by row, built on first read and kept; zeros share one object."""
-        if self._rows is None:
-            c, den = self.ncols, self.den
-            object.__setattr__(self, "_rows", tuple(
-                tuple(_gauss(self.re[k], self.im[k], den) for k in range(i * c, i * c + c))
-                for i in range(self.nrows)))
-        return self._rows
-
-    def nonzero(self) -> List[Tuple[int, int, GaussianRational]]:
-        """(i, j, entry) for each nonzero entry in row-major order; zeros are skipped as ints."""
-        c, rows = self.ncols, self.rows
-        return [(k // c, k % c, rows[k // c][k % c])
-                for k, (re, im) in enumerate(zip(self.re, self.im)) if re or im]
+        """The entries row by row, built on each read; zeros share one object."""
+        c, den = self.ncols, self.den
+        return tuple(tuple(_gauss(self.re[k], self.im[k], den) for k in range(i * c, i * c + c))
+                     for i in range(self.nrows))
 
     def _int_rows(self) -> Tuple[List[List[int]], List[List[int]]]:
         """The rows of the numerators (re, im), as lists the caller may change."""
@@ -178,7 +165,7 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def scale(self, c: GaussianLike) -> "Matrix":
-        cd, (cr,), (ci,) = _over_one_den([_parts(c)])
+        cd, (cr,), (ci,) = _over_one_den([scalar_parts(c)])
         return Matrix.from_numerators(self.nrows, self.ncols, self.den * cd,
                                       [x * cr - y * ci for x, y in zip(self.re, self.im)],
                                       [x * ci + y * cr for x, y in zip(self.re, self.im)])
@@ -203,21 +190,6 @@ class Matrix:
         return Matrix.from_numerators(self.nrows, p, self.den * other.den, re, im)
 
     __rmul__ = scale
-
-    def mulvec(self, vec: Sequence[GaussianLike]) -> List[GaussianRational]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        vden, vre, vim = _over_one_den([_parts(e) for e in vec])
-        c, den = self.ncols, self.den * vden
-        out = []
-        for i in range(self.nrows):
-            sr = si = 0
-            row = slice(i * c, i * c + c)
-            for ar, ai, br, bi in zip(self.re[row], self.im[row], vre, vim):
-                sr += ar * br - ai * bi
-                si += ar * bi + ai * br
-            out.append(_gauss(sr, si, den))
-        return out
 
     def transpose(self) -> "Matrix":
         r, c = self.nrows, self.ncols

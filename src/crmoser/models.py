@@ -91,9 +91,11 @@ class SElement:
             raise ModelError(f"A must be {self.n - 2}x{self.n - 2}")
         if hp is not None and is_pseudounitary(self.A, hp) != 1:
             raise ModelError("A is not pseudounitary for the central block")
-        xhx = hp.pair_values(self.x, self.x) if hp is not None else GaussianRational(0)
-        corner = (self.c / self.mu + (self.c / self.mu).conjugate()) + xhx
-        if not corner.is_zero():
+        # 2 Re(c/mu) + x^T H' conj(x) as 1 x 1 matrices, on integer numerators
+        c_mu = Matrix([[self.c]]) * Matrix([[self.mu]]).inverse()
+        x_row = Matrix([self.x])
+        xhx = x_row * hp.matrix * x_row.conj_transpose() if hp is not None else Matrix.zeros(1, 1)
+        if not (c_mu + c_mu.conjugate() + xhx).is_zero():
             raise ModelError(
                 "corner constraint 2Re(c/mu) + x^T H' conj(x) = 0 violated")
 
@@ -129,14 +131,14 @@ class SElement:
 def s_to_matrix(element: SElement) -> Matrix:
     """Assemble the n x n matrix of an S element."""
     n, mu, x, a_mat = element.n, element.mu, element.x, element.A
-    zero = GaussianRational(0)
-    top = [zero] * (n - 2)
+    top = [0] * (n - 2)
     if n > 2:  # -mu conj(x)^T H' A
         hp = _central_form(n, element.m)
-        top = (Matrix([[v.conjugate() for v in x]]) * hp.matrix * a_mat).scale(-mu).rows[0]
+        top_row = (Matrix([x]).conjugate() * hp.matrix * a_mat).scale(-mu)
+        top = [top_row[0, j] for j in range(n - 2)]
     rows = [[mu, *top, element.c]]
-    rows += [[zero, *row, v] for row, v in zip(a_mat.rows, x)]
-    rows.append([zero] * (n - 1) + [1 / mu.conjugate()])
+    rows += [[0, *(a_mat[i, j] for j in range(n - 2)), v] for i, v in enumerate(x)]
+    rows.append([0] * (n - 1) + [Matrix([[mu]]).conjugate().inverse()[0, 0]])
     return Matrix(rows)
 
 
@@ -150,11 +152,11 @@ def s_decompose(u_mat: Matrix, m: int) -> Optional[SElement]:
     n = u_mat.nrows
     if not u_mat.is_square() or n < 2:
         return None
-    rows = u_mat.rows
+    inner = range(1, n - 1)
     try:
-        element = SElement(n=n, m=m, mu=rows[0][0], c=rows[0][n - 1],
-                           x=tuple(row[n - 1] for row in rows[1:n - 1]),
-                           A=Matrix([row[1:n - 1] for row in rows[1:n - 1]]))
+        element = SElement(n=n, m=m, mu=u_mat[0, 0], c=u_mat[0, n - 1],
+                           x=tuple(u_mat[i, n - 1] for i in inner),
+                           A=Matrix([[u_mat[i, j] for j in inner] for i in inner]))
     except ModelError:
         return None
     if s_to_matrix(element) != u_mat:
@@ -200,22 +202,20 @@ def s_named_subgroup(kind: str, n: int, m: int,
     K: mu = t > 0 rational, c = 0, x = 0, A = E.
     """
     ident = Matrix.identity(n - 2)
-    zero_x = tuple(GaussianRational(0) for _ in range(n - 2))
+    zero_x = (0,) * (n - 2)
     if kind == "K":
         tv = as_fraction(t)
         if tv <= 0:
             raise ModelError("K needs a positive rational parameter")
-        return SElement(n=n, m=m, mu=GaussianRational(tv), c=GaussianRational(0),
-                        x=zero_x, A=ident)
+        return SElement(n=n, m=m, mu=tv, c=0, x=zero_x, A=ident)
     if kind == "I":
         tv = as_fraction(t)
         den = 1 + tv * tv
         mu = GaussianRational((1 - tv * tv) / den, 2 * tv / den)
-        return SElement(n=n, m=m, mu=mu, c=GaussianRational(0), x=zero_x, A=ident)
+        return SElement(n=n, m=m, mu=mu, c=0, x=zero_x, A=ident)
     if kind == "J":
-        xv = tuple(GaussianRational.of(v) for v in (x if x is not None else zero_x))
-        cv = GaussianRational.of(c if c is not None else 0)
-        return SElement(n=n, m=m, mu=GaussianRational(1), c=cv, x=xv, A=ident)
+        return SElement(n=n, m=m, mu=1, c=0 if c is None else c,
+                        x=zero_x if x is None else x, A=ident)
     raise ModelError(f"unknown subgroup kind {kind!r}")
 
 

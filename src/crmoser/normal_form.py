@@ -87,12 +87,12 @@ class NormalFormReport:
 def trace_op(form: HermitianForm, p: Poly) -> Poly:
     """sum_ab hinv_ab d^2 p / dz_a dzbar_b with hinv = H^{-1}, exactly.
 
-    One packed kernel (Poly.trace) runs over the nonzero entries of H^{-1},
-    which the form keeps as Gaussian integers over one denominator.
+    One packed kernel (Poly.trace) reads the numerators of H^{-1}, which
+    the form keeps as a Matrix: Gaussian integers over one denominator.
     """
     if p.n != form.n:
         raise ValueError(f"polynomial dimension {p.n} does not match form {form.n}")
-    return p.trace(form.inverse_entries())
+    return p.trace(form.inverse_matrix())
 
 
 def check_normal_form(surface: Hypersurface) -> NormalFormReport:

@@ -76,16 +76,11 @@ def weights(packed: Packed, n: int) -> Iterator[int]:
     return (key >> shift for key in columns(packed)[0])
 
 
-def pack(terms) -> Packed:
-    """The packed form of a dict monomial -> GaussianRational."""
-    return pack_rationals([(mono, c.re.numerator, c.re.denominator, c.im.numerator,
-                            c.im.denominator) for mono, c in terms.items()])
-
-
 def pack_rationals(entries) -> Packed:
     """The packed form of a list of (monomial, re_num, re_den, im_num, im_den).
 
-    Denominators are positive; the coefficients of a repeated monomial are summed.
+    Each coefficient's parts are those of gaussrat.scalar_parts: denominators
+    are positive.  The coefficients of a repeated monomial are summed.
     """
     den = lcm(*[d for _mono, _rn, rd, _in, idn in entries for d in (rd, idn)])
     bits = field_bits(max((sum(z) + sum(zb) + 2 * u for (z, zb, u), *_parts in entries),
@@ -337,13 +332,10 @@ def combine(a: Packed, b: Packed, subtract: bool) -> Packed:
     return collect(bits, den, acc)
 
 
-def scale(packed: Packed, c: GaussianRational) -> Packed:
-    """The form times a nonzero scalar c."""
+def scale(packed: Packed, cd: int, cr: int, ci: int) -> Packed:
+    """The form times the nonzero scalar (cr + i*ci) / cd, cd > 0."""
     bits, den, _data = packed
     keys, res, ims = columns(packed)
-    cd = lcm(c.re.denominator, c.im.denominator)
-    cr = c.re.numerator * (cd // c.re.denominator)
-    ci = c.im.numerator * (cd // c.im.denominator)
     return reduced(bits, den * cd, keys,
                    [re * cr - im * ci for re, im in zip(res, ims)],
                    [re * ci + im * cr for re, im in zip(res, ims)])
@@ -391,20 +383,24 @@ def derivative(packed: Packed, n: int, field: int) -> Packed:
     return reduced(bits, den, keys, res, ims)
 
 
-def trace(packed: Packed, n: int, den: int, entries) -> Packed:
-    """sum_ab h_ab d^2/dz_a dconj(z_b) of the form, with h_ab = (re + i*im) / den.
+def trace(packed: Packed, n: int, den: int, hre: Sequence[int], him: Sequence[int]) -> Packed:
+    """sum_ab h_ab d^2/dz_a dconj(z_b) of the form, h_ab = (hre[k] + i*him[k]) / den, k = a*n + b.
 
-    `entries` lists the nonzero (a, b, re, im).  For each term and each
-    entry with nonzero exponents e_a of z_a and e_b of conj(z_b), the key
-    loses one from both fields and 2 from the weight, and the numerators
-    are multiplied by e_a e_b (re + i*im).  Every such term goes into one
-    accumulator, which is collected once.
+    hre and him are the row-major numerators of an n x n matrix (see
+    linalg.Matrix).  For each term and each nonzero entry h_ab with nonzero
+    exponents e_a of z_a and e_b of conj(z_b), the key loses one from both
+    fields and 2 from the weight, and the numerators are multiplied by
+    e_a e_b (hre + i*him).  Every such term goes into one accumulator,
+    which is collected once.
     """
     bits = packed[0]
     mask = (1 << bits) - 1
     weight2 = 2 << (bits * (2 * n + 1))
-    pairs = [(bits * a, bits * (n + b), (1 << (bits * a)) + (1 << (bits * (n + b))) + weight2,
-              hr, hi) for a, b, hr, hi in entries]
+    pairs = []
+    for k, (hr, hi) in enumerate(zip(hre, him)):
+        if hr or hi:
+            off_a, off_b = bits * (k // n), bits * (n + k % n)
+            pairs.append((off_a, off_b, (1 << off_a) + (1 << off_b) + weight2, hr, hi))
     acc: Dict[int, List[int]] = {}
     for key, re, im in zip(*columns(packed)):
         for off_a, off_b, drop, hr, hi in pairs:

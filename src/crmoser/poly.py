@@ -44,17 +44,19 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import packed as pk
 from .gaussrat import (
     GaussianLike,
     GaussianRational,
+    _over_one_den,
     as_fraction,
     format_rational,
     parse_int,
     rational_parts,
+    scalar_parts,
 )
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...], int]
@@ -78,13 +80,13 @@ class Poly:
     def __init__(self, n: int, terms: Optional[Mapping[Mono, GaussianLike]] = None):
         if n < 0:
             raise ValueError("dimension must be non-negative")
-        clean: Dict[Mono, GaussianRational] = {}
+        entries = []
         for mono, coeff in (terms or {}).items():
             _check_mono(mono, n)
             z, zb, u = mono
-            clean[(tuple(z), tuple(zb), u)] = GaussianRational.of(coeff)
+            entries.append(((tuple(z), tuple(zb), u), *scalar_parts(coeff)))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_packed", pk.pack(clean))
+        object.__setattr__(self, "_packed", pk.pack_rationals(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -124,7 +126,7 @@ class Poly:
     @classmethod
     def constant(cls, n: int, c: GaussianLike) -> "Poly":
         zeros = (0,) * n
-        return cls._from_packed(n, pk.pack({(zeros, zeros, 0): GaussianRational.of(c)}))
+        return cls._from_packed(n, pk.pack_rationals([((zeros, zeros, 0), *scalar_parts(c))]))
 
     @classmethod
     def z(cls, n: int, idx: int) -> "Poly":
@@ -137,7 +139,7 @@ class Poly:
     @classmethod
     def u(cls, n: int) -> "Poly":
         zeros = (0,) * n
-        return cls._from_packed(n, pk.pack({(zeros, zeros, 1): GaussianRational(1)}))
+        return cls._from_packed(n, pk.pack_rationals([((zeros, zeros, 1), 1, 1, 0, 1)]))
 
     @classmethod
     def _var(cls, n: int, idx: int, bar: int) -> "Poly":
@@ -146,7 +148,7 @@ class Poly:
         e = tuple(1 if i == idx else 0 for i in range(n))
         zeros = (0,) * n
         mono = (zeros, e, 0) if bar else (e, zeros, 0)
-        return cls._from_packed(n, pk.pack({mono: GaussianRational(1)}))
+        return cls._from_packed(n, pk.pack_rationals([(mono, 1, 1, 0, 1)]))
 
     @classmethod
     def monomial(cls, n: int, zexp: Sequence[int], zbexp: Sequence[int], uexp: int,
@@ -234,11 +236,11 @@ class Poly:
         return self.scale(-1)
 
     def scale(self, c: GaussianLike) -> "Poly":
-        c = GaussianRational.of(c)
+        cd, (cr,), (ci,) = _over_one_den([scalar_parts(c)])
         cls = type(self)
-        if c.is_zero():
+        if not cr and not ci:
             return cls.zero(self.n)
-        return cls._from_packed(self.n, pk.scale(self._packed, c))
+        return cls._from_packed(self.n, pk.scale(self._packed, cd, cr, ci))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -398,13 +400,13 @@ class Poly:
         bits = max(self._packed[0], pk.field_bits(top))
         return Poly._from_packed(n, pk.shift(self._widen(bits), n, field))
 
-    def trace(self, hinv: Tuple[int, Sequence[Tuple[int, int, int, int]]]) -> "Poly":
-        """sum_ab h_ab d^2/dz_a dconj(z_b) of self, for hinv = (den, entries) as in
-        HermitianForm.inverse_entries, by one packed kernel (see packed.trace)."""
+    def trace(self, hinv: "Matrix") -> "Poly":
+        """sum_ab h_ab d^2/dz_a dconj(z_b) of self for the n x n matrix hinv = (h_ab), read
+        off its numerators by one packed kernel (see packed.trace)."""
         if not self._size():
             return Poly.zero(self.n)
-        den, entries = hinv
-        return Poly._from_packed(self.n, pk.trace(self._packed, self.n, den, entries))
+        return Poly._from_packed(self.n, pk.trace(self._packed, self.n, hinv.den, hinv.re,
+                                                  hinv.im))
 
     def is_real_u_multiple(self, q: "Poly") -> bool:
         """True iff self = c(u) q for a polynomial c(u) with real coefficients; q is free of u.
@@ -473,23 +475,26 @@ class Poly:
         total.add_real_substitution(self, zsubs, usub)
         return total.real()
 
-    def substitute_linear(self, a_matrix, u_scale: Fraction) -> "Poly":
+    def substitute_linear(self, a_matrix: "Matrix", u_scale: Fraction) -> "Poly":
         """P(Az, conj(A) conj(z), u_scale*u), expanded exactly.
 
         Reality is preserved by construction: the conjugate variables are
         substituted through the entrywise-conjugate matrix, and u_scale is
-        real (it may be negative, covering the sigma = -1 case).
+        real (it may be negative, covering the sigma = -1 case).  The
+        targets (Az)_i are packed from the numerators of A.
         """
-        rows = getattr(a_matrix, "rows", a_matrix)
         n = self.n
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if a_matrix.nrows != n or a_matrix.ncols != n:
             raise ValueError("matrix size does not match polynomial dimension")
         u_scale = as_fraction(u_scale)
         if u_scale == 0:
             raise ValueError("u scale must be nonzero")
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         zeros = (0,) * n
-        zsubs = [Poly(n, {(units[j], zeros, 0): c for j, c in enumerate(row)}) for row in rows]
+        monos = [(tuple(int(i == j) for i in range(n)), zeros, 0) for j in range(n)]
+        den, re, im = a_matrix.den, a_matrix.re, a_matrix.im
+        zsubs = [Poly._from_packed(n, pk.pack_rationals(
+            [(mono, re[k], den, im[k], den) for k, mono in enumerate(monos, i * n)]))
+            for i in range(n)]
         return self.substitute(zsubs, [p.conjugate() for p in zsubs], Poly.u(n).scale(u_scale))
 
     def at_u_zero(self) -> "Poly":
@@ -614,7 +619,9 @@ class ProductSum:
     terms of weight > max_weight, and the sum is sorted and reduced once,
     by `poly` or `real`.  The denominator and the field width grow when an
     operand needs it; a capped sum has at least the field width of its cap,
-    as a capped product does.
+    as a capped product does.  A scalar reaches the accumulator as integer
+    numerators: `add` converts it once (gaussrat.scalar_parts), and
+    `add_form` reads the numerators of a Matrix.
 
     A real value V can be added as a half H with H + conj(H) = V
     (`add_real_substitution`, or `add` of V/2 or of either half of a
@@ -634,26 +641,63 @@ class ProductSum:
 
     def add(self, a: Poly, b: Optional[Poly] = None, c: GaussianLike = 1) -> None:
         """Add c a b, or c a when b is None."""
-        c = GaussianRational.of(c)
         self._check_dim(a)
-        pa = a._packed
-        if b is None:
-            pb = pk.one(pa[0])
-        else:
+        if b is not None:
             self._check_dim(b)
-            pb = b._packed
-        if c.is_zero() or not pk.size(pa) or not pk.size(pb):
+        den, (re,), (im,) = _over_one_den([scalar_parts(c)])
+        self._add(a._packed, pk.one(a._packed[0]) if b is None else b._packed, den, re, im)
+
+    def add_form(self, m: "Matrix", left: Sequence[Optional[Poly]],
+                 right: Sequence[Optional[Poly]]) -> None:
+        """Add sum_ab m_ab left[a] right[b] for a matrix m; a term with a None operand is skipped.
+
+        The entries are read as the integer numerators of m over m.den (see
+        linalg.Matrix), one product per nonzero entry.
+        """
+        c = m.ncols
+        for k, (re, im) in enumerate(zip(m.re, m.im)):
+            if re or im:
+                a, b = left[k // c], right[k % c]
+                if a is not None and b is not None:
+                    self._check_dim(a)
+                    self._check_dim(b)
+                    self._add(a._packed, b._packed, m.den, re, im)
+
+    def _add(self, pa: pk.Packed, pb: pk.Packed, den: int, re: int, im: int) -> None:
+        """Add (re + i*im) / den times the product of the packed forms pa and pb; den > 0.
+
+        Nothing is added when the product lies above the cap.  Otherwise the
+        accumulator is first widened to the product's field width and brought
+        to a common denominator with it, the one integer multiplier path of
+        every sum.
+        """
+        if not (re or im) or not pk.size(pa) or not pk.size(pb):
             return
         if pk.size(pa) > pk.size(pb):
             pa, pb = pb, pa
-        n = self.n
-        mult = self._reserve(pk.weight(pa, 0, n) + pk.weight(pb, 0, n),
-                             pk.weight(pa, -1, n) + pk.weight(pb, -1, n),
-                             max(pa[0], pb[0]), pa[1] * pb[1], c)
-        if mult is not None:
-            bits = self.bits
-            pk.accumulate(self.cells, n, pk.widen(pa, n, bits), pk.widen(pb, n, bits),
-                          self.max_weight, mult)
+        n, cap = self.n, self.max_weight
+        top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
+        if cap is not None:
+            if pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > cap:
+                return
+            top = cap
+        bits = max(pa[0], pb[0], pk.field_bits(top), self.bits)
+        if bits > self.bits:
+            cells = self.cells
+            self.cells = dict(zip(pk.widen_keys(cells, n, self.bits, bits), cells.values()))
+            self.bits = bits
+        g = gcd(den, re, im)
+        den = pa[1] * pb[1] * (den // g)
+        common = lcm(self.den, den)
+        if common != self.den:
+            f = common // self.den
+            for cell in self.cells.values():
+                cell[0] *= f
+                cell[1] *= f
+            self.den = common
+        f = common // den
+        pk.accumulate(self.cells, n, pk.widen(pa, n, bits), pk.widen(pb, n, bits), cap,
+                      (re // g * f, im // g * f))
 
     def add_real_substitution(self, p: Poly, zsubs: Sequence[Poly], usub: Optional[Poly],
                               c: GaussianLike = 1) -> None:
@@ -674,39 +718,6 @@ class ProductSum:
     def _check_dim(self, a: Poly) -> None:
         if a.n != self.n:
             raise ValueError(f"dimension mismatch: {a.n} vs {self.n}")
-
-    def _reserve(self, low: int, top: int, bits: int, den: int,
-                 c: GaussianRational) -> Optional[Tuple[int, int]]:
-        """The multiplier of a product of weights low..top, field width bits and
-        denominator den times c, None when it lies above the cap.
-
-        The accumulator is widened to the field width and brought to a common
-        denominator first.
-        """
-        cap = self.max_weight
-        if cap is not None:
-            if low > cap:
-                return None
-            top = cap
-        bits = max(bits, pk.field_bits(top))
-        if bits > self.bits:
-            cells = self.cells
-            self.cells = dict(zip(pk.widen_keys(cells, self.n, self.bits, bits),
-                                  cells.values()))
-            self.bits = bits
-        re, im = c.re, c.im
-        cd = lcm(re.denominator, im.denominator)
-        den *= cd
-        common = lcm(self.den, den)
-        if common != self.den:
-            f = common // self.den
-            for cell in self.cells.values():
-                cell[0] *= f
-                cell[1] *= f
-            self.den = common
-        f = common // den
-        return (re.numerator * (cd // re.denominator) * f,
-                im.numerator * (cd // im.denominator) * f)
 
     def poly(self) -> Poly:
         """The sum."""
@@ -730,7 +741,7 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
     ProductSum.add_real_substitution).
     """
     n, n_out, cap = p.n, total.n, total.max_weight
-    c = GaussianRational.of(c)
+    cden, (cre,), (cim,) = _over_one_den([scalar_parts(c)])
     moved = [i for i, s in enumerate(slots) if s is not None]
     if cap is not None:
         # the capped powers have the field width of the cap (see Poly.mul):
@@ -754,28 +765,24 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
 
     whole = len(moved) == len(slots)
     for exps, part in pk.split(p._packed, n, moved).items():
-        coeff = c
+        den, re, im = cden, cre, cim  # the group's scalar (re + i*im) / den
         if real:
             z, zb = exps[:n], exps[n:2 * n]
             if z < zb:
                 continue
             if z == zb:
-                coeff = c * _HALF
+                den *= 2
         factors = [power(i, e) for i, e in zip(moved, exps) if e]
         if whole:  # the part is the monomial's coefficient
-            den = part[1]
             _keys, res, ims = pk.columns(part)
-            coeff = coeff * GaussianRational(Fraction(res[0], den), Fraction(ims[0], den))
+            den, re, im = den * part[1], re * res[0] - im * ims[0], re * ims[0] + im * res[0]
             left = factors.pop(0) if factors else Poly.constant(n_out, 1)
         else:
             left = Poly._from_packed(n_out, part)
-        last = factors.pop() if factors else None
+        last = factors.pop()._packed if factors else pk.one(left._packed[0])
         for factor in factors:
             left = left.mul(factor, cap)
-        total.add(left, last, coeff)
-
-
-_HALF = Fraction(1, 2)
+        total._add(left._packed, last, den, re, im)
 
 
 def _check_mono(mono: Mono, n: int) -> None:

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from crmoser.gaussrat import (
     rational_root,
     rational_sqrt,
 )
+from crmoser.linalg import Matrix
+from crmoser.poly import Poly
 
 
 def test_field_axioms_random():
@@ -109,3 +112,19 @@ def test_immutability():
     a = GaussianRational(1)
     with pytest.raises(AttributeError):
         a.re = Fraction(2)
+
+
+def test_operators_leave_polynomials_and_matrices_to_their_own_operators():
+    # a Gaussian rational on the left of a Poly or a Matrix defers to its reflected operator
+    p = Poly.z(2, 0)
+    i = GaussianRational(0, 1)
+    assert i * p == p * i == p.scale(i)
+    assert GaussianRational(1) + p == p + 1
+    assert GaussianRational(1) - p == 1 - p == Poly.constant(2, 1) - p
+    assert i * Matrix.identity(2) == Matrix.identity(2).scale(i)
+    for other in (1.5, 2j, "1"):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(i, other)
+            with pytest.raises(TypeError):
+                op(other, i)

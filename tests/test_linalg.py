@@ -270,7 +270,7 @@ def test_product_mulvec_and_conj_transpose_equal_sympy(r, k, c, data):
     sa = matrix_to_sympy(a)
     assert_equals_sympy(a * b, sa * matrix_to_sympy(b))
     column = sympy.Matrix(k, 1, [gauss_to_sympy(x) for x in vec])
-    assert_equals_sympy(matrix_of([[x] for x in a.mulvec(vec)], 1), sa * column)
+    assert_equals_sympy(a * matrix_of([[x] for x in vec], 1), sa * column)
     assert_equals_sympy(a.conj_transpose(), sa.H)
     assert_equals_sympy(a.transpose(), sa.T)
     assert_equals_sympy(a + a.conjugate(), sa + sa.conjugate())
@@ -315,8 +315,17 @@ def test_empty_shapes():
     assert empty.inverse() == empty
     assert row.transpose() == Matrix.zeros(0, 1)
     assert row * Matrix.zeros(0, 3) == Matrix.zeros(1, 3)
-    assert row.mulvec([]) == [GaussianRational(0)]
+    assert row * Matrix.zeros(0, 1) == Matrix.zeros(1, 1)
     assert row.conj_transpose().conj_transpose() == row
     with pytest.raises(ValueError):
         row.det()
     assert str(empty) == "[]" and row.to_json() == [[]]
+
+
+def test_entries_are_built_on_read_and_checked_against_the_shape():
+    m = Matrix([[1, GaussianRational(0, Fraction(1, 2))], [3, 0]])
+    assert m[0, 1] == GaussianRational(0, Fraction(1, 2)) and m[1, 1] == 0
+    assert m.rows == ((1, GaussianRational(0, Fraction(1, 2))), (3, 0))
+    for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            m[i, j]

@@ -1,10 +1,13 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from crmoser import forms, models
-from crmoser.autgroup import is_linear_automorphism, stabilizer_algebra
+from crmoser.autgroup import is_linear_automorphism, reparametrize, stabilizer_algebra
+from crmoser.census import random_normal_form_surface
 from crmoser.forms import is_pseudounitary, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix, rational_nullspace
@@ -26,12 +29,14 @@ from crmoser.models import (
     theorem2_decompose,
     verify_scaled_automorphism,
 )
-from crmoser.normal_form import check_normal_form, is_umbilic_origin
+from crmoser.normal_form import check_normal_form, is_umbilic_origin, trace_op
 from crmoser.poly import Poly
+from crmoser.surface_io import surface_from_json
 
 from helpers import random_s_element, sympy_pseudounitary_sign
 
 I = GaussianRational(0, 1)
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 # -- the matrix group S -----------------------------------------------------------
@@ -360,3 +365,21 @@ def test_forbidden_band_bounds():
     assert forbidden_band(3, 0) == (6, 8)
     assert forbidden_band(2, 1) == (4, 3)  # empty band
     assert forbidden_band(3, 1) == (7, 8)
+
+
+def test_the_kernel_builds_no_gaussian_rational(monkeypatch):
+    # the surfaces are built first, at the boundary; after that the stabilizer solve, the
+    # function test, reparametrization and the trace read integer numerators only
+    census = [random_normal_form_surface(random.Random(seed), standard_form(n, m, kind), 10)
+              for seed, (n, m, kind) in enumerate([(2, 0, "diagonal"), (3, 1, "antidiagonal")])]
+    explicit = surface_from_json(json.loads((SAMPLES / "explicit_2_1.json").read_text()))
+    model = models.model_umbilic(3, 1, "antidiagonal", {(4, 0): 1, (4, 1): Fraction(-1, 2)})
+
+    def forbidden(self, *args):
+        raise AssertionError("a GaussianRational was built inside the kernel")
+
+    monkeypatch.setattr(GaussianRational, "__init__", forbidden)
+    for surface in (*census, explicit):
+        assert models.classify(surface).dim == stabilizer_algebra(surface).dim
+    assert reparametrize(model, Fraction(1, 3), model.max_weight).F.min_weight() == 8
+    assert not trace_op(explicit.form, explicit.F).is_zero()

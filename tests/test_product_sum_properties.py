@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from crmoser.census import random_normal_form_surface
 from crmoser.forms import standard_form
 from crmoser.gaussrat import GaussianRational
+from crmoser.linalg import Matrix
 from crmoser.poly import Poly, ProductSum
 
 from helpers import widened
@@ -110,6 +111,46 @@ def test_real_is_the_sum_plus_its_conjugate(case, offset):
         total.add(a, b, c)
         expected = expected + (capped(a, cap) if b is None else a.mul(b, cap)).scale(c)
     assert total.real() == expected + expected.conjugate()
+
+
+@st.composite
+def forms(draw):
+    """(n, m, left, right): a matrix of numerators over a random denominator, zeros among
+    them, and one polynomial or None per row and per column."""
+    n = draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nums = st.lists(st.one_of(st.just(0), numerators), min_size=rows * cols,
+                    max_size=rows * cols)
+    m = Matrix.from_numerators(rows, cols, draw(st.integers(1, 12)), draw(nums), draw(nums))
+    operand = st.one_of(st.none(), polys(n))
+    return (n, m, [draw(operand) for _ in range(rows)], [draw(operand) for _ in range(cols)])
+
+
+@SETTINGS
+@given(forms(), offsets, st.booleans())
+def test_add_form_is_the_loop_of_adds_over_the_entries(case, offset, as_real):
+    n, m, left, right = case
+    pairs = [(a, b) for a in left for b in right if a is not None and b is not None]
+    cap = cap_above(offset, *[a * b for a, b in pairs])
+    total, expected = ProductSum(n, cap), ProductSum(n, cap)
+    total.add_form(m, left, right)
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            if a is not None and b is not None:
+                expected.add(a, b, m[i, j])
+    assert (total.real() == expected.real()) if as_real else (total.poly() == expected.poly())
+
+
+@SETTINGS
+@given(polys(2), st.one_of(st.none(), polys(2)), numerators, st.integers(1, 12), offsets)
+def test_add_reads_an_int_a_fraction_and_a_gaussian_rational_alike(a, b, num, den, offset):
+    cap = cap_above(offset, a if b is None else a * b)
+    product = capped(a if b is None else a * b, cap)
+    for value in (num, Fraction(num, den)):
+        for c in (value, Fraction(value), GaussianRational(value)):
+            total = ProductSum(2, cap)
+            total.add(a, b, c)
+            assert total.poly() == product.scale(value)
 
 
 @st.composite
