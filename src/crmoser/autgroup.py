@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .forms import HermitianForm, WTable, is_pseudounitary, u_basis
+from .forms import HermitianForm, WTable, is_pseudounitary, u_basis, w_poly
 from .gaussrat import GaussianRational, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface
 from .poly import Poly, ProductSum, real_coefficient_rows
 
-IU = GaussianRational(0, 1)
 _HALF = Fraction(1, 2)
 _MINUS_HALF = Fraction(-1, 2)
 _MINUS_HALF_I = GaussianRational(0, _MINUS_HALF)
@@ -62,15 +61,6 @@ class AutoParams:
             raise ValueError("sigma must be +1 or -1")
         if len(self.a) != self.U.nrows:
             raise ValueError("a must have one entry per dimension")
-
-    def to_json(self) -> dict:
-        return {
-            "U": self.U.to_json(),
-            "a": [c.to_json() for c in self.a],
-            "lambda": str(self.lam),
-            "sigma": self.sigma,
-            "r": str(self.r),
-        }
 
 
 @dataclass(frozen=True)
@@ -114,26 +104,25 @@ def extract_params(jet: JetMap, form: HermitianForm) -> AutoParams:
     n = form.n
     if jet.n != n:
         raise ValueError("jet dimension does not match the form")
-    gw = jet.g.w_linear_coeff()
+    lin = jet.linear_part()  # rows f_1..f_n, g; columns z_1..z_n, w
+    gw = lin[n, n]
     if gw.is_zero() or not gw.is_real():
         raise ExtractionError(
             f"dg/dw(0) must be a nonzero real rational, got {gw}")
-    for k in range(n):
-        if not jet.g.z_linear_coeff(k).is_zero():
-            raise ExtractionError("dg/dz(0) must vanish for an extractable jet")
+    if not lin.block(range(n, n + 1), range(n)).is_zero():
+        raise ExtractionError("dg/dz(0) must vanish for an extractable jet")
     sigma = 1 if gw.re > 0 else -1
     lam = rational_sqrt(abs(gw.re))
     if lam is None:
         raise ExtractionError("irrational scale — supply parameters directly")
     # df/dz(0) = lambda U and df/dw(0) = lambda U a, so a = (df/dz(0))^-1 df/dw(0)
-    fz = Matrix([[fi.z_linear_coeff(k) for k in range(n)] for fi in jet.f])
+    fz = lin.block(range(n), range(n))
     u_mat = fz.scale(1 / lam)
     if is_pseudounitary(u_mat, form) != sigma:
         raise ExtractionError("U not pseudounitary")
-    a_col = fz.inverse() * Matrix([[fi.w_linear_coeff()] for fi in jet.f])
-    a = tuple(a_col[i, 0] for i in range(n))
-    gww = jet.g.w_quadratic_coeff() * 2  # d2g/dw2(0)
-    r = gww.re / (2 * sigma * lam * lam)
+    a = (fz.inverse() * lin.block(range(n), range(n, n + 1))).transpose().rows[0]
+    # Re d2g/dw2(0) = 2 sigma lambda^2 r, twice the real part of g's w^2 coefficient
+    r = jet.g.coeff(((0,) * n, (0,) * n, 2)).re / (sigma * lam * lam)
     return AutoParams(U=u_mat, a=a, lam=lam, sigma=sigma, r=r)
 
 
@@ -150,23 +139,15 @@ def quadric_automorphism(params: AutoParams, form: HermitianForm, D: int) -> Jet
     if len(params.a) != n or params.U.nrows != n:
         raise ValueError("parameter dimensions do not match the form")
     a_col = Matrix([[c] for c in params.a])
-    # <z, a> = sum_alpha (H conj(a))_alpha z_alpha, and <a, a> is real
-    two_i_za = form.matrix.scale(GaussianRational(0, 2)) * a_col.conjugate()
-    aa = form.pair_values(params.a, params.a)
-    tail = _linear([two_i_za[i, 0] for i in range(n)], GaussianRational(params.r, aa.re))
-    series = _geometric(tail, D)  # 1/delta
-    u_a = params.U * a_col  # U (z + a w) = U z + (U a) w
-    f = [_linear([params.U[i, j] for j in range(n)], u_a[i, 0]).scale(params.lam).mul(series, D)
-         for i in range(n)]
+    h_a = form.matrix * a_col.conjugate()  # <z, a> = (H conj(a))^T z, and <a, a> = a^T H conj(a)
+    w_coeff = Matrix([[params.r]]) + (a_col.transpose() * h_a).scale(GaussianRational(0, 1))
+    tail = Matrix.blocks([[h_a.transpose().scale(GaussianRational(0, 2)), w_coeff]])
+    series = _geometric(HoloPoly.linear_forms(n, tail)[0], D)  # 1/delta
+    # lambda U (z + a w) = lambda [U | U a] (z, w)
+    lin = (params.U * Matrix.blocks([[Matrix.identity(n), a_col]])).scale(params.lam)
+    f = [p.mul(series, D) for p in HoloPoly.linear_forms(n, lin)]
     g = HoloPoly.w(n).scale(params.sigma * params.lam * params.lam).mul(series, D)
     return JetMap(tuple(f), g, D)
-
-
-def _linear(zcoeffs: Sequence[GaussianRational], wcoeff: GaussianRational) -> HoloPoly:
-    """sum_j zcoeffs[j] z_j + wcoeff w."""
-    n = len(zcoeffs)
-    monos = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)] + [((0,) * n, 1)]
-    return HoloPoly(n, dict(zip(monos, [*zcoeffs, wcoeff])))
 
 
 def is_linear_automorphism(surface: Hypersurface, u_mat: Matrix,
@@ -244,16 +225,15 @@ def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> 
         raise ValueError("polynomial dimension does not match the form")
     if len(a) != n:
         raise ValueError("vector a must have one entry per dimension")
-    zvars = [Poly.z(n, i) for i in range(n)]
-    za = form.pair_polys(zvars, [Poly.constant(n, c) for c in a])
-    upz = Poly.u(n) + form.inner_poly().scale(IU)
+    za = Poly.linear_forms(n, Matrix([a]).conjugate() * form.matrix.transpose())[0]  # <z, a>
+    upz = w_poly(form.inner_poly())
     half = ProductSum(n)
     half.add(za, fg, GaussianRational(0, -2))
     for j, c in enumerate(a):
         dfz = fg.partial("z", j)
         half.add(upz, dfz, c)
         half.add(za, dfz.mul_var("z", j), GaussianRational(0, 2))
-    half.add(za * upz, fg.partial("u"), IU)
+    half.add(za * upz, fg.partial("u"), GaussianRational(0, 1))
     return half.real()
 
 
@@ -278,7 +258,7 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
     params = extract_params(jet, form)
     phi_q = quadric_automorphism(params, form, jet.D)
     cap = gamma + 1
-    wmix = Poly.u(n) + form.inner_poly().scale(IU)
+    wmix = w_poly(form.inner_poly())
     ft = [(jet.f[i] - phi_q.f[i]).substitute_w(wmix, cap) for i in range(n)]
     gt = (jet.g - phi_q.g).substitute_w(wmix, cap)
     f_gamma = [p.weight_component(gamma) for p in ft]
@@ -287,7 +267,7 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
     f_up = surface.F.weight_component(gamma + 1)
     lam2 = params.lam * params.lam
     half = ProductSum(n)
-    half.add(g_up, c=IU * _HALF)
+    half.add(g_up, c=GaussianRational(0, _HALF))
     half.add_form(lam_u.inverse().transpose() * form.matrix, f_gamma,
                   [Poly.zbar(n, b) for b in range(n)])
     half.add(f_up, c=_MINUS_HALF)
@@ -317,9 +297,7 @@ def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
     n = surface.form.n
     if jet.n != n:
         raise ValueError("jet dimension does not match the surface")
-    jacobian = Matrix([[p.z_linear_coeff(k) for k in range(n)] + [p.w_linear_coeff()]
-                       for p in (*jet.f, jet.g)])
-    if jacobian.det().is_zero():
+    if jet.linear_part().det().is_zero():
         return False
     return _residual_half(surface, jet, max_w).real_is_zero()
 
@@ -357,7 +335,7 @@ def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum
     if f_poly.is_zero():
         table = form.w_table(max_w)
     else:
-        table = WTable(Poly.u(n) + (form.inner_poly() + f_poly).scale(IU), max_w)
+        table = WTable(w_poly(form.inner_poly() + f_poly), max_w)
     total = ProductSum(n, max_w)
     for e, q in jet.g.u_coefficients().items():
         total.add(q, table.power(e), _MINUS_HALF_I)
@@ -405,21 +383,22 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
         new_f = surface.F.truncate_weight(max_w)
         return Hypersurface(form, new_f, max_w)
     inner = form.inner_poly()
-    one = Poly.constant(n, 1)
+    one_qu = Poly.constant(n, 1) - Poly.u(n).scale(q)
     zvars = [Poly.z(n, i) for i in range(n)]
     gamma = surface.F.min_weight()
     current = Poly.zero(n)
     while True:
-        wmix = (Poly.u(n) + (inner + current).scale(IU)).truncate_weight(max_w)
+        v = inner + current
+        wmix = w_poly(v).truncate_weight(max_w)
         series = _geometric(wmix.scale(q), max_w)       # 1/(1 - q w)
         slot_u = ProductSum(n, max_w)                   # Re(w/(1 - q w))
         slot_u.add(wmix, series, _HALF)
-        d = one - wmix.scale(q)
-        prefactor = ProductSum(n, max_w)                # |1 - q w|^2
-        prefactor.add(d, d.conjugate(), _HALF)
+        prefactor = ProductSum(n, max_w)                # |1 - q w|^2 = (1 - q u)^2 + q^2 v^2
+        prefactor.add(one_qu, one_qu)
+        prefactor.add(v, v, q * q)
         zs = [zv.mul(series, max_w) for zv in zvars]
         candidate = surface.F.substitute_real(zs, slot_u.real(), max_weight=max_w)
-        candidate = prefactor.real().mul(candidate, max_w)
+        candidate = prefactor.poly().mul(candidate, max_w)
         changed = (candidate - current).min_weight()
         if changed is None or changed + gamma - 2 > max_w:
             return Hypersurface(form, candidate, max_w)

@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 from .autgroup import stabilizer_algebra
 from .forms import ANTIDIAGONAL, DIAGONAL, HermitianForm, standard_form
 from .gaussrat import GaussianRational
-from .models import forbidden_band
+from .models import gap_violated
 from .normal_form import Hypersurface, check_normal_form, is_function_of_form_and_u
 from .poly import Poly
 from .surface_io import surface_to_json
@@ -151,7 +151,6 @@ def run_census(config: CensusConfig) -> dict:
         kind = DIAGONAL if m == 0 else ANTIDIAGONAL
         form = standard_form(n, m, kind)
         pair = PairReport(n=n, m=m)
-        lo, hi = forbidden_band(n, m)
         for _ in range(config.samples):
             surface = random_normal_form_surface(
                 rng, form, config.max_weight, config.pool)
@@ -163,7 +162,7 @@ def run_census(config: CensusConfig) -> dict:
                 pair.function_controls += 1
                 if dim != n * n:
                     pair.control_failures.append(surface_to_json(surface))
-            if lo <= dim <= hi or (func and dim != n * n):
+            if gap_violated(n, m, dim, func):
                 pair.gap_violations.append(surface_to_json(surface))
         total_violations += len(pair.gap_violations)
         reports.append(pair)

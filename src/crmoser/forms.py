@@ -27,6 +27,7 @@ from .poly import Poly, ProductSum
 DIAGONAL = "diagonal"
 ANTIDIAGONAL = "antidiagonal"
 EXPLICIT = "explicit"
+_I = GaussianRational(0, 1)
 
 
 class HermitianForm:
@@ -131,9 +132,13 @@ class HermitianForm:
             object.__setattr__(self, "_w_tables", tables)
         table = tables.get(cap)
         if table is None:
-            wmix = Poly.u(self.n) + self.inner_poly().scale(GaussianRational(0, 1))
-            table = tables[cap] = WTable(wmix, cap)
+            table = tables[cap] = WTable(w_poly(self.inner_poly()), cap)
         return table
+
+
+def w_poly(v: Poly) -> Poly:
+    """w = u + i v for a real polynomial v; on v = <z,z> + F, w is the surface's w."""
+    return Poly.u(v.n) + v.scale(_I)
 
 
 class WTable:

@@ -15,8 +15,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from . import packed as pk
 from .gaussrat import GaussianLike, GaussianRational, parse_int
-from .poly import Poly, term_list
+from .linalg import Matrix
+from .poly import Poly, linear_monos, term_list
 
 HoloMono = Tuple[Tuple[int, ...], int]
 
@@ -40,21 +42,6 @@ class HoloPoly(Poly):
         return cls.u(n)
 
     weight_truncate = Poly.truncate_weight
-
-    def _zw_coeff(self, zexp: Tuple[int, ...], wexp: int) -> GaussianRational:
-        return self.coeff((zexp, (0,) * self.n, wexp))
-
-    def constant_term(self) -> GaussianRational:
-        return self._zw_coeff((0,) * self.n, 0)
-
-    def z_linear_coeff(self, idx: int) -> GaussianRational:
-        return self._zw_coeff(tuple(1 if i == idx else 0 for i in range(self.n)), 0)
-
-    def w_linear_coeff(self) -> GaussianRational:
-        return self._zw_coeff((0,) * self.n, 1)
-
-    def w_quadratic_coeff(self) -> GaussianRational:
-        return self._zw_coeff((0,) * self.n, 2)
 
     def substitute_w(self, wpoly: Poly, max_weight: Optional[int] = None) -> Poly:
         """Evaluate with z_i kept and w replaced by a mixed polynomial."""
@@ -106,8 +93,7 @@ class JetMap:
             raise ValueError("jet components have mismatched dimensions")
         if len(self.f) != n:
             raise ValueError(f"jet must have {n} z-components")
-        if not self.g.constant_term().is_zero() or any(
-                fi.constant_term() for fi in self.f):
+        if any(p.min_weight() == 0 for p in (*self.f, self.g)):  # only a constant has weight 0
             raise ValueError("jet must preserve the origin")
         if self.D < 1:
             raise ValueError("truncation weight must be positive")
@@ -115,6 +101,17 @@ class JetMap:
     @property
     def n(self) -> int:
         return self.g.n
+
+    def linear_part(self) -> Matrix:
+        """d(f, g)/d(z, w)(0), the (n+1) x (n+1) Matrix read off the packed numerators.
+
+        Row i holds the coefficients of z_1, .., z_n and w in the i-th of
+        f_1, .., f_n, g: its weight-1 z keys and its w key.
+        """
+        monos = linear_monos(self.n)
+        return Matrix.blocks([[Matrix.from_numerators(1, self.n + 1, p._packed[1],
+                                                      *pk.numerators(p._packed, monos))]
+                              for p in (*self.f, self.g)])
 
     @classmethod
     def identity(cls, n: int, D: int) -> "JetMap":

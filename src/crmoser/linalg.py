@@ -105,6 +105,29 @@ class Matrix:
                     im[k] += f * y
         return cls.from_numerators(mats[0].nrows, mats[0].ncols, den * common, re, im)
 
+    @classmethod
+    def blocks(cls, grid: Sequence[Sequence["Matrix"]]) -> "Matrix":
+        """The matrix of a grid of blocks, read off their numerators over one least denominator.
+
+        The blocks of one grid row share their row count; all grid rows are equally wide.
+        """
+        ncols = sum(b.ncols for b in grid[0])
+        rows = []
+        for row in grid:
+            if any(b.nrows != row[0].nrows for b in row) or sum(b.ncols for b in row) != ncols:
+                raise ValueError("blocks do not fit")
+            parts = [(b.den, *b._int_rows()) for b in row]
+            for i in range(row[0].nrows):
+                rows.append([(x, d, y, d) for d, re, im in parts for x, y in zip(re[i], im[i])])
+        return cls.from_numerators(len(rows), ncols, *_over_one_den([p for r in rows for p in r]))
+
+    def block(self, rows: range, cols: range) -> "Matrix":
+        """The submatrix of the given rows and columns, on the numerators; IndexError outside."""
+        re, im = self._int_rows()
+        return Matrix.from_numerators(len(rows), len(cols), self.den,
+                                      [re[i][j] for i in rows for j in cols],
+                                      [im[i][j] for i in rows for j in cols])
+
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):

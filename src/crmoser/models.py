@@ -103,16 +103,6 @@ class SElement:
     def mu_abs2(self) -> Fraction:
         return self.mu.abs2()
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "mu": self.mu.to_json(),
-            "c": self.c.to_json(),
-            "x": [v.to_json() for v in self.x],
-            "A": self.A.to_json(),
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "SElement":
         if not isinstance(obj, dict) or not isinstance(obj.get("x", []), list):
@@ -129,17 +119,15 @@ class SElement:
 
 
 def s_to_matrix(element: SElement) -> Matrix:
-    """Assemble the n x n matrix of an S element."""
-    n, mu, x, a_mat = element.n, element.mu, element.x, element.A
-    top = [0] * (n - 2)
+    """Assemble the n x n matrix of an S element from its blocks' numerators."""
+    n, a_mat = element.n, element.A
+    mu, x_row = Matrix([[element.mu]]), Matrix([element.x])
+    top = Matrix.zeros(1, 0)
     if n > 2:  # -mu conj(x)^T H' A
-        hp = _central_form(n, element.m)
-        top_row = (Matrix([x]).conjugate() * hp.matrix * a_mat).scale(-mu)
-        top = [top_row[0, j] for j in range(n - 2)]
-    rows = [[mu, *top, element.c]]
-    rows += [[0, *(a_mat[i, j] for j in range(n - 2)), v] for i, v in enumerate(x)]
-    rows.append([0] * (n - 1) + [Matrix([[mu]]).conjugate().inverse()[0, 0]])
-    return Matrix(rows)
+        top = -mu * x_row.conjugate() * _central_form(n, element.m).matrix * a_mat
+    return Matrix.blocks([[mu, top, Matrix([[element.c]])],
+                          [Matrix.zeros(n - 2, 1), a_mat, x_row.transpose()],
+                          [Matrix.zeros(1, n - 1), mu.conjugate().inverse()]])
 
 
 def s_decompose(u_mat: Matrix, m: int) -> Optional[SElement]:
@@ -156,7 +144,7 @@ def s_decompose(u_mat: Matrix, m: int) -> Optional[SElement]:
     try:
         element = SElement(n=n, m=m, mu=u_mat[0, 0], c=u_mat[0, n - 1],
                            x=tuple(u_mat[i, n - 1] for i in inner),
-                           A=Matrix([[u_mat[i, j] for j in inner] for i in inner]))
+                           A=u_mat.block(inner, inner))
     except ModelError:
         return None
     if s_to_matrix(element) != u_mat:
@@ -428,11 +416,10 @@ def verify_scaled_automorphism(surface: Hypersurface, auto: ScaledSAuto) -> bool
     if is_pseudounitary(u_mat, surface.form) != 1:
         return False
     n = surface.n
-    mu = auto.element.mu
-    for j in range(n - 1):
-        if not u_mat[n - 1, j].is_zero():
-            return False
-    if not (u_mat[n - 1, n - 1] * mu.conjugate() - 1).is_zero():
+    last = u_mat.block(range(n - 1, n), range(n)).scale(auto.element.mu.conjugate())
+    if not last.block(range(1), range(n - 1)).is_zero():  # conj(mu) U's last row is e_n
+        return False
+    if last.block(range(1), range(n - 1, n)) != Matrix.identity(1):
         return False
     # per-monomial exponent identity, exact over Q
     for (r, p, q) in coeffs:
@@ -467,6 +454,12 @@ def forbidden_band(n: int, m: int) -> Tuple[int, int]:
     return lo, n * n - 1
 
 
+def gap_violated(n: int, m: int, dim: int, func: bool) -> bool:
+    """The gap verdict: dim in the forbidden band, or F a function of <z,z> and u below n^2."""
+    lo, hi = forbidden_band(n, m)
+    return lo <= dim <= hi or (func and dim != n * n)
+
+
 def classify(surface: Hypersurface) -> ClassifyResult:
     """Stability-dimension case analysis of a non-spherical normal-form surface."""
     if surface.F.is_zero():
@@ -479,10 +472,7 @@ def classify(surface: Hypersurface) -> ClassifyResult:
     result = stabilizer_algebra(surface)
     dim = result.dim
     func = is_function_of_form_and_u(surface)
-    lo, hi = forbidden_band(n, m)
-    gap_ok = not (lo <= dim <= hi)
-    if func and dim != n * n:
-        gap_ok = False
+    gap_ok = not gap_violated(n, m, dim, func)
     if dim == n * n:
         case = CASE_FULL
     elif m == 0 and dim == n * n - 2 * n + 2:

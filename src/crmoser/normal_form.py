@@ -61,13 +61,6 @@ class Hypersurface:
     def m(self) -> int:
         return self.form.m
 
-    def is_spherical(self) -> bool:
-        return self.F.is_zero()
-
-    def gamma(self):
-        """Lowest weight present in F (None for the spherical surface)."""
-        return self.F.min_weight()
-
 
 @dataclass(frozen=True)
 class NormalFormReport:

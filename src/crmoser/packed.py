@@ -143,18 +143,19 @@ def by_bidegree(packed: Packed, n: int) -> Dict[Tuple[int, int], Packed]:
             for d, rows in groups.items()}
 
 
-def coeff(packed: Packed, mono: tuple) -> GaussianRational:
-    """The coefficient of a monomial, zero when it is absent."""
-    bits, den, data = packed
-    z, zb, u = mono
-    if max((*z, *zb, u)) >> bits:
-        return GaussianRational(0)  # too large for a field, so absent
-    key = pack_key(mono, bits)
+def numerators(packed: Packed, monos: Sequence[tuple]) -> Tuple[List[int], List[int]]:
+    """The real and imaginary numerators over den of each monomial's coefficient, 0 if absent."""
+    bits, _den, data = packed
     k = size(packed)
-    i = bisect_left(data, key, 0, k)
-    if i == k or data[i] != key:
-        return GaussianRational(0)
-    return GaussianRational(Fraction(data[k + i], den), Fraction(data[2 * k + i], den))
+    res, ims = [], []
+    for z, zb, u in monos:
+        # a monomial with an exponent too large for a field is absent; no key is -1
+        key = -1 if max((*z, *zb, u)) >> bits else pack_key((z, zb, u), bits)
+        i = bisect_left(data, key, 0, k)
+        found = i < k and data[i] == key
+        res.append(data[k + i] if found else 0)
+        ims.append(data[2 * k + i] if found else 0)
+    return res, ims
 
 
 def unpack(n: int, packed: Packed) -> Iterator[Tuple[tuple, GaussianRational]]:

@@ -62,9 +62,11 @@ from .gaussrat import (
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
-def mono_weight(mono: Mono) -> int:
-    z, zb, u = mono
-    return sum(z) + sum(zb) + 2 * u
+def linear_monos(n: int) -> List[Mono]:
+    """The monomials z_1, .., z_n and u, in that order."""
+    zeros = (0,) * n
+    return [(tuple(int(i == j) for i in range(n)), zeros, 0) for j in range(n)] + [
+        (zeros, zeros, 1)]
 
 
 class Poly:
@@ -155,6 +157,20 @@ class Poly:
                  coeff: GaussianLike = 1) -> "Poly":
         return Poly(n, {(tuple(zexp), tuple(zbexp), uexp): coeff})._as(cls)
 
+    @classmethod
+    def linear_forms(cls, n: int, m: "Matrix") -> List["Poly"]:
+        """Row i of m as the linear form sum_j m_ij z_j, packed from the numerators of m.
+
+        m has n columns, or n + 1 with the last one on u (on w, for a HoloPoly).
+        """
+        c = m.ncols
+        if c not in (n, n + 1):
+            raise ValueError(f"linear forms in {n} variables need {n} or {n + 1} columns")
+        monos, den, re, im = linear_monos(n)[:c], m.den, m.re, m.im
+        return [cls._from_packed(n, pk.pack_rationals(
+            [(mono, re[k], den, im[k], den) for k, mono in enumerate(monos, i * c)]))
+            for i in range(m.nrows)]
+
     # -- basic queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -165,7 +181,8 @@ class Poly:
         z, zb, _u = mono
         if len(z) != self.n or len(zb) != self.n:
             return GaussianRational(0)
-        return pk.coeff(self._packed, mono)
+        (re,), (im,) = pk.numerators(self._packed, [mono])
+        return GaussianRational(Fraction(re, self._packed[1]), Fraction(im, self._packed[1]))
 
     def __bool__(self):
         return bool(self._size())
@@ -481,7 +498,7 @@ class Poly:
         Reality is preserved by construction: the conjugate variables are
         substituted through the entrywise-conjugate matrix, and u_scale is
         real (it may be negative, covering the sigma = -1 case).  The
-        targets (Az)_i are packed from the numerators of A.
+        targets (Az)_i are the linear forms of A's rows (see linear_forms).
         """
         n = self.n
         if a_matrix.nrows != n or a_matrix.ncols != n:
@@ -489,12 +506,7 @@ class Poly:
         u_scale = as_fraction(u_scale)
         if u_scale == 0:
             raise ValueError("u scale must be nonzero")
-        zeros = (0,) * n
-        monos = [(tuple(int(i == j) for i in range(n)), zeros, 0) for j in range(n)]
-        den, re, im = a_matrix.den, a_matrix.re, a_matrix.im
-        zsubs = [Poly._from_packed(n, pk.pack_rationals(
-            [(mono, re[k], den, im[k], den) for k, mono in enumerate(monos, i * n)]))
-            for i in range(n)]
+        zsubs = Poly.linear_forms(n, a_matrix)
         return self.substitute(zsubs, [p.conjugate() for p in zsubs], Poly.u(n).scale(u_scale))
 
     def at_u_zero(self) -> "Poly":

@@ -25,6 +25,12 @@ RATIONAL_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                  Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3)]
 
 
+def mono_weight(mono) -> int:
+    """The weight of a monomial key (zexp, zbexp, uexp): z and conj(z) of weight 1, u of 2."""
+    z, zb, u = mono
+    return sum(z) + sum(zb) + 2 * u
+
+
 def widened(p: Poly) -> Poly:
     """p stored at a wider field width: the sum with u^40 (weight 80) is built at its width."""
     far = Poly.u(p.n).pow(40)

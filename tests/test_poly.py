@@ -8,9 +8,9 @@ from crmoser.forms import standard_form
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix
 from crmoser.models import model_umbilic
-from crmoser.poly import Poly, ProductSum, mono_weight, real_coefficient_rows
+from crmoser.poly import Poly, ProductSum, real_coefficient_rows
 
-from helpers import poly_to_sympy, random_real_poly, sym_vars
+from helpers import mono_weight, poly_to_sympy, random_real_poly, sym_vars
 
 
 def naive_mul(a: Poly, b: Poly) -> Poly:

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from crmoser.gaussrat import GaussianRational
 from crmoser.normal_form import trace_op
-from crmoser.poly import Poly, mono_weight, real_coefficient_rows
+from crmoser.poly import Poly, real_coefficient_rows
 
-from helpers import hermitian_forms, widened
+from helpers import hermitian_forms, mono_weight, widened
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 

@@ -15,8 +15,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
 EXPECTED = pathlib.Path(__file__).resolve().parent / "expected"
 
-# explicit_2_1: an explicit form whose u(H) basis has denominators 2, 2, 2, 1
-SURFACES = ("corollary2_2_1", "umbilic_q4", "theorem1_n3", "explicit_2_1")
+# explicit_2_1: an explicit form whose u(H) basis has denominators 2, 2, 2, 1;
+# explicit_2_1_mixed: on that form, a kernel vector mixing a denominator-2 basis matrix
+# with a denominator-1 one, so its basis bytes pin the denominators
+SURFACES = ("corollary2_2_1", "umbilic_q4", "theorem1_n3", "explicit_2_1", "explicit_2_1_mixed")
 MAPS = (("corollary2_2_1", "map_scaled_mu2"),
         ("umbilic_q4", "map_linear_rotation"),
         ("umbilic_q4", "map_jet_rotation"),
