@@ -17,7 +17,6 @@ w -> w/(1+qw).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -27,6 +26,7 @@ from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface
 from .poly import Poly, ProductSum, real_coefficient_rows
+from .value import Frozen
 
 _HALF = Fraction(1, 2)
 _MINUS_HALF = Fraction(-1, 2)
@@ -41,34 +41,32 @@ class TruncationError(ValueError):
     """Requested verification weight exceeds what the jet truncation supports."""
 
 
-@dataclass(frozen=True)
-class AutoParams:
+class AutoParams(Frozen):
     """(U, a, lambda, sigma, r) with lambda > 0 rational and sigma = +-1."""
 
-    U: Matrix
-    a: Tuple[GaussianRational, ...]
-    lam: Fraction
-    sigma: int
-    r: Fraction
+    __slots__ = ("U", "a", "lam", "sigma", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(GaussianRational.of(c) for c in self.a))
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "r", Fraction(self.r))
-        if self.lam <= 0:
+    def __init__(self, U: Matrix, a: Tuple[GaussianRational, ...], lam: Fraction, sigma: int,
+                 r: Fraction):
+        a = tuple(GaussianRational.of(c) for c in a)
+        lam = Fraction(lam)
+        r = Fraction(r)
+        if lam <= 0:
             raise ValueError("lambda must be positive")
-        if self.sigma not in (1, -1):
+        if sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        if len(self.a) != self.U.nrows:
+        if len(a) != U.nrows:
             raise ValueError("a must have one entry per dimension")
+        self._fill(U, a, lam, sigma, r)
 
 
-@dataclass(frozen=True)
-class InfSym:
+class InfSym(Frozen):
     """Infinitesimal linear symmetry: direction X in u(H) plus scale rate rho."""
 
-    X: Matrix
-    rho: Fraction
+    __slots__ = ("X", "rho")
+
+    def __init__(self, X: Matrix, rho: Fraction):
+        self._fill(X, rho)
 
 
 class StabilizerResult:

@@ -19,9 +19,8 @@ reproduces the census bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .autgroup import stabilizer_algebra
 from .forms import ANTIDIAGONAL, DIAGONAL, HermitianForm, standard_form
@@ -30,6 +29,7 @@ from .models import gap_violated
 from .normal_form import Hypersurface, check_normal_form, is_function_of_form_and_u
 from .poly import Poly
 from .surface_io import surface_to_json
+from .value import Frozen, Value
 
 DEFAULT_POOL: Tuple[Fraction, ...] = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -41,22 +41,18 @@ DEFAULT_POOL: Tuple[Fraction, ...] = (
 MIN_WEIGHT = 4
 
 
-@dataclass(frozen=True)
-class CensusConfig:
-    ns: Tuple[int, ...]
-    ms: Tuple[int, ...]
-    max_weight: int = 8
-    samples: int = 200
-    seed: int = 0
-    pool: Tuple[Fraction, ...] = DEFAULT_POOL
+class CensusConfig(Frozen):
+    __slots__ = ("ns", "ms", "max_weight", "samples", "seed", "pool")
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"a census needs at least one sample per pair, got {self.samples}")
-        if self.max_weight < MIN_WEIGHT:
+    def __init__(self, ns: Tuple[int, ...], ms: Tuple[int, ...], max_weight: int = 8,
+                 samples: int = 200, seed: int = 0, pool: Tuple[Fraction, ...] = DEFAULT_POOL):
+        if samples < 1:
+            raise ValueError(f"a census needs at least one sample per pair, got {samples}")
+        if max_weight < MIN_WEIGHT:
             raise ValueError(
-                f"max weight {self.max_weight} admits no surface: the smallest "
+                f"max weight {max_weight} admits no surface: the smallest "
                 f"normal-form term, bidegree (2,2) at u^0, has weight {MIN_WEIGHT}")
+        self._fill(ns, ms, max_weight, samples, seed, pool)
 
     def pairs(self) -> List[Tuple[int, int]]:
         # a repeated pair runs once, at its first place
@@ -120,15 +116,16 @@ def random_normal_form_surface(rng: random.Random, form: HermitianForm,
     raise RuntimeError("rejection sampling failed to produce a normal-form surface")
 
 
-@dataclass
-class PairReport:
-    n: int
-    m: int
-    samples: int = 0
-    dims: Dict[int, int] = field(default_factory=dict)
-    gap_violations: List[dict] = field(default_factory=list)
-    function_controls: int = 0
-    control_failures: List[dict] = field(default_factory=list)
+class PairReport(Value):
+    __slots__ = ("n", "m", "samples", "dims", "gap_violations", "function_controls",
+                 "control_failures")
+
+    def __init__(self, n: int, m: int, samples: int = 0, dims: Optional[Dict[int, int]] = None,
+                 gap_violations: Optional[List[dict]] = None, function_controls: int = 0,
+                 control_failures: Optional[List[dict]] = None):
+        self._fill(n, m, samples, {} if dims is None else dims,
+                   [] if gap_violations is None else gap_violations, function_controls,
+                   [] if control_failures is None else control_failures)
 
     def to_json(self) -> dict:
         return {

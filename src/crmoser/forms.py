@@ -20,7 +20,7 @@ from __future__ import annotations
 import weakref
 from typing import List, Optional, Sequence
 
-from .gaussrat import GaussianLike, GaussianRational, parse_int
+from .gaussrat import GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
 from .poly import Poly, ProductSum
 
@@ -101,13 +101,6 @@ class HermitianForm:
         while len(powers) <= k:
             powers.append(powers[-1] * self.inner_poly())
         return powers[k]
-
-    def pair_values(self, left: Sequence[GaussianLike], right: Sequence[GaussianLike]) -> GaussianRational:
-        """<left, right> = sum h_ab left_a conj(right_b) for constant vectors.
-
-        The 1 x 1 product left^t H conj(right) of integer matrices.
-        """
-        return (Matrix([left]) * self.matrix * Matrix([right]).conj_transpose())[0, 0]
 
     def pair_polys(self, left: Sequence[Poly], right: Sequence[Poly],
                    max_weight: Optional[int] = None) -> Poly:

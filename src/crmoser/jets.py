@@ -12,13 +12,13 @@ and identities involving the jet are exact for all weights < D.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import packed as pk
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix
 from .poly import Poly, linear_monos, term_list
+from .value import Frozen
 
 HoloMono = Tuple[Tuple[int, ...], int]
 
@@ -78,25 +78,23 @@ class _HoloTermsView(Mapping):
         return self._terms[(tuple(z), (0,) * len(z), w)]
 
 
-@dataclass(frozen=True)
-class JetMap:
+class JetMap(Frozen):
     """Origin-preserving truncated map z -> f(z,w), w -> g(z,w)."""
 
-    f: Tuple[HoloPoly, ...]
-    g: HoloPoly
-    D: int
+    __slots__ = ("f", "g", "D")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", tuple(self.f))
-        n = self.g.n
-        if any(fi.n != n for fi in self.f):
+    def __init__(self, f: Tuple[HoloPoly, ...], g: HoloPoly, D: int):
+        f = tuple(f)
+        n = g.n
+        if any(fi.n != n for fi in f):
             raise ValueError("jet components have mismatched dimensions")
-        if len(self.f) != n:
+        if len(f) != n:
             raise ValueError(f"jet must have {n} z-components")
-        if any(p.min_weight() == 0 for p in (*self.f, self.g)):  # only a constant has weight 0
+        if any(p.min_weight() == 0 for p in (*f, g)):  # only a constant has weight 0
             raise ValueError("jet must preserve the origin")
-        if self.D < 1:
+        if D < 1:
             raise ValueError("truncation weight must be positive")
+        self._fill(f, g, D)
 
     @property
     def n(self) -> int:

@@ -28,7 +28,6 @@ arithmetic, never numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -45,6 +44,7 @@ from .gaussrat import GaussianLike, GaussianRational, as_fraction, parse_int, ra
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface, check_normal_form, is_function_of_form_and_u
 from .poly import Poly, ProductSum
+from .value import Frozen
 
 CASE_FULL = "FULL"
 CASE_T1 = "T1_CASE"
@@ -67,37 +67,33 @@ def _central_form(n: int, m: int) -> Optional[HermitianForm]:
     return standard_form(n - 2, m - 1, ANTIDIAGONAL)
 
 
-@dataclass(frozen=True)
-class SElement:
+class SElement(Frozen):
     """Parameters (mu, c, x, A) of an element of S for signature (n-m, m)."""
 
-    n: int
-    m: int
-    mu: GaussianRational
-    c: GaussianRational
-    x: Tuple[GaussianRational, ...]
-    A: Matrix
+    __slots__ = ("n", "m", "mu", "c", "x", "A")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", GaussianRational.of(self.mu))
-        object.__setattr__(self, "c", GaussianRational.of(self.c))
-        object.__setattr__(self, "x", tuple(GaussianRational.of(v) for v in self.x))
-        hp = _central_form(self.n, self.m)
-        if self.mu.is_zero():
+    def __init__(self, n: int, m: int, mu: GaussianRational, c: GaussianRational,
+                 x: Tuple[GaussianRational, ...], A: Matrix):
+        mu = GaussianRational.of(mu)
+        c = GaussianRational.of(c)
+        x = tuple(GaussianRational.of(v) for v in x)
+        hp = _central_form(n, m)
+        if mu.is_zero():
             raise ModelError("mu must be nonzero")
-        if len(self.x) != self.n - 2:
-            raise ModelError(f"x must have length n-2 = {self.n - 2}")
-        if self.A.nrows != self.n - 2 or self.A.ncols != self.n - 2:
-            raise ModelError(f"A must be {self.n - 2}x{self.n - 2}")
-        if hp is not None and is_pseudounitary(self.A, hp) != 1:
+        if len(x) != n - 2:
+            raise ModelError(f"x must have length n-2 = {n - 2}")
+        if A.nrows != n - 2 or A.ncols != n - 2:
+            raise ModelError(f"A must be {n - 2}x{n - 2}")
+        if hp is not None and is_pseudounitary(A, hp) != 1:
             raise ModelError("A is not pseudounitary for the central block")
         # 2 Re(c/mu) + x^T H' conj(x) as 1 x 1 matrices, on integer numerators
-        c_mu = Matrix([[self.c]]) * Matrix([[self.mu]]).inverse()
-        x_row = Matrix([self.x])
+        c_mu = Matrix([[c]]) * Matrix([[mu]]).inverse()
+        x_row = Matrix([x])
         xhx = x_row * hp.matrix * x_row.conj_transpose() if hp is not None else Matrix.zeros(1, 1)
         if not (c_mu + c_mu.conjugate() + xhx).is_zero():
             raise ModelError(
                 "corner constraint 2Re(c/mu) + x^T H' conj(x) = 0 violated")
+        self._fill(n, m, mu, c, x, A)
 
     @property
     def mu_abs2(self) -> Fraction:
@@ -353,8 +349,7 @@ def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Frac
     return out
 
 
-@dataclass(frozen=True)
-class ScaledSAuto:
+class ScaledSAuto(Frozen):
     """Map z -> |mu|^{1/(s+1)} U z, w -> |mu|^{2/(s+1)} w with U in S.
 
     The scale lambda = |mu|^{1/(s+1)} is carried symbolically as the pair
@@ -362,13 +357,13 @@ class ScaledSAuto:
     rational.
     """
 
-    s: Fraction
-    element: SElement
+    __slots__ = ("s", "element")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_fraction(self.s))
-        if self.s < Fraction(-1, 2):
+    def __init__(self, s: Fraction, element: SElement):
+        s = as_fraction(s)
+        if s < Fraction(-1, 2):
             raise ModelError("s must be a rational >= -1/2")
+        self._fill(s, element)
 
     @property
     def scale_base(self) -> Fraction:
@@ -428,14 +423,12 @@ def verify_scaled_automorphism(surface: Hypersurface, auto: ScaledSAuto) -> bool
     return True
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
-    case: str
-    dim: int
-    n: int
-    m: int
-    function_of_form_and_u: bool
-    gap_ok: bool
+class ClassifyResult(Frozen):
+    __slots__ = ("case", "dim", "n", "m", "function_of_form_and_u", "gap_ok")
+
+    def __init__(self, case: str, dim: int, n: int, m: int, function_of_form_and_u: bool,
+                 gap_ok: bool):
+        self._fill(case, dim, n, m, function_of_form_and_u, gap_ok)
 
     def to_json(self) -> dict:
         return {

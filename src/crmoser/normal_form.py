@@ -14,11 +14,11 @@ the form matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from .forms import HermitianForm
 from .poly import Poly
+from .value import Frozen
 
 CONDITION_NAMES = ("trF22", "tr2F23", "tr3F33")
 
@@ -27,31 +27,28 @@ class NormalFormError(ValueError):
     """A hypersurface violated a structural precondition."""
 
 
-@dataclass(frozen=True)
-class Hypersurface:
+class Hypersurface(Frozen):
     """v = <z,z> + F with F real, harmonic-free, weight-truncated."""
 
-    form: HermitianForm
-    F: Poly
-    max_weight: int
+    __slots__ = ("form", "F", "max_weight")
 
-    def __post_init__(self):
-        if self.F.n != self.form.n:
-            raise NormalFormError(
-                f"F has dimension {self.F.n}, form has {self.form.n}")
-        if not self.F.is_real():
-            raise NormalFormError(
-                f"coefficient symmetry broken at monomial {self.F.real_violation()}")
-        # parts come in the order of their first key: this is the first harmonic term's
-        harmonic = next((d for d in self.F.bidegree_parts() if min(d) < 2), None)
+    def __init__(self, form: HermitianForm, F: Poly, max_weight: int):
+        if F.n != form.n:
+            raise NormalFormError(f"F has dimension {F.n}, form has {form.n}")
+        if not F.is_real():
+            raise NormalFormError(f"coefficient symmetry broken at monomial {F.real_violation()}")
+        # the first harmonic key's bidegree, read off the keys: no part of F is built
+        harmonic = next((d for d in F.key_bidegrees() if min(d) < 2), None)
         if harmonic is not None:
             raise NormalFormError(
                 f"harmonic term (degree ({harmonic[0]},{harmonic[1]})) not allowed "
                 f"in a normal-form F")
-        top = self.F.max_weight()
-        if top is not None and top > self.max_weight:
-            raise NormalFormError(
-                f"F contains weight {top} > declared maxWeight {self.max_weight}")
+        top = F.max_weight()
+        if top is not None and top > max_weight:
+            raise NormalFormError(f"F contains weight {top} > declared maxWeight {max_weight}")
+        if max_weight < 0:  # reached by F = 0 only: a nonzero F fails the weight check first
+            raise NormalFormError(f"maxWeight must be non-negative, got {max_weight}")
+        self._fill(form, F, max_weight)
 
     @property
     def n(self) -> int:
@@ -62,10 +59,11 @@ class Hypersurface:
         return self.form.m
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
-    passed: bool
-    violations: Tuple[Tuple[str, Poly], ...] = field(default_factory=tuple)
+class NormalFormReport(Frozen):
+    __slots__ = ("passed", "violations")
+
+    def __init__(self, passed: bool, violations: Tuple[Tuple[str, Poly], ...] = ()):
+        self._fill(passed, violations)
 
     def to_json(self) -> dict:
         return {

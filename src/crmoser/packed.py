@@ -117,29 +117,34 @@ def unpack_key(key: int, bits: int, n: int) -> tuple:
     return (tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n])
 
 
-def by_bidegree(packed: Packed, n: int) -> Dict[Tuple[int, int], Packed]:
-    """The terms grouped by (z-degree, conj(z)-degree), read off the key fields in one pass.
+def bidegrees(packed: Packed, n: int) -> List[Tuple[int, int]]:
+    """The (z-degree, conj(z)-degree) of each key, in key order, read off the key fields.
 
     One multiplication sums the n fields of each kind into the top field of
     its half: no degree exceeds the weight of its monomial, which fits in a
-    field, so no field sum carries.  Each group keeps its keys in order, and
-    the groups come in the order of their first key.
+    field, so no field sum carries.
     """
-    bits, den, _data = packed
-    keys, res, ims = columns(packed)
+    bits = packed[0]
     span = bits * n
     field = (1 << bits) - 1
     ones = sum(1 << (bits * i) for i in range(n))
     top = max(span - bits, 0)  # the field that holds the sum of the z fields
     low = (1 << (2 * span)) - 1
-    pick = field | (field << span)
-    groups: Dict[int, List[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(((key & low) * ones >> top) & pick, []).append(i)
+    sums = [(key & low) * ones >> top for key in islice(packed[2], size(packed))]
+    return [(d & field, d >> span & field) for d in sums]
+
+
+def by_bidegree(packed: Packed, n: int) -> Dict[Tuple[int, int], Packed]:
+    """The terms grouped by `bidegrees`: each group in key order, in the order of its first key."""
+    bits, den, _data = packed
+    keys, res, ims = columns(packed)
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for i, d in enumerate(bidegrees(packed, n)):
+        groups.setdefault(d, []).append(i)
     if len(groups) == 1:  # one bidegree: the form is its own part
-        return {(d & field, d >> span): packed for d in groups}
-    return {(d & field, d >> span): reduced(bits, den, [keys[i] for i in rows],
-                                            [res[i] for i in rows], [ims[i] for i in rows])
+        return {d: packed for d in groups}
+    return {d: reduced(bits, den, [keys[i] for i in rows], [res[i] for i in rows],
+                       [ims[i] for i in rows])
             for d, rows in groups.items()}
 
 

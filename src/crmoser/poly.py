@@ -356,7 +356,11 @@ class Poly:
         return self.bidegree_parts().get((k, l), Poly.zero(self.n))
 
     def bidegrees(self) -> List[Tuple[int, int]]:
-        return sorted(self.bidegree_parts())
+        return sorted(set(self.key_bidegrees()))
+
+    def key_bidegrees(self) -> List[Tuple[int, int]]:
+        """The bidegree of each term, in key order, read off the keys (see packed.bidegrees)."""
+        return pk.bidegrees(self._packed, self.n)
 
     def weight_decompose(self) -> Dict[int, "Poly"]:
         weights = sorted(set(pk.weights(self._packed, self.n)))

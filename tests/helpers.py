@@ -300,6 +300,11 @@ def cayley_pseudounitary(rng: random.Random, form: HermitianForm,
     raise RuntimeError("failed to build a Cayley pseudounitary matrix")
 
 
+def pair_values(form: HermitianForm, left, right) -> GaussianRational:
+    """<left, right> = sum h_ab left_a conj(right_b) for constant vectors: left^t H conj(right)."""
+    return (Matrix([left]) * form.matrix * Matrix([right]).conj_transpose())[0, 0]
+
+
 def random_s_element(rng: random.Random, n: int, m: int) -> SElement:
     """Random exact element of the triangular group S for (n, m)."""
     mu = random_gauss(rng)
@@ -307,7 +312,7 @@ def random_s_element(rng: random.Random, n: int, m: int) -> SElement:
     if n > 2:
         central = standard_form(n - 2, m - 1, "antidiagonal")
         a_mat = cayley_pseudounitary(rng, central)
-        xhx = central.pair_values(x, x)
+        xhx = pair_values(central, x, x)
     else:
         a_mat = Matrix.identity(0)
         xhx = GaussianRational(0)

@@ -215,6 +215,19 @@ def test_exit_codes(tmp_path, capsys):
 
 
 
+def test_negative_max_weight_is_a_json_report(tmp_path, capsys):
+    surf = write(tmp_path, "neg.json", {"n": 2, "m": 0, "kind": "diagonal", "terms": [],
+                                        "maxWeight": -3})
+    for command in ("check", "classify", "stabdim"):
+        code, report = run(capsys, command, "--surface", surf)
+        assert code == 2 and report["command"] == command, (command, report)
+        assert "maxWeight must be non-negative, got -3" in report["error"]
+    zero = write(tmp_path, "zero.json", {"n": 2, "m": 0, "kind": "diagonal", "terms": [],
+                                         "maxWeight": 0})
+    code, report = run(capsys, "check", "--surface", zero)
+    assert code == 0 and report["passed"] is True
+
+
 def test_non_ascii_digits_exit_2_with_a_json_report(tmp_path, capsys):
     for text in ("\u0663 Q^4", "z\u0661^2 ~z1^2"):
         surf = write(tmp_path, "digits.json", {"n": 2, "m": 0, "kind": "diagonal", "F": text})

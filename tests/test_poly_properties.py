@@ -250,6 +250,8 @@ def test_derivatives_and_bidegrees_agree_with_the_terms(ab):
                                           for (z, zb, u), c in terms.items() if u})
         degrees = {(sum(z), sum(zb)) for z, zb, _u in terms}
         assert p.bidegrees() == sorted(degrees)
+        # each term's bidegree read off its key, in key order (the order of `terms`)
+        assert p.key_bidegrees() == [(sum(z), sum(zb)) for z, zb, _u in p.terms]
         for k, l in degrees | {(5, 5)}:
             assert p.bidegree_component(k, l) == Poly(n, {
                 mono: c for mono, c in terms.items() if (sum(mono[0]), sum(mono[1])) == (k, l)})
