@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .forms import HermitianForm, WTable, is_pseudounitary, u_basis, w_poly
+from .forms import HermitianForm, WTable, invariance_columns, is_pseudounitary, u_basis, w_poly
 from .gaussrat import GaussianRational, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
@@ -72,10 +72,11 @@ class InfSym(Frozen):
 class StabilizerResult:
     """Solution space of the linear-invariance system (stabilizer_algebra).
 
-    `dim` and `spherical` are read off the solve.  The kernel vectors are
-    kept as `rational_nullspace` gives them, (den, nums) with integer
-    coordinates over (u_basis(form), rho); `basis` recombines them into
-    InfSym elements on first read and keeps that tuple.
+    `dim` is read off the solve and `spherical` is whether F = 0, where the
+    kernel is the identity and `basis` is u(H) followed by rho = 1.  The
+    kernel vectors are kept as `rational_nullspace` gives them, (den, nums)
+    with integer coordinates over (u_basis(form), rho); `basis` recombines
+    them into InfSym elements on first read and keeps that tuple.
     """
 
     __slots__ = ("dim", "spherical", "_kernel", "_directions", "_basis")
@@ -172,40 +173,23 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
 
         2 Re sum_j ((rho E + X) z)_j dF/dz_j + 2 rho u dF/du - 2 rho F = 0
 
-    collected coefficientwise.  The spherical surface (F = 0) satisfies it
-    identically, giving n^2 + 1.
-
-    One column per unknown is built in its own ProductSum.  A u(H) column
-    X holds the half sum_{j,k} X[j,k] z_k dF/dz_j, one `add_form` of X's
-    numerators against the derivatives dF/dz_j and the variables z_k; the
-    rho column holds the half sum_j z_j dF/dz_j + u dF/du - F, the same
-    form of the identity plus two terms that are real because F is.
-    `real` completes each half.  The result keeps the kernel vectors and
-    builds its `basis` on first read, so callers that need only `dim` pay
-    for no recombination.
+    collected coefficientwise.  It is the equation of `u_basis` with P = F
+    and a rho column added.  Its X columns are `invariance_columns` over the
+    u(H) basis.  By the weighted Euler identity, 2 Re sum_j z_j dF/dz_j +
+    2 u dF/du = sum_w w F_w for the weight parts F_w of the real F, so the
+    rho column is sum_w (w - 2) F_w.  The spherical surface (F = 0) gives
+    no rows, so every unknown is free: dimension n^2 + 1.  The result keeps
+    the kernel vectors and builds its `basis` on first read, so callers
+    that need only `dim` pay for no recombination.
     """
-    form = surface.form
-    n = form.n
-    basis = u_basis(form)
-    if surface.F.is_zero():
-        size = n * n + 1
-        kernel = [(1, [int(i == j) for j in range(size)]) for i in range(size)]
-        return StabilizerResult(kernel, basis, spherical=True)
     f_poly = surface.F
-    dfz = [f_poly.partial("z", j) for j in range(n)]
-    zvars = [Poly.z(n, k) for k in range(n)]
-    columns = []
-    for x_mat in basis:
-        half = ProductSum(n)
-        half.add_form(x_mat, dfz, zvars)
-        columns.append(half.real())
-    half = ProductSum(n)
-    half.add_form(Matrix.identity(n), dfz, zvars)
-    half.add(f_poly.partial("u").mul_var("u"))
-    half.add(f_poly, c=-1)
-    columns.append(half.real())
+    basis = u_basis(surface.form)
+    rho = ProductSum(f_poly.n)
+    for w, part in f_poly.weight_decompose().items():
+        rho.add(part, c=w - 2)
+    columns = [*invariance_columns(f_poly, basis), rho.poly()]
     kernel = rational_nullspace(real_coefficient_rows(columns), len(columns))
-    return StabilizerResult(kernel, basis, spherical=False)
+    return StabilizerResult(kernel, basis, spherical=f_poly.is_zero())
 
 
 def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> Poly:
@@ -230,7 +214,7 @@ def T_operator(fg: Poly, a: Sequence[GaussianRational], form: HermitianForm) -> 
     for j, c in enumerate(a):
         dfz = fg.partial("z", j)
         half.add(upz, dfz, c)
-        half.add(za, dfz.mul_var("z", j), GaussianRational(0, 2))
+        half.add(za * Poly.z(n, j), dfz, GaussianRational(0, 2))
     half.add(za * upz, fg.partial("u"), GaussianRational(0, 1))
     return half.real()
 

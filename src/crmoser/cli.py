@@ -70,6 +70,8 @@ def _read_json(path: str) -> dict:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliInputError(f"{path} is nested too deeply to read") from exc
     if not isinstance(doc, dict):
         raise CliInputError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc
@@ -93,12 +95,21 @@ def _report(command: str, inputs: List[str], payload: dict) -> dict:
     }
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report: dict, output: Optional[str]) -> None:
+    """Write the report to `output`, if given, then print it: a failed write prints only
+    the error report."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(output, text + "\n")
+    print(text)
 
 
 def _load_surface(path: str):
@@ -200,8 +211,7 @@ def cmd_model(args) -> int:
     surface = _build_model(spec)
     doc = surface_to_json(surface)
     if args.surface_out:
-        with open(args.surface_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(args.surface_out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     payload = {"family": spec.get("family"), "surface": doc}
     _emit(_report("model", [args.spec], payload), args.output)
     return EXIT_OK

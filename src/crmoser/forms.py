@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from .gaussrat import GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
-from .poly import Poly, ProductSum
+from .poly import Poly, ProductSum, real_coefficient_rows
 
 DIAGONAL = "diagonal"
 ANTIDIAGONAL = "antidiagonal"
@@ -229,71 +229,47 @@ def is_pseudounitary(u_mat: Matrix, form: HermitianForm) -> Optional[int]:
     return None
 
 
-def is_in_lie_algebra(x_mat: Matrix, form: HermitianForm) -> bool:
-    """X^t H + H conj(X) = 0, the derivative at identity of pseudounitarity."""
-    if x_mat.nrows != form.n or x_mat.ncols != form.n:
-        raise ValueError("matrix size does not match the form")
-    defect = x_mat.transpose() * form.matrix + form.matrix * x_mat.conjugate()
-    return defect.is_zero()
+def invariance_columns(p: Poly, directions: Sequence[Matrix]) -> List[Poly]:
+    """The column 2 Re sum_jk X_jk z_k dP/dz_j of each direction X, for real P.
 
-
-def x_column(n: int, a: int, b: int) -> int:
-    """Column of Re X_ab among the 2n^2 real unknowns of X; Im X_ab follows it."""
-    return 2 * (a * n + b)
-
-
-def pseudounitarity_rows(form: HermitianForm) -> List[List[int]]:
-    """The linearized pseudounitarity system X^t H + H conj(X) = 0, as integer rows.
-
-    Each complex entry X_ab is split into real unknowns x_ab + i*y_ab at
-    columns x_column(n, a, b) and the one after it; the n^2 complex
-    equations contribute two rows apiece, real part first.  The
-    coefficients are the numerators `form.matrix.re`, `.im` of den*H: the
-    system times den, which has the same kernel.
+    It is the derivative at t = 0 of P(e^{tX} z, conj, u), so the directions
+    whose real combinations make the columns vanish are those that keep P.
+    Each column is one `add_form` of X's numerators against dP/dz_j and z_k,
+    completed by `real`.
     """
-    n = form.n
-    nv = 2 * n * n
-    hre, him = form.matrix.re, form.matrix.im  # entry (a, b) at a*n + b
-    rows: List[List[int]] = []
-    for alpha in range(n):
-        for beta in range(n):
-            # entry (alpha, beta) of X^t H + H conj(X)
-            row_re = [0] * nv
-            row_im = [0] * nv
-            for k in range(n):
-                hr, hi = hre[k * n + beta], him[k * n + beta]
-                c = x_column(n, k, alpha)
-                # coefficient of X_{k alpha} is h_{k beta}
-                row_re[c] += hr
-                row_re[c + 1] -= hi
-                row_im[c] += hi
-                row_im[c + 1] += hr
-                gr, gi = hre[alpha * n + k], him[alpha * n + k]
-                c = x_column(n, k, beta)
-                # coefficient of conj(X_{k beta}) is h_{alpha k}
-                row_re[c] += gr
-                row_re[c + 1] += gi
-                row_im[c] += gi
-                row_im[c + 1] -= gr
-            rows.append(row_re)
-            rows.append(row_im)
-    return rows
+    n = p.n
+    dpz = [p.partial("z", j) for j in range(n)]
+    zvars = [Poly.z(n, k) for k in range(n)]
+    columns = []
+    for x_mat in directions:
+        half = ProductSum(n)
+        half.add_form(x_mat, dpz, zvars)
+        columns.append(half.real())
+    return columns
 
 
 def u_basis(form: HermitianForm) -> List[Matrix]:
-    """Real basis of u(H), found by exact nullspace computation.
+    """Real basis of u(H): the directions X whose flow keeps <z,z>.
 
-    The kernel of `pseudounitarity_rows` always has real dimension n^2.
-    The even and odd numerators of each kernel vector (see x_column) are
-    the real and imaginary numerators of its matrix in row-major order,
-    over the vector's denominator.  The solve is memoized on the form, so
-    surfaces that share a form share one u(H); every call returns a fresh
-    list of the shared, immutable matrices.
+    The kernel of `invariance_columns` over P = <z,z> and the 2n^2 real
+    directions E_ab, i E_ab (in that order, a*n + b ascending) always has
+    real dimension n^2; there the columns say X^t H + H conj(X) = 0.  The
+    even and odd numerators of each kernel vector are the real and
+    imaginary numerators of its matrix in row-major order, over the
+    vector's denominator.  The solve is memoized on the form, so surfaces
+    that share a form share one u(H); every call returns a fresh list of
+    the shared, immutable matrices.
     """
     basis = form._u_basis
     if basis is None:
         n = form.n
+        zero = (0,) * (n * n)
+        units = [zero[:e] + (1,) + zero[e + 1:] for e in range(n * n)]
+        directions = [Matrix.from_numerators(n, n, 1, *parts)
+                      for unit in units for parts in ((unit, zero), (zero, unit))]
+        columns = invariance_columns(form.inner_poly(), directions)
         basis = tuple(Matrix.from_numerators(n, n, den, nums[0::2], nums[1::2])
-                      for den, nums in rational_nullspace(pseudounitarity_rows(form), 2 * n * n))
+                      for den, nums in rational_nullspace(real_coefficient_rows(columns),
+                                                          len(columns)))
         object.__setattr__(form, "_u_basis", basis)
     return list(basis)

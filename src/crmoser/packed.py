@@ -16,8 +16,7 @@ caller owns; `collect` turns such a dict into a reduced form once, so a
 sum of products is sorted and reduced once (`product` is the kernel plus
 one `collect`).  Next to it, `mirror` turns an accumulator into itself
 plus its conjugate, and `mirror_is_zero` tells whether that sum vanishes
-without building it.  A product with one variable needs no
-kernel: `shift` adds one constant to every key.
+without building it.
 """
 
 from __future__ import annotations
@@ -424,19 +423,6 @@ def trace(packed: Packed, n: int, den: int, hre: Sequence[int], him: Sequence[in
                         cell[0] += tr
                         cell[1] += ti
     return collect(bits, packed[1] * den, acc)
-
-
-def shift(packed: Packed, n: int, field: int) -> Packed:
-    """The form times the variable of `field` (numbered as in split).
-
-    One constant, a one in the field and the variable's weight, is added to
-    every key, so the keys stay in order and the numerators and the
-    denominator are kept.  Every raised exponent must fit in a field.
-    """
-    bits, den, data = packed
-    k = size(packed)
-    step = (1 << (bits * field)) + ((2 if field == 2 * n else 1) << (bits * (2 * n + 1)))
-    return bits, den, column([*[key + step for key in data[:k]], *data[k:]])
 
 
 def split(packed: Packed, n: int, fields: Sequence[int]) -> Dict[Tuple[int, ...], Packed]:

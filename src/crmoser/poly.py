@@ -44,7 +44,9 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
+from operator import or_
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import packed as pk
@@ -406,21 +408,6 @@ class Poly:
             return Poly.zero(n)
         return Poly._from_packed(n, pk.derivative(self._packed, n, field))
 
-    def mul_var(self, kind: str, idx: int = 0) -> "Poly":
-        """The product with the variable z_idx, conj(z_idx) or u (kind as in `partial`).
-
-        A shift of the packed keys (see packed.shift).  No exponent exceeds
-        the weight of its monomial, so the form is widened first only when
-        the product's top weight does not fit in a field.
-        """
-        n = self.n
-        field = self._field(kind, idx)
-        if not self._size():
-            return Poly.zero(n)
-        top = pk.weight(self._packed, -1, n) + (2 if kind == "u" else 1)
-        bits = max(self._packed[0], pk.field_bits(top))
-        return Poly._from_packed(n, pk.shift(self._widen(bits), n, field))
-
     def trace(self, hinv: "Matrix") -> "Poly":
         """sum_ab h_ab d^2/dz_a dconj(z_b) of self for the n x n matrix hinv = (h_ab), read
         off its numerators by one packed kernel (see packed.trace)."""
@@ -668,16 +655,16 @@ class ProductSum:
         """Add sum_ab m_ab left[a] right[b] for a matrix m; a term with a None operand is skipped.
 
         The entries are read as the integer numerators of m over m.den (see
-        linalg.Matrix), one product per nonzero entry.
+        linalg.Matrix), one product per nonzero entry; those are found by
+        one scan in C, since the directions of a stabilizer solve have few.
         """
-        c = m.ncols
-        for k, (re, im) in enumerate(zip(m.re, m.im)):
-            if re or im:
-                a, b = left[k // c], right[k % c]
-                if a is not None and b is not None:
-                    self._check_dim(a)
-                    self._check_dim(b)
-                    self._add(a._packed, b._packed, m.den, re, im)
+        c, mre, mim = m.ncols, m.re, m.im
+        for k in compress(count(), map(or_, mre, mim)):
+            a, b = left[k // c], right[k % c]
+            if a is not None and b is not None:
+                self._check_dim(a)
+                self._check_dim(b)
+                self._add(a._packed, b._packed, m.den, mre[k], mim[k])
 
     def _add(self, pa: pk.Packed, pb: pk.Packed, den: int, re: int, im: int) -> None:
         """Add (re + i*im) / den times the product of the packed forms pa and pb; den > 0.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import List
 
 import sympy
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from crmoser.autgroup import InfSym, _geometric
 from crmoser.forms import HermitianForm, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
-from crmoser.linalg import Matrix
+from crmoser.linalg import Matrix, rational_nullspace
 from crmoser.models import SElement
 from crmoser.normal_form import Hypersurface
 from crmoser.poly import Poly
@@ -201,6 +202,67 @@ def is_function_of_form_and_u_reference(surface: Hypersurface) -> bool:
             if slice_poly != qk.scale(scalar):
                 return False
     return True
+
+
+def is_in_lie_algebra(x_mat: Matrix, form: HermitianForm) -> bool:
+    """X^t H + H conj(X) = 0, the derivative at identity of pseudounitarity."""
+    if x_mat.nrows != form.n or x_mat.ncols != form.n:
+        raise ValueError("matrix size does not match the form")
+    defect = x_mat.transpose() * form.matrix + form.matrix * x_mat.conjugate()
+    return defect.is_zero()
+
+
+def x_column(n: int, a: int, b: int) -> int:
+    """Column of Re X_ab among the 2n^2 real unknowns of X; Im X_ab follows it."""
+    return 2 * (a * n + b)
+
+
+def pseudounitarity_rows(form: HermitianForm) -> List[List[int]]:
+    """The linearized pseudounitarity system X^t H + H conj(X) = 0, as integer rows.
+
+    Each complex entry X_ab is split into real unknowns x_ab + i*y_ab at
+    columns x_column(n, a, b) and the one after it; the n^2 complex
+    equations contribute two rows apiece, real part first.  The
+    coefficients are the numerators `form.matrix.re`, `.im` of den*H: the
+    system times den, which has the same kernel.
+    """
+    n = form.n
+    nv = 2 * n * n
+    hre, him = form.matrix.re, form.matrix.im  # entry (a, b) at a*n + b
+    rows: List[List[int]] = []
+    for alpha in range(n):
+        for beta in range(n):
+            # entry (alpha, beta) of X^t H + H conj(X)
+            row_re = [0] * nv
+            row_im = [0] * nv
+            for k in range(n):
+                hr, hi = hre[k * n + beta], him[k * n + beta]
+                c = x_column(n, k, alpha)
+                # coefficient of X_{k alpha} is h_{k beta}
+                row_re[c] += hr
+                row_re[c + 1] -= hi
+                row_im[c] += hi
+                row_im[c + 1] += hr
+                gr, gi = hre[alpha * n + k], him[alpha * n + k]
+                c = x_column(n, k, beta)
+                # coefficient of conj(X_{k beta}) is h_{alpha k}
+                row_re[c] += gr
+                row_re[c + 1] += gi
+                row_im[c] += gi
+                row_im[c + 1] -= gr
+            rows.append(row_re)
+            rows.append(row_im)
+    return rows
+
+
+def u_basis_reference(form: HermitianForm):
+    """u(H) as the nullspace of pseudounitarity_rows, each kernel vector read
+    entry by entry into a Matrix (the reference for forms.u_basis)."""
+    n = form.n
+    return [Matrix([[GaussianRational(Fraction(nums[x_column(n, a, b)], den),
+                                      Fraction(nums[x_column(n, a, b) + 1], den))
+                     for b in range(n)] for a in range(n)])
+            for den, nums in rational_nullspace(pseudounitarity_rows(form), 2 * n * n)]
 
 
 def stabilizer_residual(m, x_mat, rho):

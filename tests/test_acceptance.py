@@ -20,7 +20,7 @@ from crmoser.autgroup import (
     verify_automorphism,
 )
 from crmoser.census import CensusConfig, run_census
-from crmoser.forms import is_in_lie_algebra, standard_form, u_basis
+from crmoser.forms import standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
 from crmoser.linalg import Matrix
@@ -39,6 +39,7 @@ from crmoser.poly import Poly
 
 from helpers import (
     cayley_pseudounitary,
+    is_in_lie_algebra,
     random_fraction,
     random_gauss,
     random_real_poly,

@@ -21,7 +21,7 @@ from crmoser.autgroup import (
     verify_automorphism,
 )
 from crmoser.census import random_normal_form_surface
-from crmoser.forms import HermitianForm, is_in_lie_algebra, standard_form, u_basis
+from crmoser.forms import HermitianForm, standard_form, u_basis
 from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
 from crmoser.linalg import Matrix
@@ -33,6 +33,7 @@ from crmoser.surface_io import surface_from_json
 from helpers import (
     cayley_pseudounitary,
     eager_stabilizer_basis,
+    is_in_lie_algebra,
     poly_to_sympy,
     random_fraction,
     random_gauss,
@@ -424,7 +425,7 @@ def test_T_matches_sympy_formula():
     forms.append(HermitianForm(3, 1, p.conj_transpose() * d * p))
     for form in forms:
         n = form.n
-        fg = random_real_poly(rng, n, pairs=1) + random_real_poly(rng, n, pairs=1).mul_var("u")
+        fg = random_real_poly(rng, n, pairs=1) + random_real_poly(rng, n, pairs=1) * Poly.u(n)
         assert not fg.partial("u").is_zero()
         a = [random_gauss(rng, allow_zero=True) for _ in range(n)]
         assert poly_to_sympy(T_operator(fg, a, form)) == sympy_T_oracle(fg, a, form)

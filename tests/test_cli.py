@@ -243,6 +243,29 @@ def test_output_flag_writes_report(tmp_path, capsys):
     assert json.loads(out.read_text()) == report
 
 
+def test_deeply_nested_document_is_a_json_report(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, report = run(capsys, "check", "--surface", str(path))
+    assert code == 2 and "nested too deeply" in report["error"]
+
+
+def test_output_into_a_missing_directory_is_a_json_report(tmp_path, capsys):
+    """The report file is written before stdout, so stdout holds the error report alone."""
+    out = tmp_path / "missing" / "report.json"
+    code, report = run(capsys, "check", "--surface", str(SAMPLES / "umbilic_q4.json"),
+                       "--output", str(out))
+    assert code == 2 and report["error"].startswith(f"cannot write {out}")
+    assert not out.exists()
+
+
+def test_surface_out_into_a_missing_directory_is_a_json_report(tmp_path, capsys):
+    out = tmp_path / "missing" / "surface.json"
+    code, report = run(capsys, "model", "--spec", str(SAMPLES / "model_umbilic_n3.json"),
+                       "--surface-out", str(out))
+    assert code == 2 and report["error"].startswith(f"cannot write {out}")
+
+
 def test_document_shape_errors_are_json_reports(tmp_path, capsys):
     surf = write(tmp_path, "q4.json",
                  {"n": 2, "m": 0, "kind": "diagonal", "F": "Q^4"})

@@ -15,7 +15,6 @@ from crmoser.autgroup import (
 )
 from crmoser.forms import (
     HermitianForm,
-    is_in_lie_algebra,
     is_pseudounitary,
     standard_form,
     u_basis,
@@ -25,7 +24,13 @@ from crmoser.linalg import Matrix
 from crmoser.normal_form import Hypersurface, trace_op
 from crmoser.poly import Poly
 
-from helpers import poly_to_sympy, random_real_poly, sympy_real_rank, sympy_trace_oracle
+from helpers import (
+    is_in_lie_algebra,
+    poly_to_sympy,
+    random_real_poly,
+    sympy_real_rank,
+    sympy_trace_oracle,
+)
 
 I = GaussianRational(0, 1)
 

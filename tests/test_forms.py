@@ -11,21 +11,21 @@ from crmoser import forms
 from crmoser.forms import (
     EXPLICIT,
     HermitianForm,
-    is_in_lie_algebra,
+    invariance_columns,
     is_pseudounitary,
-    pseudounitarity_rows,
     standard_form,
     u_basis,
-    x_column,
 )
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix, hermitian_inertia, rational_nullspace
-from crmoser.poly import Poly
+from crmoser.poly import Poly, real_coefficient_rows
 
 from helpers import (
     cayley_pseudounitary,
+    is_in_lie_algebra,
     sympy_pseudounitary_sign,
     sympy_real_rank,
+    u_basis_reference,
 )
 
 I = GaussianRational(0, 1)
@@ -189,12 +189,8 @@ def test_u_basis_of_a_complex_explicit_form_is_the_nullspace():
         matrix = matrix.scale(-1)
     form = HermitianForm(n, m, matrix, EXPLICIT)
     u_basis(standard_form(n, m, "diagonal"))  # a memo entry of the same signature
-    vecs = rational_nullspace(pseudounitarity_rows(form), 2 * n * n)
-    expected = [Matrix([[GaussianRational(Fraction(nums[x_column(n, a, b)], den),
-                                          Fraction(nums[x_column(n, a, b) + 1], den))
-                         for b in range(n)] for a in range(n)]) for den, nums in vecs]
     basis = u_basis(form)
-    assert basis == expected and len(basis) == n * n
+    assert basis == u_basis_reference(form) and len(basis) == n * n
     # the complex off-diagonal entries reach the basis: some entry has re and im
     assert any(e.re and e.im for x in basis for row in x.rows for e in row)
     assert all(is_in_lie_algebra(x, form) for x in basis)
@@ -218,11 +214,23 @@ def congruent_forms(draw):
 @given(congruent_forms())
 def test_u_basis_of_explicit_congruent_forms(form):
     n = form.n
-    assert all(type(x) is int for row in pseudounitarity_rows(form) for x in row)
+    directions = [Matrix([[c if (j, k) == (a, b) else 0 for k in range(n)] for j in range(n)])
+                  for a in range(n) for b in range(n) for c in (1, I)]
+    rows = real_coefficient_rows(invariance_columns(form.inner_poly(), directions))
+    assert all(type(x) is int for row in rows for x in row)
     basis = u_basis(form)
+    assert basis == u_basis_reference(form)
     assert len(basis) == n * n
     assert all(is_in_lie_algebra(x, form) for x in basis)
     assert sympy_real_rank(basis) == n * n
+
+
+@pytest.mark.parametrize("n,m,kind", [(n, m, kind) for n in range(1, 7)
+                                      for kind in ("diagonal", "antidiagonal")
+                                      for m in range(n // 2 + 1)])
+def test_u_basis_of_standard_forms_is_the_pseudounitarity_nullspace(n, m, kind):
+    form = standard_form(n, m, kind)
+    assert u_basis(form) == u_basis_reference(form)
 
 
 def test_u1_basis():

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 from crmoser.autgroup import stabilizer_algebra
 from crmoser.census import random_normal_form_surface
-from crmoser.forms import is_in_lie_algebra, is_pseudounitary, standard_form
+from crmoser.forms import is_pseudounitary, standard_form
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix
 from crmoser.models import s_named_subgroup, s_to_matrix
 from crmoser.normal_form import Hypersurface
 
-from helpers import stabilizer_residual
+from helpers import is_in_lie_algebra, stabilizer_residual
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
 

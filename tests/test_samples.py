@@ -31,6 +31,11 @@ GOLDEN = (
       for s in SURFACES for cmd in ("check", "stabdim", "classify")),
     *((f"stabdim_basis-{s}", ["stabdim", "--surface", f"samples/{s}.json", "--basis"], 0)
       for s in SURFACES),
+    # F = 0, so the kernel is the identity and the basis bytes are u(H) itself and rho:
+    # a standard form, and the explicit form of explicit_2_1 (u(H) denominators 2, 2, 2, 1)
+    *((f"stabdim_basis-{stem}", ["stabdim", "--surface", path, "--basis"], 0)
+      for stem, path in (("quadric_2_1", "samples/quadric_2_1.json"),
+                         ("quadric_explicit_2_1", "tests/fixtures/quadric_explicit_2_1.json"))),
     *((f"verify-{s}-{m}", ["verify", "--surface", f"samples/{s}.json",
                            "--map", f"samples/{m}.json"], 0) for s, m in MAPS),
     *((f"model-{s}", ["model", "--spec", f"samples/{s}.json"], 0)
