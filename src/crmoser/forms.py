@@ -9,32 +9,35 @@ inertia, never numerically.
 Forms are immutable, so each standard form is built and certified once and
 shared: `standard_form` hands out one instance per (n, m, kind) while any
 reference to it lives.  Derived data (the inverse matrix, <z,z> and its
-powers, u(H), and per weight cap the `WTable` of w = u + i<z,z>) is
-memoized on the form itself, so surfaces over one form share it; each
-power <z,z>^k is built once, from the one below it.  The kernel reads the
+powers, u(H), and per weight cap the `WTable` of w = u + i<z,z>) is kept
+in one memo on the form (`HermitianForm.memo`), so surfaces over one form
+share it; each power <z,z>^k is built once, from the one below it, and a
+power past MAX_POWER_TERMS terms is refused.  The kernel reads the
 form and its inverse as Matrix numerators, never entry by entry.
 """
 
 from __future__ import annotations
 
 import weakref
+from math import comb
 from typing import List, Optional, Sequence
 
 from .gaussrat import GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
 from .poly import Poly, ProductSum, real_coefficient_rows
+from .value import Frozen
 
 DIAGONAL = "diagonal"
 ANTIDIAGONAL = "antidiagonal"
 EXPLICIT = "explicit"
 _I = GaussianRational(0, 1)
+MAX_POWER_TERMS = 10 ** 5  # the most terms a power <z,z>^k may have (see inner_power)
 
 
-class HermitianForm:
-    """Non-degenerate Hermitian form with signature (n-m, m), n >= 2m."""
+class HermitianForm(Frozen):
+    """Non-degenerate Hermitian form with signature (n-m, m), n >= 2m; derived data in `memo`."""
 
-    __slots__ = ("n", "m", "kind", "matrix", "_inverse", "_inner", "_inner_powers", "_u_basis",
-                 "_w_tables", "__weakref__")
+    __slots__ = ("n", "m", "kind", "matrix", "_memo", "__weakref__")
 
     def __init__(self, n: int, m: int, matrix: Matrix, kind: str = EXPLICIT):
         if n < 1:
@@ -52,18 +55,7 @@ class HermitianForm:
             raise ValueError(
                 f"form matrix has signature ({pos},{neg}), expected ({n - m},{m})"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_inverse", None)
-        object.__setattr__(self, "_inner", None)
-        object.__setattr__(self, "_inner_powers", None)
-        object.__setattr__(self, "_u_basis", None)
-        object.__setattr__(self, "_w_tables", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianForm is immutable")
+        self._fill(n, m, kind, matrix, {})
 
     def __eq__(self, other):
         if not isinstance(other, HermitianForm):
@@ -76,30 +68,41 @@ class HermitianForm:
     def __repr__(self):
         return f"HermitianForm(n={self.n}, m={self.m}, kind={self.kind})"
 
+    def memo(self, key, build):
+        """The value memoized on the form under `key`, made by `build()` on the first read."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
     def inverse_matrix(self) -> Matrix:
-        if self._inverse is None:
-            object.__setattr__(self, "_inverse", self.matrix.inverse())
-        return self._inverse
+        return self.memo("inverse", self.matrix.inverse)
 
     # -- polynomial pairing ---------------------------------------------------
 
     def inner_poly(self) -> Poly:
         """<z,z> as a bidegree-(1,1) real polynomial, memoized on the form."""
-        if self._inner is None:
+        def build():
             zvars = [Poly.z(self.n, i) for i in range(self.n)]
-            object.__setattr__(self, "_inner", self.pair_polys(zvars, zvars))
-        return self._inner
+            return self.pair_polys(zvars, zvars)
+        return self.memo("inner", build)
 
     def inner_power(self, k: int) -> Poly:
-        """<z,z>^k for k >= 0, memoized on the form."""
+        """<z,z>^k for k >= 0, memoized on the form; refused before any product past the limit.
+
+        <z,z> has e terms, one per nonzero entry of H, so <z,z>^k has at most
+        C(k+e-1, e-1) terms, exactly that many for a standard form.
+        """
         if k < 0:
             raise ValueError("negative exponent")
-        powers = self._inner_powers
-        if powers is None:
-            powers = [Poly.constant(self.n, 1)]
-            object.__setattr__(self, "_inner_powers", powers)
-        while len(powers) <= k:
-            powers.append(powers[-1] * self.inner_poly())
+        powers = self.memo("inner_powers", lambda: [Poly.constant(self.n, 1)])
+        if len(powers) <= k:
+            e = len(self.inner_poly().terms)
+            if comb(k + e - 1, e - 1) > MAX_POWER_TERMS:
+                raise ValueError(f"<z,z>^{k} has {comb(k + e - 1, e - 1)} terms, more than the "
+                                 f"limit of {MAX_POWER_TERMS}")
+            while len(powers) <= k:
+                powers.append(powers[-1] * self.inner_poly())
         return powers[k]
 
     def pair_polys(self, left: Sequence[Poly], right: Sequence[Poly],
@@ -119,14 +122,7 @@ class HermitianForm:
         jet verified there at one weight reads one table (see
         autgroup.verify_automorphism).
         """
-        tables = self._w_tables
-        if tables is None:
-            tables = {}
-            object.__setattr__(self, "_w_tables", tables)
-        table = tables.get(cap)
-        if table is None:
-            table = tables[cap] = WTable(w_poly(self.inner_poly()), cap)
-        return table
+        return self.memo(("w_table", cap), lambda: WTable(w_poly(self.inner_poly()), cap))
 
 
 def w_poly(v: Poly) -> Poly:
@@ -260,16 +256,15 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
     that share a form share one u(H); every call returns a fresh list of
     the shared, immutable matrices.
     """
-    basis = form._u_basis
-    if basis is None:
-        n = form.n
+    n = form.n
+
+    def solve():
         zero = (0,) * (n * n)
         units = [zero[:e] + (1,) + zero[e + 1:] for e in range(n * n)]
         directions = [Matrix.from_numerators(n, n, 1, *parts)
                       for unit in units for parts in ((unit, zero), (zero, unit))]
         columns = invariance_columns(form.inner_poly(), directions)
-        basis = tuple(Matrix.from_numerators(n, n, den, nums[0::2], nums[1::2])
-                      for den, nums in rational_nullspace(real_coefficient_rows(columns),
-                                                          len(columns)))
-        object.__setattr__(form, "_u_basis", basis)
-    return list(basis)
+        return tuple(Matrix.from_numerators(n, n, den, nums[0::2], nums[1::2])
+                     for den, nums in rational_nullspace(real_coefficient_rows(columns),
+                                                         len(columns)))
+    return list(form.memo("u_basis", solve))

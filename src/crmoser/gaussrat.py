@@ -13,6 +13,8 @@ import re
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+from .value import Frozen
+
 RationalLike = Union[int, Fraction]
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -143,7 +145,7 @@ def _exact_operand(op):
     return operator
 
 
-class GaussianRational:
+class GaussianRational(Frozen):
     """Immutable exact complex number re + im*i with rational parts.
 
     A zero part is stored as one shared Fraction(0), so the many real or
@@ -155,11 +157,8 @@ class GaussianRational:
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         re = as_fraction(re)
         im = as_fraction(im)
-        object.__setattr__(self, "re", re if re else _FRACTION_ZERO)
-        object.__setattr__(self, "im", im if im else _FRACTION_ZERO)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+        _set_re(self, re if re else _FRACTION_ZERO)
+        _set_im(self, im if im else _FRACTION_ZERO)
 
     # -- construction helpers -------------------------------------------------
 
@@ -226,8 +225,7 @@ class GaussianRational:
     def __eq__(self, other):
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    __hash__ = Frozen.__hash__
 
     def __bool__(self):
         return not self.is_zero()
@@ -253,6 +251,8 @@ class GaussianRational:
         rn, rd, inum, idn = gaussian_parts(obj)
         return GaussianRational(Fraction(rn, rd), Fraction(inum, idn))
 
+
+_set_re, _set_im = GaussianRational._setters
 
 GaussianLike = Union[int, Fraction, GaussianRational]
 

@@ -25,6 +25,7 @@ from .gaussrat import (
     gaussian_parts,
     scalar_parts,
 )
+from .value import Frozen
 
 Parts = Tuple[int, int, int, int]  # re numerator, re denominator, im numerator, im denominator
 
@@ -37,7 +38,7 @@ def _gauss(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den)) if re or im else ZERO
 
 
-class Matrix:
+class Matrix(Frozen):
     """Immutable dense matrix over Q(i), stored like a packed Poly.
 
     Entry (i, j) is (re[k] + i*im[k]) / den, k = i*ncols + j: `re` and `im`
@@ -57,27 +58,23 @@ class Matrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged rows")
-        self._fill(len(rows), ncols, *_over_one_den([p for row in rows for p in row]))
+        self._store(len(rows), ncols, *_over_one_den([p for row in rows for p in row]))
 
-    def _fill(self, nrows: int, ncols: int, den: int, re, im) -> None:
+    def _store(self, nrows: int, ncols: int, den: int, re, im) -> None:
         """Store numerators re, im over den > 0, brought to the least denominator."""
         g = gcd(den, *re, *im)
         if g != 1:
             den //= g
             re = [x // g for x in re]
             im = [x // g for x in im]
-        for name, value in zip(Matrix.__slots__, (nrows, ncols, den, tuple(re), tuple(im))):
-            object.__setattr__(self, name, value)
+        self._fill(nrows, ncols, den, tuple(re), tuple(im))
 
     @classmethod
     def from_numerators(cls, nrows: int, ncols: int, den: int, re, im) -> "Matrix":
         """The matrix of row-major numerators re, im over den > 0 (see the class)."""
         m = object.__new__(cls)
-        m._fill(nrows, ncols, den, re, im)
+        m._store(nrows, ncols, den, re, im)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -147,17 +144,6 @@ class Matrix:
         c = self.ncols
         return ([list(self.re[i * c:i * c + c]) for i in range(self.nrows)],
                 [list(self.im[i * c:i * c + c]) for i in range(self.nrows)])
-
-    def _key(self):
-        return self.nrows, self.ncols, self.den, self.re, self.im
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols

@@ -14,6 +14,7 @@ the form matrix.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Dict, Tuple
 
 from .forms import HermitianForm
@@ -121,9 +122,12 @@ def is_function_of_form_and_u(surface: Hypersurface) -> bool:
     F must vanish in every off-diagonal bidegree, and each (k,k) part must
     be c(u) <z,z>^k for a real polynomial c(u): each of its u-power slices
     has exactly the packed keys of <z,z>^k and numerators that are one real
-    multiple of its numerators (Poly.is_real_u_multiple).
+    multiple of its numerators (Poly.is_real_u_multiple).  H is nondegenerate,
+    so <z,z>^k has a term z^a conj(z)^b for each of the C(k+n-1, n-1)
+    exponents |a| = k: a smaller part fails before any power is built.
     """
     parts = surface.F.bidegree_parts()
-    return (all(k == l for k, l in parts)
+    return (all(k == l and len(part.terms) >= comb(k + surface.n - 1, surface.n - 1)
+                for (k, l), part in parts.items())
             and all(part.is_real_u_multiple(surface.form.inner_power(k))
                     for (k, _l), part in parts.items()))

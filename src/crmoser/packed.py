@@ -312,8 +312,29 @@ def mirror_is_zero(acc: Dict[int, List[int]], n: int, bits: int) -> bool:
     return True
 
 
+def product_plan(n: int, a: Packed, b: Packed, max_weight: Optional[int],
+                 bits: int = 1) -> Optional[Tuple[Packed, Packed]]:
+    """(a, b) as `accumulate` takes them, or None for a zero operand or a product above the cap.
+
+    The shorter operand comes first.  Both get the widest field of a, b, `bits` and the top
+    weight, or the cap: the products of one capped computation share its width.
+    """
+    if not size(a) or not size(b):
+        return None
+    if size(a) > size(b):
+        a, b = b, a
+    if max_weight is None:
+        top = weight(a, -1, n) + weight(b, -1, n)
+    elif weight(a, 0, n) + weight(b, 0, n) > max_weight:
+        return None
+    else:
+        top = max_weight
+    bits = max(a[0], b[0], field_bits(top), bits)
+    return widen(a, n, bits), widen(b, n, bits)
+
+
 def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:
-    """a * b without the terms of weight > max_weight (see accumulate)."""
+    """a * b without the terms of weight > max_weight, for operands planned by product_plan."""
     acc: Dict[int, List[int]] = {}
     accumulate(acc, n, a, b, max_weight)
     return collect(a[0], a[1] * b[1], acc)

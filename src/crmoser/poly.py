@@ -60,6 +60,7 @@ from .gaussrat import (
     rational_parts,
     scalar_parts,
 )
+from .value import Frozen
 
 Mono = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
@@ -71,8 +72,8 @@ def linear_monos(n: int) -> List[Mono]:
         (zeros, zeros, 1)]
 
 
-class Poly:
-    """Exact polynomial over Q(i) in (z, conj z, u); immutable by convention.
+class Poly(Frozen):
+    """Exact polynomial over Q(i) in (z, conj z, u); immutable.
 
     `_packed` is its packed form (see `crmoser.packed`), reduced, with sorted
     keys and no zero term; the field width may exceed the least one that
@@ -89,11 +90,7 @@ class Poly:
             _check_mono(mono, n)
             z, zb, u = mono
             entries.append(((tuple(z), tuple(zb), u), *scalar_parts(coeff)))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_packed", pk.pack_rationals(entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self._fill(n, pk.pack_rationals(entries))
 
     def _as(self, cls: type) -> "Poly":
         """The same polynomial as an instance of `cls`, sharing the packed form."""
@@ -109,8 +106,8 @@ class Poly:
     def _from_packed(cls, n: int, packed: pk.Packed) -> "Poly":
         # internal: packed form already reduced, with sorted keys and no zero terms
         p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "_packed", packed)
+        _set_n(p, n)
+        _set_packed(p, packed)
         return p
 
     @property
@@ -271,29 +268,17 @@ class Poly:
     __rmul__ = __mul__
 
     def mul(self, other: "Poly", max_weight: Optional[int] = None) -> "Poly":
-        """Exact product, optionally dropping all terms of weight > max_weight.
+        """Exact product, optionally without the terms of weight > max_weight.
 
         Weights only add, so a capped product agrees with the exact product
-        on every monomial of weight <= max_weight.  A capped product is
-        stored at the field width of its cap, so the products of one capped
-        computation share one width and are not widened for each other.
+        on every monomial of weight <= max_weight (see packed.product_plan).
         """
         self._check_dim(other)
-        n = self.n
         cls = self._kind(other)
-        if not self._size() or not other._size():
-            return cls.zero(n)
-        a, b = (other, self) if self._size() > other._size() else (self, other)
-        pa, pb = a._packed, b._packed
-        if max_weight is None:
-            top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
-        elif pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > max_weight:
-            return cls.zero(n)
-        else:
-            top = max_weight
-        bits = max(pa[0], pb[0], pk.field_bits(top))
-        return cls._from_packed(
-            n, pk.product(n, a._widen(bits), b._widen(bits), max_weight))
+        plan = pk.product_plan(self.n, self._packed, other._packed, max_weight)
+        if plan is None:
+            return cls.zero(self.n)
+        return cls._from_packed(self.n, pk.product(self.n, *plan, max_weight))
 
     def _widen(self, bits: int) -> pk.Packed:
         """The packed form with fields of `bits` >= its own width; the stored form is kept."""
@@ -570,6 +555,9 @@ class Poly:
         return f"{type(self).__name__}(n={self.n}, terms={self._size()})"
 
 
+_set_n, _set_packed = Poly._setters
+
+
 def _slots(n: int, zsubs, zbarsubs, usub) -> Tuple[list, int]:
     """(one target or None per variable, target dimension); ValueError on a mismatch.
 
@@ -670,21 +658,16 @@ class ProductSum:
         """Add (re + i*im) / den times the product of the packed forms pa and pb; den > 0.
 
         Nothing is added when the product lies above the cap.  Otherwise the
-        accumulator is first widened to the product's field width and brought
-        to a common denominator with it, the one integer multiplier path of
-        every sum.
+        accumulator is first widened to the product's field width (see
+        packed.product_plan) and brought to a common denominator with it, the
+        one integer multiplier path of every sum.
         """
-        if not (re or im) or not pk.size(pa) or not pk.size(pb):
-            return
-        if pk.size(pa) > pk.size(pb):
-            pa, pb = pb, pa
         n, cap = self.n, self.max_weight
-        top = pk.weight(pa, -1, n) + pk.weight(pb, -1, n)
-        if cap is not None:
-            if pk.weight(pa, 0, n) + pk.weight(pb, 0, n) > cap:
-                return
-            top = cap
-        bits = max(pa[0], pb[0], pk.field_bits(top), self.bits)
+        plan = pk.product_plan(n, pa, pb, cap, self.bits) if re or im else None
+        if plan is None:
+            return
+        pa, pb = plan
+        bits = pa[0]
         if bits > self.bits:
             cells = self.cells
             self.cells = dict(zip(pk.widen_keys(cells, n, self.bits, bits), cells.values()))
@@ -699,8 +682,7 @@ class ProductSum:
                 cell[1] *= f
             self.den = common
         f = common // den
-        pk.accumulate(self.cells, n, pk.widen(pa, n, bits), pk.widen(pb, n, bits), cap,
-                      (re // g * f, im // g * f))
+        pk.accumulate(self.cells, n, pa, pb, cap, (re // g * f, im // g * f))
 
     def add_real_substitution(self, p: Poly, zsubs: Sequence[Poly], usub: Optional[Poly],
                               c: GaussianLike = 1) -> None:
@@ -747,7 +729,7 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
     cden, (cre,), (cim,) = _over_one_den([scalar_parts(c)])
     moved = [i for i, s in enumerate(slots) if s is not None]
     if cap is not None:
-        # the capped powers have the field width of the cap (see Poly.mul):
+        # the capped powers have the field width of the cap (see packed.product_plan):
         # the slots get it here once instead of for each power
         bits = max(pk.field_bits(cap), *[slots[i]._packed[0] for i in moved])
         slots = [s if s is None else type(s)._from_packed(n_out, pk.widen(s._packed, n_out, bits))

@@ -2,8 +2,11 @@ import json
 import pathlib
 
 from crmoser.cli import main
+from crmoser.forms import HermitianForm
+from crmoser.poly import Poly
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def write(tmp_path, name, obj):
@@ -233,6 +236,35 @@ def test_non_ascii_digits_exit_2_with_a_json_report(tmp_path, capsys):
         surf = write(tmp_path, "digits.json", {"n": 2, "m": 0, "kind": "diagonal", "F": text})
         code, report = run(capsys, "check", "--surface", surf)
         assert code == 2 and "unexpected character" in report["error"], report
+
+def test_a_power_of_the_form_past_the_limit_is_a_json_report(tmp_path, monkeypatch, capsys):
+    """57 bytes that ask for <z,z>^30 at n = 8, C(37, 7) terms: refused before any product."""
+    def no_product(self, other, max_weight=None):
+        raise AssertionError("a power of <z,z> was multiplied out")
+
+    monkeypatch.setattr(Poly, "mul", no_product)
+    spec = write(tmp_path, "model.json", {"family": "umbilic", "n": 8, "m": 0,
+                                          "coeffs": [{"r": 0, "p": 0, "q": 30, "c": "1"}]})
+    for argv in (["check", "--surface", str(FIXTURES / "power_limit_q30.json")],
+                 ["model", "--spec", spec]):
+        code, report = run(capsys, *argv)
+        assert code == 2, argv
+        assert report["error"] == "<z,z>^30 has 10295472 terms, more than the limit of 100000"
+
+
+def test_a_thin_part_fails_the_function_test_before_its_power_is_built(monkeypatch, capsys):
+    """F = |z1|^60 at n = 8 is one term, so it is no multiple of <z,z>^30 and none is built."""
+    inner_power = HermitianForm.inner_power
+
+    def bounded(self, k):
+        if k > 13:
+            raise AssertionError(f"<z,z>^{k} was built")
+        return inner_power(self, k)
+
+    monkeypatch.setattr(HermitianForm, "inner_power", bounded)
+    code, report = run(capsys, "classify", "--surface", str(FIXTURES / "function_test_z1_60.json"))
+    assert code == 0 and report["function_of_form_and_u"] is False
+
 
 def test_output_flag_writes_report(tmp_path, capsys):
     surf = write(tmp_path, "q4.json",

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -141,6 +142,31 @@ def test_an_explicit_copy_of_a_standard_form_is_distinct_but_equal():
     assert explicit is not standard
     assert explicit == standard and hash(explicit) == hash(standard)
     assert u_basis(explicit) == u_basis(standard)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "antidiagonal"])
+def test_standard_inner_powers_have_as_many_terms_as_the_limit_counts(kind):
+    for n in (2, 3, 4):
+        form = standard_form(n, 1, kind)
+        for k in range(5):
+            assert len(form.inner_power(k).terms) == math.comb(k + n - 1, n - 1), (n, kind, k)
+
+
+def test_an_inner_power_past_the_limit_is_refused_before_any_product(monkeypatch):
+    def no_product(self, other, max_weight=None):
+        raise AssertionError("a power of <z,z> was multiplied out")
+
+    form = HermitianForm(8, 0, Matrix.identity(8), "diagonal")  # nothing memoized yet
+    form.inner_poly()
+    monkeypatch.setattr(Poly, "mul", no_product)
+    assert forms.MAX_POWER_TERMS == 10 ** 5
+    with pytest.raises(ValueError) as refused:
+        form.inner_power(30)
+    assert str(refused.value) == "<z,z>^30 has 10295472 terms, more than the limit of 100000"
+    with pytest.raises(ValueError, match=r"<z,z>\^14 has 116280 terms"):
+        form.inner_power(14)
+    with pytest.raises(AssertionError, match="multiplied out"):  # 77520 terms: allowed
+        form.inner_power(13)
 
 
 def test_u_basis_is_solved_once_per_form(monkeypatch):

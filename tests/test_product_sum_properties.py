@@ -83,6 +83,10 @@ def test_sum_of_products_is_the_sum_of_separate_products(case, offset):
     for c, a, b in items:
         total.add(a, b, c)
         expected = expected + (capped(a, cap) if b is None else a.mul(b, cap)).scale(c)
+        if b is not None:  # one product alone: the same plan, down to the field width
+            alone = ProductSum(n, cap)
+            alone.add(a, b)
+            assert alone.poly()._packed == a.mul(b, cap)._packed
     assert total.poly() == expected
 
 

@@ -11,7 +11,9 @@ import pytest
 import crmoser
 from crmoser.autgroup import AutoParams, InfSym
 from crmoser.census import CensusConfig, PairReport
+from crmoser.cli import main
 from crmoser.forms import standard_form
+from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
 from crmoser.linalg import Matrix
 from crmoser.models import ClassifyResult, ModelError, ScaledSAuto, SElement
@@ -34,11 +36,17 @@ def build(name):
         "ClassifyResult": lambda: ClassifyResult("FULL", 4, 2, 0, True, True),
         "CensusConfig": lambda: CensusConfig(ns=(2,), ms=(0, 1)),
         "PairReport": lambda: PairReport(2, 0),
+        "Poly": lambda: Poly(2, {((1, 0), (0, 1), 2): GaussianRational(1, -2)}),
+        "HoloPoly": lambda: HoloPoly.z(2, 1) + HoloPoly.w(2),
+        "Matrix": lambda: Matrix([[1, Fraction(1, 2)], [GaussianRational(0, 3), -1]]),
+        "HermitianForm": lambda: form,
+        "GaussianRational": lambda: GaussianRational(Fraction(1, 2), -3),
     }[name]()
 
 
 FROZEN = ["AutoParams", "InfSym", "JetMap", "Hypersurface", "NormalFormReport", "SElement",
-          "ScaledSAuto", "ClassifyResult", "CensusConfig"]
+          "ScaledSAuto", "ClassifyResult", "CensusConfig",
+          "Poly", "HoloPoly", "Matrix", "HermitianForm", "GaussianRational"]
 
 
 def test_importing_the_cli_loads_no_dataclasses():
@@ -63,7 +71,7 @@ def test_value_types_have_slots_and_no_instance_dict(name):
 @pytest.mark.parametrize("name", FROZEN)
 def test_frozen_value_types_refuse_assignment_and_deletion(name):
     value = build(name)
-    field = type(value).__slots__[0]
+    field = (type(value).__slots__ or Poly.__slots__)[0]  # HoloPoly adds no slot to Poly's
     with pytest.raises(AttributeError, match="is immutable"):
         setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError, match="is immutable"):
@@ -75,6 +83,17 @@ def test_equal_fields_give_equal_values_and_hashes(name):
     first, second = build(name), build(name)
     assert first == second and hash(first) == hash(second)
     assert first != object() and first.__eq__(object()) is NotImplemented
+
+
+def test_a_refused_deletion_leaves_the_shared_form_whole(monkeypatch, capsys):
+    """Every surface over standard_form(2, 0, "diagonal") shares it and what is memoized on it."""
+    with pytest.raises(AttributeError, match="HermitianForm is immutable"):
+        del standard_form(2, 0, "diagonal").matrix
+    root = pathlib.Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    assert main(["classify", "--surface", "samples/umbilic_q4.json"]) == 0
+    expected = root / "tests" / "expected" / "classify-umbilic_q4.json"
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
 
 
 def test_unequal_fields_give_unequal_values():
