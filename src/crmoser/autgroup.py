@@ -41,6 +41,14 @@ class TruncationError(ValueError):
     """Requested verification weight exceeds what the jet truncation supports."""
 
 
+def _check_scale(lam: Fraction, sigma: int) -> None:
+    """ValueError unless lambda > 0 and sigma = +-1."""
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    if sigma not in (1, -1):
+        raise ValueError("sigma must be +1 or -1")
+
+
 class AutoParams(Frozen):
     """(U, a, lambda, sigma, r) with lambda > 0 rational and sigma = +-1."""
 
@@ -51,10 +59,7 @@ class AutoParams(Frozen):
         a = tuple(GaussianRational.of(c) for c in a)
         lam = Fraction(lam)
         r = Fraction(r)
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-        if sigma not in (1, -1):
-            raise ValueError("sigma must be +1 or -1")
+        _check_scale(lam, sigma)
         if len(a) != U.nrows:
             raise ValueError("a must have one entry per dimension")
         self._fill(U, a, lam, sigma, r)
@@ -153,10 +158,7 @@ def is_linear_automorphism(surface: Hypersurface, u_mat: Matrix,
                            lam: Fraction, sigma: int) -> bool:
     """Exact test of F(lambda U z, conj, sigma lambda^2 u) = sigma lambda^2 F."""
     lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if sigma not in (1, -1):
-        raise ValueError("sigma must be +1 or -1")
+    _check_scale(lam, sigma)
     if is_pseudounitary(u_mat, surface.form) != sigma:
         raise ValueError("U is not pseudounitary with the requested sigma")
     u_scale = sigma * lam * lam

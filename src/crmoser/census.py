@@ -34,7 +34,8 @@ from .value import Frozen, Value
 DEFAULT_POOL: Tuple[Fraction, ...] = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
     Fraction(1, 2), Fraction(-1, 2),
-)
+)  # the coefficients a proposal draws from
+MAX_TRIES = 500  # the proposals drawn for one surface before the sampler gives up
 
 
 # weight of the lightest term a normal-form F can have: bidegree (2,2), no u
@@ -42,17 +43,17 @@ MIN_WEIGHT = 4
 
 
 class CensusConfig(Frozen):
-    __slots__ = ("ns", "ms", "max_weight", "samples", "seed", "pool")
+    __slots__ = ("ns", "ms", "max_weight", "samples", "seed")
 
     def __init__(self, ns: Tuple[int, ...], ms: Tuple[int, ...], max_weight: int = 8,
-                 samples: int = 200, seed: int = 0, pool: Tuple[Fraction, ...] = DEFAULT_POOL):
+                 samples: int = 200, seed: int = 0):
         if samples < 1:
             raise ValueError(f"a census needs at least one sample per pair, got {samples}")
         if max_weight < MIN_WEIGHT:
             raise ValueError(
                 f"max weight {max_weight} admits no surface: the smallest "
                 f"normal-form term, bidegree (2,2) at u^0, has weight {MIN_WEIGHT}")
-        self._fill(ns, ms, max_weight, samples, seed, pool)
+        self._fill(ns, ms, max_weight, samples, seed)
 
     def pairs(self) -> List[Tuple[int, int]]:
         # a repeated pair runs once, at its first place
@@ -71,18 +72,16 @@ def _random_composition(rng: random.Random, total: int, parts: int) -> Tuple[int
 
 
 def random_normal_form_surface(rng: random.Random, form: HermitianForm,
-                               max_weight: int,
-                               pool: Tuple[Fraction, ...] = DEFAULT_POOL,
-                               max_tries: int = 500) -> Hypersurface:
+                               max_weight: int) -> Hypersurface:
     """One random normal-form surface over the given form.
 
     Proposals are one or two conjugate-symmetric monomial pairs (bidegrees
     k, l >= 2, weight <= max_weight), occasionally a pure <z,z>^k u^r
     control; proposals failing the trace conditions are rejected and
-    redrawn.
+    redrawn, at most MAX_TRIES times; coefficients come from DEFAULT_POOL.
     """
     n = form.n
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         f_poly = Poly.zero(n)
         if rng.random() < 0.2:
             choices = [(k, r) for k in (4, 5) for r in (0, 1)
@@ -90,7 +89,7 @@ def random_normal_form_surface(rng: random.Random, form: HermitianForm,
             if not choices:
                 continue
             k, r = rng.choice(choices)
-            coeff = rng.choice(pool)
+            coeff = rng.choice(DEFAULT_POOL)
             f_poly = (form.inner_power(k) * Poly.u(n).pow(r)).scale(coeff)
         else:
             for _ in range(rng.choice((1, 1, 2))):
@@ -103,9 +102,9 @@ def random_normal_form_surface(rng: random.Random, form: HermitianForm,
                 zexp = _random_composition(rng, k, n)
                 zbexp = _random_composition(rng, l, n)
                 if zexp == zbexp:
-                    coeff = GaussianRational(rng.choice(pool))
+                    coeff = GaussianRational(rng.choice(DEFAULT_POOL))
                 else:
-                    coeff = GaussianRational(rng.choice(pool), rng.choice(pool))
+                    coeff = GaussianRational(rng.choice(DEFAULT_POOL), rng.choice(DEFAULT_POOL))
                 mono = Poly.monomial(n, zexp, zbexp, r, coeff)
                 f_poly = f_poly + mono + mono.conjugate()
         if f_poly.is_zero():
@@ -149,8 +148,7 @@ def run_census(config: CensusConfig) -> dict:
         form = standard_form(n, m, kind)
         pair = PairReport(n=n, m=m)
         for _ in range(config.samples):
-            surface = random_normal_form_surface(
-                rng, form, config.max_weight, config.pool)
+            surface = random_normal_form_surface(rng, form, config.max_weight)
             dim = stabilizer_algebra(surface).dim
             pair.samples += 1
             pair.dims[dim] = pair.dims.get(dim, 0) + 1

@@ -12,8 +12,9 @@ reference to it lives.  Derived data (the inverse matrix, <z,z> and its
 powers, u(H), and per weight cap the `WTable` of w = u + i<z,z>) is kept
 in one memo on the form (`HermitianForm.memo`), so surfaces over one form
 share it; each power <z,z>^k is built once, from the one below it, and a
-power past MAX_POWER_TERMS terms is refused.  The kernel reads the
-form and its inverse as Matrix numerators, never entry by entry.
+power past MAX_POWER_TERMS terms, or a chain of powers past MAX_MEMO_TERMS
+terms in all, is refused.  The kernel reads the form and its inverse as
+Matrix numerators, never entry by entry.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ ANTIDIAGONAL = "antidiagonal"
 EXPLICIT = "explicit"
 _I = GaussianRational(0, 1)
 MAX_POWER_TERMS = 10 ** 5  # the most terms a power <z,z>^k may have (see inner_power)
+MAX_MEMO_TERMS = 25 * 10 ** 4  # the most terms the memo of <z,z>^0..<z,z>^k may hold
 
 
 class HermitianForm(Frozen):
@@ -88,19 +90,25 @@ class HermitianForm(Frozen):
         return self.memo("inner", build)
 
     def inner_power(self, k: int) -> Poly:
-        """<z,z>^k for k >= 0, memoized on the form; refused before any product past the limit.
+        """<z,z>^k for k >= 0, memoized on the form; refused before any product past a limit.
 
         <z,z> has e terms, one per nonzero entry of H, so <z,z>^k has at most
-        C(k+e-1, e-1) terms, exactly that many for a standard form.
+        C(k+e-1, e-1) terms, exactly that many for a standard form.  The memo
+        keeps every power from 0 to k, at most C(k+e, e) terms in all, so a
+        power is refused when it passes MAX_POWER_TERMS, or when the memo
+        would pass MAX_MEMO_TERMS (n = 1 and 2 allow long chains of small powers).
         """
         if k < 0:
             raise ValueError("negative exponent")
         powers = self.memo("inner_powers", lambda: [Poly.constant(self.n, 1)])
         if len(powers) <= k:
-            e = len(self.inner_poly().terms)
+            e = len(self.inner_poly())
             if comb(k + e - 1, e - 1) > MAX_POWER_TERMS:
                 raise ValueError(f"<z,z>^{k} has {comb(k + e - 1, e - 1)} terms, more than the "
                                  f"limit of {MAX_POWER_TERMS}")
+            if comb(k + e, e) > MAX_MEMO_TERMS:
+                raise ValueError(f"the powers <z,z>^0..<z,z>^{k} hold {comb(k + e, e)} terms in "
+                                 f"all, more than the memo limit of {MAX_MEMO_TERMS}")
             while len(powers) <= k:
                 powers.append(powers[-1] * self.inner_poly())
         return powers[k]

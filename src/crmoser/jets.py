@@ -12,6 +12,7 @@ and identities involving the jet are exact for all weights < D.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Optional, Tuple
 
 from . import packed as pk
@@ -34,8 +35,8 @@ class HoloPoly(Poly):
 
     @property
     def terms(self) -> Mapping[HoloMono, GaussianRational]:
-        """Read-only mapping (zexp, wexp) -> coefficient."""
-        return _HoloTermsView(self)
+        """A read-only snapshot (zexp, wexp) -> coefficient, unpacked on each access."""
+        return MappingProxyType({(z, w): c for (z, _zb, w), c in pk.unpack(self.n, self._packed)})
 
     @classmethod
     def w(cls, n: int) -> "HoloPoly":
@@ -57,25 +58,6 @@ class HoloPoly(Poly):
         kept = [{key: value for key, value in item.items() if key in ("z", "w", "re", "im")}
                 for item in term_list(items)]
         return Poly.terms_from_json(n, kept, u_field="w")._as(cls)
-
-
-class _HoloTermsView(Mapping):
-    """`HoloPoly.terms`: the Poly terms keyed by (zexp, wexp)."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, poly: HoloPoly):
-        self._terms = super(HoloPoly, poly).terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __iter__(self):
-        return ((z, w) for z, _zb, w in self._terms)
-
-    def __getitem__(self, key):
-        z, w = key
-        return self._terms[(tuple(z), (0,) * len(z), w)]
 
 
 class JetMap(Frozen):

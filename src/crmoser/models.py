@@ -56,12 +56,25 @@ class ModelError(ValueError):
     """Invalid parameters for a model constructor or group element."""
 
 
+def _check_s_signature(n: int, m: int) -> None:
+    """ModelError unless S is defined for the signature (n-m, m)."""
+    if m < 1 or n < 2 * m:
+        raise ModelError(f"S is defined for m >= 1 and n >= 2m, got ({n},{m})")
+
+
+def _check_s(s) -> Fraction:
+    """s as a Fraction; ModelError unless s >= -1/2."""
+    s = as_fraction(s)
+    if s < Fraction(-1, 2):
+        raise ModelError("s must be a rational >= -1/2")
+    return s
+
+
 def _central_form(n: int, m: int) -> Optional[HermitianForm]:
     """H': the antidiagonal form with first and last rows/columns removed."""
     if n < 2:
         raise ModelError("the group S needs n >= 2")
-    if m < 1 or n < 2 * m:
-        raise ModelError(f"S is defined for m >= 1 and n >= 2m, got ({n},{m})")
+    _check_s_signature(n, m)
     if n == 2:
         return None
     return standard_form(n - 2, m - 1, ANTIDIAGONAL)
@@ -165,8 +178,7 @@ def s_dimension(n: int, m: int) -> int:
     system carries exactly the A-block condition and the differentiated
     corner constraint Re(dc) = 0.
     """
-    if m < 1 or n < 2 * m:
-        raise ModelError(f"S is defined for m >= 1 and n >= 2m, got ({n},{m})")
+    _check_s_signature(n, m)
     basis = u_basis(standard_form(n, m, ANTIDIAGONAL))
     # row-major indices: column 1 below the diagonal, then the rest of row n left of it
     cells = [i * n for i in range(1, n)] + [(n - 1) * n + j for j in range(1, n - 1)]
@@ -278,9 +290,7 @@ def model_theorem2(n: int, m: int, s: Fraction,
     """
     if m < 1:
         raise ModelError("theorem2 models need m >= 1")
-    s = as_fraction(s)
-    if s < Fraction(-1, 2):
-        raise ModelError("s must be a rational >= -1/2")
+    s = _check_s(s)
     form = standard_form(n, m, ANTIDIAGONAL)
     clean = _clean(coeffs)
     for (r, p, q) in clean:
@@ -298,9 +308,8 @@ def model_theorem2(n: int, m: int, s: Fraction,
         raise ModelError("F_23 does not vanish")  # unreachable for this family
     report = check_normal_form(surface)
     if not report.passed:
-        names = ", ".join(name for name, _ in report.violations)
         raise ModelError(
-            f"supplied coefficients violate the trace conditions ({names}); "
+            f"supplied coefficients violate the trace conditions ({report.violated()}); "
             f"no admissible surface for these terms")
     return surface
 
@@ -326,7 +335,7 @@ def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Frac
     if f_poly.is_zero():
         raise ModelError("spherical surface is not a theorem2 model")
     found: Dict[Tuple[int, int, int], Fraction] = {}
-    for (z, zb, r) in f_poly.terms:
+    for (z, zb, r), coeff in f_poly.terms.items():
         p = z[n - 1]
         q = z[0] if n >= 2 else 0
         # marker pattern: z = q*e_1 + p*e_n, zb = (p+q)*e_n
@@ -335,7 +344,6 @@ def theorem2_decompose(surface: Hypersurface) -> Dict[Tuple[int, int, int], Frac
         marker_zb = tuple(p + q if i == n - 1 else 0 for i in range(n))
         if z != marker_z or zb != marker_zb:
             continue
-        coeff = f_poly.coeff((z, zb, r))
         if not coeff.is_real():
             raise ModelError("family coefficients must be real")
         found[(r, p, q)] = coeff.re
@@ -360,10 +368,7 @@ class ScaledSAuto(Frozen):
     __slots__ = ("s", "element")
 
     def __init__(self, s: Fraction, element: SElement):
-        s = as_fraction(s)
-        if s < Fraction(-1, 2):
-            raise ModelError("s must be a rational >= -1/2")
-        self._fill(s, element)
+        self._fill(_check_s(s), element)
 
     @property
     def scale_base(self) -> Fraction:
@@ -459,8 +464,7 @@ def classify(surface: Hypersurface) -> ClassifyResult:
         raise ModelError("classify requires a non-spherical surface")
     report = check_normal_form(surface)
     if not report.passed:
-        names = ", ".join(name for name, _ in report.violations)
-        raise ModelError(f"surface is not in normal form (violated: {names})")
+        raise ModelError(f"surface is not in normal form (violated: {report.violated()})")
     n, m = surface.n, surface.m
     result = stabilizer_algebra(surface)
     dim = result.dim

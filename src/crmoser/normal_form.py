@@ -66,6 +66,10 @@ class NormalFormReport(Frozen):
     def __init__(self, passed: bool, violations: Tuple[Tuple[str, Poly], ...] = ()):
         self._fill(passed, violations)
 
+    def violated(self) -> str:
+        """The names of the violated conditions, comma-separated."""
+        return ", ".join(name for name, _ in self.violations)
+
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
@@ -109,10 +113,9 @@ def is_umbilic_origin(surface: Hypersurface) -> bool:
     parts = surface.F.bidegree_parts()
     report = _trace_report(surface.form, parts)
     if not report.passed:
-        names = ", ".join(name for name, _ in report.violations)
         raise NormalFormError(
             f"umbilicity is defined for normal-form surfaces only; "
-            f"violated: {names}")
+            f"violated: {report.violated()}")
     return parts.get((2, 2), Poly.zero(surface.n)).at_u_zero().is_zero()
 
 
@@ -127,7 +130,7 @@ def is_function_of_form_and_u(surface: Hypersurface) -> bool:
     exponents |a| = k: a smaller part fails before any power is built.
     """
     parts = surface.F.bidegree_parts()
-    return (all(k == l and len(part.terms) >= comb(k + surface.n - 1, surface.n - 1)
+    return (all(k == l and len(part) >= comb(k + surface.n - 1, surface.n - 1)
                 for (k, l), part in parts.items())
             and all(part.is_real_u_multiple(surface.form.inner_power(k))
                     for (k, _l), part in parts.items()))

@@ -26,7 +26,9 @@ integer numerators over one shared denominator, one integer key per
 monomial, keys in weight order.  Every method runs on it.  Monomial keys
 and GaussianRational coefficients exist only at the boundary: a Poly built
 from a term dict is packed at once, and `coeff`, `terms`, `to_json` and
-`str` read the packed form without storing anything else.  A weight cap
+`str` read the packed form without storing anything else: `terms` is a
+read-only snapshot (a `MappingProxyType` over a fresh dict), unpacked on
+each access, not a view.  `len(p)` is the number of terms.  A weight cap
 reads a prefix of the packed keys, which keeps truncated series
 composition exact for every weight below it.  A sum of products
 (substitution, pairings) goes into one `ProductSum`, which sorts and
@@ -42,11 +44,12 @@ key differently.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import or_
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import packed as pk
@@ -112,10 +115,11 @@ class Poly(Frozen):
 
     @property
     def terms(self) -> Mapping[Mono, GaussianRational]:
-        """Read-only mapping monomial -> coefficient, read off the packed form."""
-        return _TermsView(self)
+        """A read-only snapshot monomial -> coefficient, unpacked on each access."""
+        return MappingProxyType(dict(pk.unpack(self.n, self._packed)))
 
-    def _size(self) -> int:
+    def __len__(self):
+        """The number of terms."""
         return pk.size(self._packed)
 
     # -- constructors ----------------------------------------------------------
@@ -173,7 +177,7 @@ class Poly(Frozen):
     # -- basic queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._size()
+        return not self
 
     def coeff(self, mono: Mono) -> GaussianRational:
         """The coefficient of a monomial, zero when it is absent or not of dimension n."""
@@ -183,15 +187,12 @@ class Poly(Frozen):
         (re,), (im,) = pk.numerators(self._packed, [mono])
         return GaussianRational(Fraction(re, self._packed[1]), Fraction(im, self._packed[1]))
 
-    def __bool__(self):
-        return bool(self._size())
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = type(self).constant(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.n != other.n or self._size() != other._size():
+        if self.n != other.n or len(self) != len(other):
             return False
         # packed forms are canonical once their field widths agree
         bits = max(self._packed[0], other._packed[0])
@@ -240,9 +241,9 @@ class Poly(Frozen):
         """self + other, or self - other when `subtract`."""
         self._check_dim(other)
         cls = self._kind(other)
-        if not other._size():
+        if not other:
             return self._as(cls)
-        if not self._size():
+        if not self:
             return (-other if subtract else other)._as(cls)
         bits = max(self._packed[0], other._packed[0])
         return cls._from_packed(
@@ -317,7 +318,7 @@ class Poly(Frozen):
         whichever form is stored.
         """
         diff = self - self.conjugate()
-        if not diff._size():
+        if not diff:
             return None
         bits, _den, data = diff._packed
         return pk.unpack_key(data[0], bits, self.n)
@@ -358,10 +359,10 @@ class Poly(Frozen):
 
     def min_weight(self) -> Optional[int]:
         """Lowest weight present (gamma when applied to a defining function)."""
-        return pk.weight(self._packed, 0, self.n) if self._size() else None
+        return pk.weight(self._packed, 0, self.n) if self else None
 
     def max_weight(self) -> Optional[int]:
-        return pk.weight(self._packed, -1, self.n) if self._size() else None
+        return pk.weight(self._packed, -1, self.n) if self else None
 
     def truncate_weight(self, max_weight: int) -> "Poly":
         return type(self)._from_packed(self.n, pk.truncate(self._packed, self.n, max_weight))
@@ -389,14 +390,14 @@ class Poly(Frozen):
         """Formal partial derivative; kind is 'z', 'zbar' or 'u'."""
         n = self.n
         field = self._field(kind, idx)
-        if not self._size():
+        if not self:
             return Poly.zero(n)
         return Poly._from_packed(n, pk.derivative(self._packed, n, field))
 
     def trace(self, hinv: "Matrix") -> "Poly":
         """sum_ab h_ab d^2/dz_a dconj(z_b) of self for the n x n matrix hinv = (h_ab), read
         off its numerators by one packed kernel (see packed.trace)."""
-        if not self._size():
+        if not self:
             return Poly.zero(self.n)
         return Poly._from_packed(self.n, pk.trace(self._packed, self.n, hinv.den, hinv.re,
                                                   hinv.im))
@@ -410,8 +411,8 @@ class Poly(Frozen):
         """
         self._check_dim(q)
         n = self.n
-        if not q._size():
-            return not self._size()
+        if not q:
+            return not self
         bits = max(self._packed[0], q._packed[0])
         keys_q, res_q, ims_q = pk.columns(q._widen(bits))
         keys_q = list(keys_q)
@@ -534,7 +535,7 @@ class Poly(Frozen):
     # -- display ------------------------------------------------------------------
 
     def __str__(self):
-        if not self._size():
+        if not self:
             return "0"
         parts = []
         for (z, zb, u), c in self.sorted_terms():
@@ -552,7 +553,7 @@ class Poly(Frozen):
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, terms={self._size()})"
+        return f"{type(self).__name__}(n={self.n}, terms={len(self)})"
 
 
 _set_n, _set_packed = Poly._setters
@@ -795,42 +796,3 @@ def _exponents(item: dict, key: str, n: int) -> Tuple[int, ...]:
         raise ValueError(f"term field {key!r} must be a list of exponents")
     field = f"an exponent in term field {key!r}"
     return tuple([e if type(e) is int else parse_int(e, field) for e in exps])
-
-
-class _TermsView(Mapping):
-    """`Poly.terms`: a read-only mapping over the packed form, which it reads on each access."""
-
-    __slots__ = ("_poly",)
-
-    def __init__(self, poly: Poly):
-        self._poly = poly
-
-    def __len__(self):
-        return self._poly._size()
-
-    def __getitem__(self, mono):
-        c = self._poly.coeff(mono)
-        if c.is_zero():
-            raise KeyError(mono)
-        return c
-
-    def __iter__(self):
-        poly = self._poly
-        bits, keys = poly._packed[0], pk.columns(poly._packed)[0]
-        return (pk.unpack_key(key, bits, poly.n) for key in keys)
-
-    def items(self):
-        return _TermItems(self)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
-class _TermItems(ItemsView):
-    """The items of a `_TermsView`, unpacked in one pass in key order."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        poly = self._mapping._poly
-        return pk.unpack(poly.n, poly._packed)

@@ -1,0 +1,109 @@
+"""A mutation gate: mutants of the kernel, each with the tests that must kill it.
+
+A mutant replaces one text, which occurs exactly once in `src/`, by another
+(`test_mutants.py` checks that in tier-1, so the list cannot go stale).  Its
+killing tests must pass on the program and fail on the mutant.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+It copies `src/`, `tests/`, `samples/` and `pyproject.toml` to a temporary
+directory, runs every killing test there once on the unchanged copy, then
+applies each mutant in turn and runs its killing tests.  It prints one line
+per mutant and exits 1 if any mutant survives or the unchanged copy fails.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple, Tuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "samples", "pyproject.toml")
+PYTEST = (sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: Tuple[str, ...]  # pytest node ids
+    reason: str
+
+
+GAP = "    return lo <= dim <= hi or (func and dim != n * n)"
+GAP_TESTS = ("tests/test_gap_verdict.py",)
+GOLDEN = "tests/test_samples.py::test_sample_reports_match_golden_bytes"
+PRODUCT_SUM = "tests/test_product_sum_properties.py::test_"
+
+MUTANTS = (
+    Mutant("mirror_is_zero ignores the imaginary part", "src/crmoser/packed.py",
+           "        if re + cre or im != cim:", "        if re + cre:",
+           (PRODUCT_SUM + "real_is_zero_equals_the_zero_test_of_real",
+            "tests/test_cli.py::test_verify_jet_checks_each_weight_up_to_the_cap"),
+           "jet verification's zero test would pass a residual with an imaginary part"),
+    Mutant("the tr3F33 residual zeroed at n = 2", "src/crmoser/normal_form.py",
+           '        ("tr3F33", trace_op(form, trace_op(form, trace_op(form, '
+           'parts.get((3, 3), zero))))),',
+           '        ("tr3F33", zero if form.n == 2 else trace_op(form, trace_op(form, '
+           'trace_op(form, parts.get((3, 3), zero))))),',
+           (GOLDEN + "[check-non_normal_form]",),
+           "the normal form's third trace condition would go unchecked in the lowest dimension"),
+    Mutant("lo < dim in gap_violated", "src/crmoser/models.py",
+           GAP, GAP.replace("lo <= dim", "lo < dim"), GAP_TESTS,
+           "a dimension at the lower end of the forbidden band would pass the gap verdict"),
+    Mutant("dim < hi in gap_violated", "src/crmoser/models.py",
+           GAP, GAP.replace("dim <= hi", "dim < hi"), GAP_TESTS,
+           "a dimension at the upper end of the forbidden band would pass the gap verdict"),
+    Mutant("m.den dropped in add_form", "src/crmoser/poly.py",
+           "                self._add(a._packed, b._packed, m.den, mre[k], mim[k])",
+           "                self._add(a._packed, b._packed, 1, mre[k], mim[k])",
+           (PRODUCT_SUM + "add_form_is_the_loop_of_adds_over_the_entries",
+            GOLDEN + "[stabdim_basis-explicit_2_1_mixed]"),
+           "a u(H) direction with denominator 2 would enter the stabilizer system doubled"),
+)
+
+
+def pytest(copy: pathlib.Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([*PYTEST, *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, copy / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy(source, copy / name)
+        every = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        if pytest(copy, every):
+            print("the killing tests fail on the unchanged program")
+            return 1
+        survived = 0
+        for mutant in MUTANTS:
+            target = copy / mutant.path
+            text = target.read_text()
+            target.write_text(text.replace(mutant.old, mutant.new, 1))
+            start = time.perf_counter()
+            code = pytest(copy, mutant.tests)
+            target.write_text(text)
+            killed = code == 1  # pytest's exit code for failed tests, not for an error
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED'} ({time.perf_counter() - start:.1f} s, "
+                  f"pytest exit {code}): {mutant.name}")
+        return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

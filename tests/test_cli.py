@@ -238,18 +238,28 @@ def test_non_ascii_digits_exit_2_with_a_json_report(tmp_path, capsys):
         assert code == 2 and "unexpected character" in report["error"], report
 
 def test_a_power_of_the_form_past_the_limit_is_a_json_report(tmp_path, monkeypatch, capsys):
-    """57 bytes that ask for <z,z>^30 at n = 8, C(37, 7) terms: refused before any product."""
+    """57 bytes that ask for <z,z>^30 at n = 8, C(37, 7) terms: refused before any product.
+
+    At n = 1 and 2 each power is small, but the memo of the powers 0..k would
+    keep C(k+e, e) terms in all: refused before any product too.
+    """
     def no_product(self, other, max_weight=None):
         raise AssertionError("a power of <z,z> was multiplied out")
 
     monkeypatch.setattr(Poly, "mul", no_product)
     spec = write(tmp_path, "model.json", {"family": "umbilic", "n": 8, "m": 0,
                                           "coeffs": [{"r": 0, "p": 0, "q": 30, "c": "1"}]})
-    for argv in (["check", "--surface", str(FIXTURES / "power_limit_q30.json")],
-                 ["model", "--spec", spec]):
+    line = write(tmp_path, "line.json", {"n": 1, "m": 0, "kind": "diagonal", "F": "Q^250000"})
+    power = "<z,z>^30 has 10295472 terms, more than the limit of 100000"
+    chain = "the powers <z,z>^0..<z,z>^{} hold {} terms in all, more than the memo limit of 250000"
+    for argv, error in ((["check", "--surface", str(FIXTURES / "power_limit_q30.json")], power),
+                        (["model", "--spec", spec], power),
+                        (["check", "--surface", line], chain.format(250000, 250001)),
+                        (["check", "--surface", str(FIXTURES / "power_chain_n2_q1000.json")],
+                         chain.format(1000, 501501))):
         code, report = run(capsys, *argv)
         assert code == 2, argv
-        assert report["error"] == "<z,z>^30 has 10295472 terms, more than the limit of 100000"
+        assert report["error"] == error
 
 
 def test_a_thin_part_fails_the_function_test_before_its_power_is_built(monkeypatch, capsys):

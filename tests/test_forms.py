@@ -156,8 +156,10 @@ def test_an_inner_power_past_the_limit_is_refused_before_any_product(monkeypatch
     def no_product(self, other, max_weight=None):
         raise AssertionError("a power of <z,z> was multiplied out")
 
-    form = HermitianForm(8, 0, Matrix.identity(8), "diagonal")  # nothing memoized yet
-    form.inner_poly()
+    # nothing memoized yet
+    form, line, plane = [HermitianForm(n, 0, Matrix.identity(n), "diagonal") for n in (8, 1, 2)]
+    for each in (form, line, plane):
+        each.inner_poly()
     monkeypatch.setattr(Poly, "mul", no_product)
     assert forms.MAX_POWER_TERMS == 10 ** 5
     with pytest.raises(ValueError) as refused:
@@ -166,7 +168,22 @@ def test_an_inner_power_past_the_limit_is_refused_before_any_product(monkeypatch
     with pytest.raises(ValueError, match=r"<z,z>\^14 has 116280 terms"):
         form.inner_power(14)
     with pytest.raises(AssertionError, match="multiplied out"):  # 77520 terms: allowed
-        form.inner_power(13)
+        form.inner_power(13)  # with C(21, 8) = 203490 terms over the powers 0..13
+
+    # at n = 1 and 2 each power is small, but the memo would keep the powers 0..k
+    assert forms.MAX_MEMO_TERMS == 250000
+    with pytest.raises(ValueError) as refused:
+        plane.inner_power(99999)  # one power of 100000 terms passes the per-power limit
+    assert str(refused.value) == ("the powers <z,z>^0..<z,z>^99999 hold 5000050000 terms in "
+                                  "all, more than the memo limit of 250000")
+    with pytest.raises(ValueError, match=r"<z,z>\^0..<z,z>\^250000 hold 250001 terms"):
+        line.inner_power(250000)  # every power has one term
+    # the largest chains allowed: 250000 one-term powers, and C(707, 2) = 249571 terms at n = 2
+    for each, k in ((line, 249999), (plane, 705)):
+        with pytest.raises(AssertionError, match="multiplied out"):
+            each.inner_power(k)
+    with pytest.raises(ValueError, match="hold 250278 terms"):
+        plane.inner_power(706)
 
 
 def test_u_basis_is_solved_once_per_form(monkeypatch):

@@ -113,6 +113,9 @@ def test_holopoly_is_a_poly_with_w_in_the_u_slot():
     assert dict(p.terms) == {((2, 0), 1): GaussianRational(3),
                              ((0, 1), 0): GaussianRational(0, 1)}
     assert set((p * p).terms) == {((4, 0), 2), ((2, 1), 1), ((0, 2), 0)}
+    assert len(p) == len(p.terms) == 2
+    with pytest.raises(TypeError):  # a read-only snapshot
+        p.terms[((1, 1), 0)] = GaussianRational(1)
     assert p.min_weight() == 1 and p.max_weight() == 4
 
 

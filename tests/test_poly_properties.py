@@ -86,6 +86,8 @@ def test_product_equals_and_hashes_like_its_terms(ab):
     assert product == rebuilt
     assert hash(product) == hash(rebuilt)
     assert len(product.terms) == len(rebuilt.terms)
+    for p in (a, b, product):
+        assert len(p) == len(p.terms) and bool(p) == (len(p) > 0)
     assert (a * b).conjugate() == rebuilt.conjugate()
     assert ((a * b).real_violation() is None) == rebuilt.is_real()
     real = a * a.conjugate()
@@ -105,6 +107,8 @@ def test_coefficient_lookup_on_the_packed_form(ab, exps):
         assert product.coeff(mono) == rebuilt.terms.get(mono, 0)
         present = not product.coeff(mono).is_zero()
         assert (mono in product.terms) == (product.terms.get(mono) is not None) == present
+        with pytest.raises(TypeError):  # a read-only snapshot
+            product.terms[mono] = GaussianRational(1)
 
 
 @SETTINGS
