@@ -395,9 +395,6 @@ def _geometric(t: Poly, max_w: int) -> Poly:
     if mw is not None and mw < 1:
         raise ValueError("geometric series needs a positive minimal weight")
     power = type(t).constant(t.n, 1)
-    # a capped product is stored at the field width of its cap, so t is
-    # widened here once instead of for every power
-    t = power.mul(t, max_w)
     total = ProductSum(t.n, max_w)
     while power:
         total.add(power)

@@ -19,7 +19,6 @@ from typing import List, Optional
 
 from . import __version__
 from .autgroup import (
-    TruncationError,
     is_linear_automorphism,
     stabilizer_algebra,
     verify_automorphism,
@@ -29,7 +28,6 @@ from .gaussrat import parse_int, parse_rational
 from .jets import JetMap
 from .linalg import Matrix
 from .models import (
-    ModelError,
     ScaledSAuto,
     SElement,
     classify,
@@ -39,9 +37,9 @@ from .models import (
     model_umbilic,
     verify_scaled_automorphism,
 )
-from .normal_form import NormalFormError, check_normal_form
+from .normal_form import check_normal_form
 from .poly import term_list
-from .surface_io import SurfaceParseError, surface_from_json, surface_to_json
+from .surface_io import surface_from_json, surface_to_json
 
 SCHEMA = "cr-moser-report/1"
 
@@ -300,8 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (CliInputError, SurfaceParseError, NormalFormError, ModelError,
-            TruncationError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         error_report = {
             "schema": SCHEMA,
             "library_version": __version__,

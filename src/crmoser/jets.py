@@ -42,6 +42,17 @@ class HoloPoly(Poly):
     def w(cls, n: int) -> "HoloPoly":
         return cls.u(n)
 
+    @classmethod
+    def zbar(cls, n: int, idx: int) -> "HoloPoly":
+        raise ValueError("a holomorphic polynomial has no conj(z) variable")
+
+    @classmethod
+    def monomial(cls, n: int, zexp, zbexp, uexp: int, coeff: GaussianLike = 1) -> "HoloPoly":
+        """z^zexp w^uexp; a nonzero conj(z) exponent zbexp is a ValueError."""
+        if any(zbexp):
+            raise ValueError("a holomorphic polynomial has no conj(z) variable")
+        return super().monomial(n, zexp, zbexp, uexp, coeff)
+
     weight_truncate = Poly.truncate_weight
 
     def substitute_w(self, wpoly: Poly, max_weight: Optional[int] = None) -> Poly:
@@ -72,6 +83,10 @@ class JetMap(Frozen):
             raise ValueError("jet components have mismatched dimensions")
         if len(f) != n:
             raise ValueError(f"jet must have {n} z-components")
+        # a HoloPoly holds no conj(z) term, since its constructors refuse one
+        for name, p in [*((f"f{i + 1}", fi) for i, fi in enumerate(f)), ("g", g)]:
+            if not isinstance(p, HoloPoly) and any(l for _k, l in p.key_bidegrees()):
+                raise ValueError(f"jet component {name} has a conj(z) term")
         if any(p.min_weight() == 0 for p in (*f, g)):  # only a constant has weight 0
             raise ValueError("jet must preserve the origin")
         if D < 1:

@@ -152,22 +152,13 @@ class Matrix(Frozen):
         return not any(self.re) and not any(self.im)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
+        return Matrix.combination(1, (1, 1), (self, other))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        self._same_shape(other)
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
-        return Matrix.from_numerators(self.nrows, self.ncols, den,
-                                      [x * fa + y * fb for x, y in zip(self.re, other.re)],
-                                      [x * fa + y * fb for x, y in zip(self.im, other.im)])
+        return Matrix.combination(1, (1, -1), (self, other))
 
     def __neg__(self) -> "Matrix":
-        return Matrix.from_numerators(self.nrows, self.ncols, self.den,
-                                      [-x for x in self.re], [-x for x in self.im])
+        return self.scale(-1)
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:

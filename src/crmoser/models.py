@@ -285,8 +285,8 @@ def model_theorem2(n: int, m: int, s: Fraction,
     """v = <z,z> (antidiagonal) + sum C_{rpq} u^r |z_n|^{2p} <z,z>^q, m >= 1.
 
     Keys are (r, p, q) with p >= 1, q, r >= 0 and (r+q-1)/p = s exactly;
-    the construction additionally enforces F_23 = 0 and the trace
-    conditions by rejection.  Stability dimension n^2 - 2n + 3.
+    the construction additionally enforces the trace conditions by
+    rejection.  Stability dimension n^2 - 2n + 3.
     """
     if m < 1:
         raise ModelError("theorem2 models need m >= 1")
@@ -304,8 +304,6 @@ def model_theorem2(n: int, m: int, s: Fraction,
                 f"key (r={r}, p={p}, q={q}): p+q >= 2 is required in normal form")
     f_poly = _family(form, n - 1, clean.items())
     surface = Hypersurface(form, f_poly, max(2 * (r + p + q) for r, p, q in clean))
-    if (2, 3) in f_poly.bidegree_parts():
-        raise ModelError("F_23 does not vanish")  # unreachable for this family
     report = check_normal_form(surface)
     if not report.passed:
         raise ModelError(

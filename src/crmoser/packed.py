@@ -17,6 +17,11 @@ sum of products is sorted and reduced once (`product` is the kernel plus
 one `collect`).  Next to it, `mirror` turns an accumulator into itself
 plus its conjugate, and `mirror_is_zero` tells whether that sum vanishes
 without building it.
+
+Field widths are chosen here alone: `product_plan` gives a product the width
+of its top weight or its cap, `align` brings several forms to the widest of
+theirs for everything else, terms are packed at the least width of their
+exponents, and every other operation keeps the width of its operand.
 """
 
 from __future__ import annotations
@@ -106,16 +111,6 @@ def pack_key(mono: tuple, bits: int) -> int:
     return key | ((sum(z) + sum(zb) + 2 * u) << (bits * (2 * len(z) + 1)))
 
 
-def unpack_key(key: int, bits: int, n: int) -> tuple:
-    """The monomial (zexp, zbexp, uexp) of a key."""
-    mask = (1 << bits) - 1
-    fields = []
-    for _ in range(2 * n + 1):
-        fields.append(key & mask)
-        key >>= bits
-    return (tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n])
-
-
 def bidegrees(packed: Packed, n: int) -> List[Tuple[int, int]]:
     """The (z-degree, conj(z)-degree) of each key, in key order, read off the key fields.
 
@@ -163,10 +158,14 @@ def numerators(packed: Packed, monos: Sequence[tuple]) -> Tuple[List[int], List[
 
 
 def unpack(n: int, packed: Packed) -> Iterator[Tuple[tuple, GaussianRational]]:
-    """(monomial, coefficient) pairs in key order."""
+    """(monomial (zexp, zbexp, uexp), coefficient) pairs in key order."""
     bits, den, _data = packed
+    mask = (1 << bits) - 1
+    offsets = range(0, bits * (2 * n + 1), bits)
     for key, re, im in zip(*columns(packed)):
-        yield unpack_key(key, bits, n), GaussianRational(Fraction(re, den), Fraction(im, den))
+        fields = [key >> offset & mask for offset in offsets]
+        yield ((tuple(fields[:n]), tuple(fields[n:2 * n]), fields[2 * n]),
+               GaussianRational(Fraction(re, den), Fraction(im, den)))
 
 
 def collect(bits: int, den: int, acc: Dict[int, List[int]]) -> Packed:
@@ -199,20 +198,20 @@ def column(values: List[int]) -> Sequence[int]:
         return tuple(values)
 
 
-def widen(packed: Packed, n: int, bits: int) -> Packed:
-    """The same polynomial with fields of `bits` >= packed[0] bits."""
-    old_bits, den, data = packed
-    if old_bits == bits:
-        return packed
+def align(n: int, forms: Sequence[Packed]) -> List[Packed]:
+    """The forms at one field width, the widest of theirs."""
+    bits = max([form[0] for form in forms], default=1)
+    return [form if form[0] == bits else _at_width(form, n, bits) for form in forms]
+
+
+def _at_width(packed: Packed, n: int, bits: int) -> Packed:
+    """The same polynomial with fields of `bits` > packed[0] bits."""
     keys, res, ims = columns(packed)
-    return bits, den, column([*widen_keys(keys, n, old_bits, bits), *res, *ims])
+    return bits, packed[1], column([*widen_keys(keys, n, packed[0], bits), *res, *ims])
 
 
 def widen_keys(keys, n: int, old_bits: int, bits: int) -> List[int]:
-    """The keys re-packed from fields of `old_bits` bits into fields of `bits` bits.
-
-    `bits` may be the smaller width when every exponent fits in it.
-    """
+    """The keys re-packed from fields of `old_bits` bits into wider fields of `bits` bits."""
     nfields = 2 * n + 1
     mask = (1 << old_bits) - 1
     widened = []
@@ -330,7 +329,8 @@ def product_plan(n: int, a: Packed, b: Packed, max_weight: Optional[int],
     else:
         top = max_weight
     bits = max(a[0], b[0], field_bits(top), bits)
-    return widen(a, n, bits), widen(b, n, bits)
+    return (a if a[0] == bits else _at_width(a, n, bits),
+            b if b[0] == bits else _at_width(b, n, bits))
 
 
 def product(n: int, a: Packed, b: Packed, max_weight: Optional[int]) -> Packed:

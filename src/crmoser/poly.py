@@ -33,6 +33,8 @@ reads a prefix of the packed keys, which keeps truncated series
 composition exact for every weight below it.  A sum of products
 (substitution, pairings) goes into one `ProductSum`, which sorts and
 reduces the sum once instead of once per product and per addition.
+Field widths are chosen in `crmoser.packed` alone: `product_plan` for
+products, `align` for everything else.
 
 Ring operations (sums, scalings, products, powers, weight truncations)
 return the operands' class when they share one and Poly otherwise, so a
@@ -80,7 +82,8 @@ class Poly(Frozen):
 
     `_packed` is its packed form (see `crmoser.packed`), reduced, with sorted
     keys and no zero term; the field width may exceed the least one that
-    holds the exponents, so equality and hashing do not depend on it.
+    holds the exponents, so equality and hashing do not depend on it: the
+    key order is the same at every width.
     """
 
     __slots__ = ("n", "_packed")
@@ -195,17 +198,13 @@ class Poly(Frozen):
         if self.n != other.n or len(self) != len(other):
             return False
         # packed forms are canonical once their field widths agree
-        bits = max(self._packed[0], other._packed[0])
-        return self._widen(bits)[1:] == other._widen(bits)[1:]
+        a, b = pk.align(self.n, [self._packed, other._packed])
+        return a[1:] == b[1:]
 
     def __hash__(self):
-        # the keys are hashed at the least field width, which equal polynomials share
-        bits, den, _data = self._packed
-        keys, res, ims = pk.columns(self._packed)
-        least = pk.field_bits(pk.weight(self._packed, -1, self.n)) if keys else bits
-        if least != bits:
-            keys = pk.widen_keys(keys, self.n, bits, least)
-        return hash((self.n, den, tuple(keys), tuple(res), tuple(ims)))
+        # neither the weights in key order nor the numerators depend on the field width
+        _bits, den, data = self._packed
+        return hash((self.n, den, tuple(pk.weights(self._packed, self.n)), tuple(data[len(self):])))
 
     def sorted_terms(self) -> List[Tuple[Mono, GaussianRational]]:
         """Canonical order: lexicographic on (uexp, zexp, zbexp)."""
@@ -245,9 +244,8 @@ class Poly(Frozen):
             return self._as(cls)
         if not self:
             return (-other if subtract else other)._as(cls)
-        bits = max(self._packed[0], other._packed[0])
         return cls._from_packed(
-            self.n, pk.combine(self._widen(bits), other._widen(bits), subtract))
+            self.n, pk.combine(*pk.align(self.n, [self._packed, other._packed]), subtract))
 
     def __neg__(self):
         return self.scale(-1)
@@ -281,14 +279,10 @@ class Poly(Frozen):
             return cls.zero(self.n)
         return cls._from_packed(self.n, pk.product(self.n, *plan, max_weight))
 
-    def _widen(self, bits: int) -> pk.Packed:
-        """The packed form with fields of `bits` >= its own width; the stored form is kept."""
-        return pk.widen(self._packed, self.n, bits)
-
     def __pow__(self, exp: int):
         return self.pow(exp)
 
-    def pow(self, exp: int, max_weight: Optional[int] = None) -> "Poly":
+    def pow(self, exp: int) -> "Poly":
         if exp < 0:
             raise ValueError("negative exponent")
         result = type(self).constant(self.n, 1)
@@ -296,10 +290,10 @@ class Poly(Frozen):
         e = exp
         while e:
             if e & 1:
-                result = result.mul(base, max_weight)
+                result = result.mul(base)
             e >>= 1
             if e:
-                base = base.mul(base, max_weight)
+                base = base.mul(base)
         return result
 
     # -- conjugation and reality ---------------------------------------------------
@@ -320,8 +314,7 @@ class Poly(Frozen):
         diff = self - self.conjugate()
         if not diff:
             return None
-        bits, _den, data = diff._packed
-        return pk.unpack_key(data[0], bits, self.n)
+        return next(pk.unpack(self.n, diff._packed))[0]
 
     def real_part(self) -> "Poly":
         return (self + self.conjugate()).scale(Fraction(1, 2))
@@ -413,13 +406,13 @@ class Poly(Frozen):
         n = self.n
         if not q:
             return not self
-        bits = max(self._packed[0], q._packed[0])
-        keys_q, res_q, ims_q = pk.columns(q._widen(bits))
+        packed_q, packed = pk.align(n, [q._packed, self._packed])
+        keys_q, res_q, ims_q = pk.columns(packed_q)
         keys_q = list(keys_q)
         nums_q = [*res_q, *ims_q]
         ref = next(i for i, x in enumerate(nums_q) if x)  # q's first nonzero numerator
         at_ref = nums_q[ref]
-        for part in pk.split(self._widen(bits), n, [2 * n]).values():
+        for part in pk.split(packed, n, [2 * n]).values():
             keys, res, ims = pk.columns(part)
             if list(keys) != keys_q:
                 return False
@@ -588,13 +581,13 @@ def real_coefficient_rows(polys: Sequence[Poly]) -> List[List[int]]:
     denominator, which keeps the kernel.  Monomials come in order of first
     appearance, poly by poly in key order.
     """
-    bits = max(p._packed[0] for p in polys)
-    den = lcm(*[p._packed[1] for p in polys])
+    forms = pk.align(polys[0].n if polys else 0, [p._packed for p in polys])
+    den = lcm(*[form[1] for form in forms])
     width = len(polys)
     cells: Dict[int, Tuple[List[int], List[int]]] = {}
-    for j, p in enumerate(polys):
-        f = den // p._packed[1]
-        for key, re, im in zip(*pk.columns(p._widen(bits))):
+    for j, form in enumerate(forms):
+        f = den // form[1]
+        for key, re, im in zip(*pk.columns(form)):
             cell = cells.get(key)
             if cell is None:
                 cell = cells[key] = ([0] * width, [0] * width)
@@ -729,12 +722,6 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
     n, n_out, cap = p.n, total.n, total.max_weight
     cden, (cre,), (cim,) = _over_one_den([scalar_parts(c)])
     moved = [i for i, s in enumerate(slots) if s is not None]
-    if cap is not None:
-        # the capped powers have the field width of the cap (see packed.product_plan):
-        # the slots get it here once instead of for each power
-        bits = max(pk.field_bits(cap), *[slots[i]._packed[0] for i in moved])
-        slots = [s if s is None else type(s)._from_packed(n_out, pk.widen(s._packed, n_out, bits))
-                 for s in slots]
     powers = {i: [None] for i in moved}
 
     def power(i: int, e: int) -> Poly:

@@ -67,6 +67,24 @@ MUTANTS = (
            (PRODUCT_SUM + "add_form_is_the_loop_of_adds_over_the_entries",
             GOLDEN + "[stabdim_basis-explicit_2_1_mixed]"),
            "a u(H) direction with denominator 2 would enter the stabilizer system doubled"),
+    Mutant("an uncapped product's top weight read off the first keys", "src/crmoser/packed.py",
+           "        top = weight(a, -1, n) + weight(b, -1, n)",
+           "        top = weight(a, 0, n) + weight(b, 0, n)",
+           ("tests/test_poly.py::test_a_square_keeps_an_exponent_too_wide_for_the_operand_fields",
+            "tests/test_poly_properties.py::test_a_product_wider_than_its_operands_equals_the_"
+            "product_of_a_widened_one"),
+           "an exponent of a product too wide for its operands' fields would carry into the "
+           "next variable: (1 + z1^3)^2 would hold z1^2 z2 for z1^6"),
+    Mutant("the absent-key sentinel 0 in numerators", "src/crmoser/packed.py",
+           "        key = -1 if max((*z, *zb, u)) >> bits else pack_key((z, zb, u), bits)",
+           "        key = 0 if max((*z, *zb, u)) >> bits else pack_key((z, zb, u), bits)",
+           ("tests/test_poly.py::test_coeff_of_a_monomial_too_wide_for_the_fields_is_zero",),
+           "a monomial too wide for the fields would read the constant term's coefficient"),
+    Mutant("and in _same_shape", "src/crmoser/linalg.py",
+           "        if self.nrows != other.nrows or self.ncols != other.ncols:",
+           "        if self.nrows != other.nrows and self.ncols != other.ncols:",
+           ("tests/test_linalg.py::test_sums_of_matrices_of_different_shapes_raise",),
+           "a sum of matrices that differ in one dimension would be cut to the shorter one"),
 )
 
 

@@ -84,6 +84,32 @@ def test_jetmap_json_round_trip():
     assert back.f == jet.f and back.g == jet.g and back.D == jet.D
 
 
+def test_jet_components_with_a_conj_z_term_are_refused():
+    n = 2
+    z1, z2, w = HoloPoly.z(n, 0), HoloPoly.z(n, 1), HoloPoly.w(n)
+    with pytest.raises(ValueError, match=r"jet component f1 has a conj\(z\) term"):
+        JetMap((z1 + Poly.zbar(n, 1), z2), w, 4)
+    with pytest.raises(ValueError, match=r"jet component g has a conj\(z\) term"):
+        JetMap((z1, z2), w + z1 * Poly.zbar(n, 0), 4)
+    with pytest.raises(ValueError, match="no conj"):
+        HoloPoly.zbar(n, 0)
+    with pytest.raises(ValueError, match="no conj"):
+        HoloPoly.monomial(n, (1, 0), (0, 1), 0)
+    assert HoloPoly.monomial(n, (1, 0), (0, 0), 1, 2) == HoloPoly(n, {((1, 0), 1): 2})
+
+
+def test_holopoly_and_jet_json_round_trips_on_random_polynomials():
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            p = random_holo(rng, n)
+            assert HoloPoly.terms_from_json(n, p.terms_to_json()) == p
+        jet = JetMap(tuple(HoloPoly.z(n, i) * random_holo(rng, n) for i in range(n)),
+                     HoloPoly.w(n) * random_holo(rng, n), 6)
+        back = JetMap.from_json(jet.to_json())
+        assert back.f == jet.f and back.g == jet.g and back.D == jet.D
+
+
 def test_identity_jet():
     jet = JetMap.identity(3, 5)
     assert jet.f[1] == HoloPoly.z(3, 1)

@@ -307,6 +307,28 @@ def test_equal_matrices_from_different_denominators_are_equal_and_hash_alike(r, 
     assert m.scale(2) != m or m.is_zero()
 
 
+def test_sums_of_matrices_of_different_shapes_raise():
+    a = Matrix.zeros(2, 2)
+    for b in (Matrix.zeros(2, 3), Matrix.zeros(3, 2)):  # one dimension differs
+        for x, y in ((a, b), (b, a)):
+            for op in (Matrix.__add__, Matrix.__sub__):
+                with pytest.raises(ValueError, match="shape mismatch"):
+                    op(x, y)
+            with pytest.raises(ValueError, match="shape mismatch"):
+                Matrix.combination(2, (1, 3), (x, y))
+
+
+def test_sum_difference_and_negation_are_entrywise():
+    rng = random.Random(31)
+    for _ in range(10):
+        a, b = random_matrix(rng, 3), random_matrix(rng, 3)
+        for i in range(3):
+            for j in range(3):
+                assert (a + b)[i, j] == a[i, j] + b[i, j]
+                assert (a - b)[i, j] == a[i, j] - b[i, j]
+                assert (-a)[i, j] == -a[i, j]
+
+
 def test_empty_shapes():
     empty, row = Matrix([]), Matrix([[]])
     assert (empty.nrows, empty.ncols) == (0, 0) and (row.nrows, row.ncols) == (1, 0)

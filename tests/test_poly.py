@@ -206,6 +206,22 @@ def test_pow_large_exponents_no_packing_overflow():
         (z[0] * zb[0] + z[1] * zb[1]) ** 9)
 
 
+def test_a_square_keeps_an_exponent_too_wide_for_the_operand_fields():
+    # 1 + z1^3 is packed with 2-bit fields; z1^6 needs 3 bits, so the product is wider
+    zero = (0, 0)
+    p = Poly(2, {(zero, zero, 0): 1, ((3, 0), zero, 0): 1})
+    assert p * p == Poly(2, {(zero, zero, 0): 1, ((3, 0), zero, 0): 2, ((6, 0), zero, 0): 1})
+
+
+def test_coeff_of_a_monomial_too_wide_for_the_fields_is_zero():
+    # 1 + z1 has 1-bit fields and 1 + u 2-bit ones: z1^2 and u^4 fit in neither
+    zero = (0, 0)
+    p = Poly(2, {(zero, zero, 0): 1, ((1, 0), zero, 0): 1})
+    assert p.coeff(((2, 0), zero, 0)) == 0 and p.coeff(((1, 0), zero, 0)) == 1
+    q = Poly.constant(1, 1) + Poly.u(1)
+    assert q.coeff(((0,), (0,), 4)) == 0 and q.coeff(((0,), (0,), 1)) == 1
+
+
 def test_reality_closure():
     rng = random.Random(23)
     for _ in range(20):

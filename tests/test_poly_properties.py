@@ -69,6 +69,38 @@ def test_capped_product_is_truncated_product(ab, cap):
     assert a.mul(b, cap) == (a * b).truncate_weight(cap)
 
 
+@st.composite
+def outgrowing_pairs(draw):
+    """(a, b), each 1 + c x^e + terms of weight <= 3 for one z or conj(z) x, e_a + e_b >= 4.
+
+    Each operand has at most 2-bit fields, and the product's x^(e_a + e_b)
+    needs 3 bits, more than the lowest weights of the operands ask for.
+    """
+    n = draw(st.integers(1, 3))
+    x = draw(st.integers(0, 2 * n - 1))  # the field of z_1..z_n, conj(z_1)..conj(z_n)
+    small = st.tuples(*[st.integers(0, 1)] * n)
+    extras = st.dictionaries(st.tuples(small, small, st.just(0)), coefficients, max_size=2)
+
+    def operand(e):
+        terms = {mono: c for mono, c in draw(extras).items() if mono_weight(mono) <= 3}
+        exps = [0] * (2 * n)
+        exps[x] = e
+        terms[(tuple(exps[:n]), tuple(exps[n:]), 0)] = draw(st.integers(1, 3))
+        terms[((0,) * n, (0,) * n, 0)] = 1
+        return Poly(n, terms)
+
+    e = draw(st.integers(1, 3))
+    return operand(e), operand(draw(st.integers(4 - e, 3)))
+
+
+@SETTINGS
+@given(outgrowing_pairs())
+def test_a_product_wider_than_its_operands_equals_the_product_of_a_widened_one(ab):
+    a, b = ab
+    assert a * b == widened(a) * b == b * widened(a)
+    assert a * b == Poly(a.n, dict((widened(a) * b).terms))
+
+
 @SETTINGS
 @given(poly_tuples(2))
 def test_conjugate_of_product(ab):
@@ -171,6 +203,35 @@ def test_kept_variables_equal_identity_substitution(case):
     assert got == p.substitute(*identity, max_weight=cap)
     if cap is not None:
         assert got == p.substitute(zs, zbs, us).truncate_weight(cap)
+
+
+@st.composite
+def capped_real_substitutions(draw):
+    """(real p, z targets, real u target, cap): targets of positive weight, caps 4 to 12."""
+    n = draw(st.integers(1, 2))
+    p = draw(polys(n))
+    exps = st.tuples(*[st.integers(0, 1)] * n)
+    monos = st.tuples(exps, exps, st.integers(0, 1)).filter(lambda mono: mono_weight(mono) > 0)
+
+    def target():
+        return Poly(n, draw(st.dictionaries(monos, coefficients, min_size=1, max_size=2)))
+
+    us = target()
+    return p + p.conjugate(), [target() for _ in range(n)], us + us.conjugate(), \
+        draw(st.integers(4, 12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(capped_real_substitutions())
+def test_capped_substitutions_do_not_depend_on_the_target_field_width(case):
+    p, zs, us, cap = case
+    wide_zs, wide_us = [widened(z) for z in zs], widened(us)
+    got = p.substitute(zs, [z.conjugate() for z in zs], us, max_weight=cap)
+    wide = p.substitute(wide_zs, [z.conjugate() for z in wide_zs], wide_us, max_weight=cap)
+    assert got == wide and hash(got) == hash(wide)
+    assert got == p.substitute(zs, [z.conjugate() for z in zs], us).truncate_weight(cap)
+    real, wide_real = p.substitute_real(zs, us, cap), p.substitute_real(wide_zs, wide_us, cap)
+    assert real == wide_real == got and hash(real) == hash(wide_real)
 
 
 def test_kept_variables_above_the_cap_are_dropped():

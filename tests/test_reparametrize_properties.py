@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crmoser.autgroup import reparametrize
+from crmoser.autgroup import _geometric, reparametrize
 from crmoser.census import random_normal_form_surface
 from crmoser.forms import standard_form
 from crmoser.gaussrat import GaussianRational
@@ -22,7 +22,7 @@ from crmoser.models import model_corollary2, model_theorem1, model_theorem2, mod
 from crmoser.normal_form import Hypersurface
 from crmoser.poly import Poly
 
-from helpers import reparametrize_reference
+from helpers import mono_weight, reparametrize_reference, widened
 
 QS = (Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(-3))
 CAP = 10
@@ -98,3 +98,23 @@ def test_reparametrize_is_a_group_action(seed, q1, q2):
     w = surface.max_weight
     twice = reparametrize(reparametrize(surface, q1, w), q2, w)
     assert twice.F == reparametrize(surface, q1 + q2, w).F
+
+
+@st.composite
+def series_ratios(draw):
+    """A polynomial of positive minimal weight: up to three terms of weight 1 to 4."""
+    n = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 1)] * n)
+    monos = st.tuples(exps, exps, st.integers(0, 1)).filter(lambda mono: mono_weight(mono) > 0)
+    parts = st.sampled_from(QS)
+    coeffs = st.builds(GaussianRational, parts, parts)
+    return Poly(n, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(series_ratios(), st.integers(4, 12))
+def test_geometric_series_does_not_depend_on_the_field_width(t, cap):
+    series = _geometric(t, cap)
+    wide = _geometric(widened(t), cap)
+    assert series == wide and hash(series) == hash(wide)
+    assert (1 - t).mul(series, cap) == 1  # (1 - t) sum_k t^k = 1 below the cap
