@@ -20,12 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .forms import HermitianForm, WTable, invariance_columns, is_pseudounitary, u_basis, w_poly
+from .forms import HermitianForm, invariance_columns, is_pseudounitary, u_basis, w_poly
 from .gaussrat import GaussianRational, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface
-from .poly import Poly, ProductSum, real_coefficient_rows
+from .poly import Poly, Powers, ProductSum, real_coefficient_rows
 from .value import Frozen
 
 _HALF = Fraction(1, 2)
@@ -242,9 +242,9 @@ def moser_weight_identity(surface: Hypersurface, jet: JetMap) -> Poly:
     params = extract_params(jet, form)
     phi_q = quadric_automorphism(params, form, jet.D)
     cap = gamma + 1
-    wmix = w_poly(form.inner_poly())
-    ft = [(jet.f[i] - phi_q.f[i]).substitute_w(wmix, cap) for i in range(n)]
-    gt = (jet.g - phi_q.g).substitute_w(wmix, cap)
+    table = form.w_table(cap)
+    ft = [(jet.f[i] - phi_q.f[i]).substitute_w(table, cap) for i in range(n)]
+    gt = (jet.g - phi_q.g).substitute_w(table, cap)
     f_gamma = [p.weight_component(gamma) for p in ft]
     g_up = gt.weight_component(gamma + 1)
     lam_u = params.U.scale(params.lam)
@@ -278,8 +278,7 @@ def verify_automorphism(surface: Hypersurface, jet: JetMap, max_w: int) -> bool:
         raise TruncationError(
             f"verification weight {max_w} exceeds the jet capacity {jet.D - 1}"
         )
-    n = surface.form.n
-    if jet.n != n:
+    if jet.n != surface.form.n:
         raise ValueError("jet dimension does not match the surface")
     if jet.linear_part().det().is_zero():
         return False
@@ -306,10 +305,11 @@ def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum
         A_ee' = sum_ab h_ab p_ae conj(p_be'),   A_e'e = conj(A_ee'),
 
     so a half of it is each block with e < e' once and half of each block
-    with e = e'.  g(z,W) = sum_e q_e W^e reads the same powers.  When F = 0,
-    W and its table of powers and blocks (WTable) depend on the form
-    alone and are memoized on it per weight cap.  Otherwise f and g are
-    also substituted for the F term, f only through weight max_w - 1:
+    with e = e'.  g(z,W) = sum_e q_e W^e reads the same powers.  All of
+    them come from one chain of the powers of W (see Powers); when F = 0 it
+    depends on the form alone and is memoized on it per weight cap.
+    Otherwise f and g are also substituted for the F term, reading the same
+    chain, f only through weight max_w - 1:
     f(0) = 0, so each f_a has no term below weight 1, and F has z- and
     conj(z)-degree >= 2, so every product pairs a term of f with one more
     factor of weight >= 1.
@@ -319,7 +319,7 @@ def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum
     if f_poly.is_zero():
         table = form.w_table(max_w)
     else:
-        table = WTable(w_poly(form.inner_poly() + f_poly), max_w)
+        table = Powers(w_poly(form.inner_poly() + f_poly), max_w)
     total = ProductSum(n, max_w)
     for e, q in jet.g.u_coefficients().items():
         total.add(q, table.power(e), _MINUS_HALF_I)
@@ -333,10 +333,10 @@ def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum
                 break
             block = ProductSum(n, cap)  # A_{e e2}
             block.add_form(form.matrix, [pa.get(e) for pa in parts], [pb.get(e2) for pb in bars])
-            total.add(block.poly(), table.block(e, e2), -1 if e < e2 else _MINUS_HALF)
+            total.add(block.poly(), table.mixed(e, e2), -1 if e < e2 else _MINUS_HALF)
     if not f_poly.is_zero():
-        fm = [fi.substitute_w(table.base, max_w - 1) for fi in jet.f]
-        gm = jet.g.substitute_w(table.base, max_w)
+        fm = [fi.substitute_w(table, max_w - 1) for fi in jet.f]
+        gm = jet.g.substitute_w(table, max_w)
         total.add_real_substitution(f_poly, fm, gm.real_part(), -1)
     return total
 
@@ -390,13 +390,11 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
 
 
 def _geometric(t: Poly, max_w: int) -> Poly:
-    """sum_k t^k truncated by weight; t must have positive minimal weight."""
+    """sum_k t^k truncated by weight, from one chain (see Powers); t has positive minimal weight."""
     mw = t.min_weight()
     if mw is not None and mw < 1:
         raise ValueError("geometric series needs a positive minimal weight")
-    power = type(t).constant(t.n, 1)
-    total = ProductSum(t.n, max_w)
-    while power:
-        total.add(power)
-        power = power.mul(t, max_w)
+    chain, total = Powers(t, max_w), ProductSum(t.n, max_w)
+    for e in range(max_w // mw + 1 if mw else 1):  # t^e has minimal weight e * mw
+        total.add(chain.power(e))
     return total.poly()._as(type(t))

@@ -4,17 +4,17 @@ The two standard shapes are the diagonal form diag(+1 x (n-m), -1 x m) and
 the antidiagonal form with an identity block of size n-2m in the middle and
 m ones on each side of it.  Explicit Hermitian matrices of the right
 signature are accepted as well; the signature is certified by exact
-inertia, never numerically.
+inertia, never numerically.  A form has at most MAX_N variables.
 
 Forms are immutable, so each standard form is built and certified once and
 shared: `standard_form` hands out one instance per (n, m, kind) while any
 reference to it lives.  Derived data (the inverse matrix, <z,z> and its
-powers, u(H), and per weight cap the `WTable` of w = u + i<z,z>) is kept
-in one memo on the form (`HermitianForm.memo`), so surfaces over one form
-share it; each power <z,z>^k is built once, from the one below it, and a
-power past MAX_POWER_TERMS terms, or a chain of powers past MAX_MEMO_TERMS
-terms in all, is refused.  The kernel reads the form and its inverse as
-Matrix numerators, never entry by entry.
+powers, u(H), and per weight cap the powers of w = u + i<z,z>, both as
+`poly.Powers` chains) is kept in one memo on the form (`HermitianForm.memo`),
+so surfaces over one form share it; a power <z,z>^k past MAX_POWER_TERMS
+terms, or a chain of them past MAX_MEMO_TERMS terms in all, is refused.
+The kernel reads the form and its inverse as Matrix numerators, never
+entry by entry.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from typing import List, Optional, Sequence
 
 from .gaussrat import GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
-from .poly import Poly, ProductSum, real_coefficient_rows
+from .poly import Poly, Powers, ProductSum, real_coefficient_rows
 from .value import Frozen
 
 DIAGONAL = "diagonal"
 ANTIDIAGONAL = "antidiagonal"
 EXPLICIT = "explicit"
 _I = GaussianRational(0, 1)
+MAX_N = 24  # the most variables a form may have (see check_dimension)
 MAX_POWER_TERMS = 10 ** 5  # the most terms a power <z,z>^k may have (see inner_power)
 MAX_MEMO_TERMS = 25 * 10 ** 4  # the most terms the memo of <z,z>^0..<z,z>^k may hold
 
@@ -42,8 +43,7 @@ class HermitianForm(Frozen):
     __slots__ = ("n", "m", "kind", "matrix", "_memo", "__weakref__")
 
     def __init__(self, n: int, m: int, matrix: Matrix, kind: str = EXPLICIT):
-        if n < 1:
-            raise ValueError("n must be positive")
+        check_dimension(n)
         if m < 0 or n < 2 * m:
             raise ValueError(f"signature parameter must satisfy n >= 2m, got n={n}, m={m}")
         if matrix.nrows != n or matrix.ncols != n:
@@ -90,28 +90,24 @@ class HermitianForm(Frozen):
         return self.memo("inner", build)
 
     def inner_power(self, k: int) -> Poly:
-        """<z,z>^k for k >= 0, memoized on the form; refused before any product past a limit.
+        """<z,z>^k for k >= 0 from the form's chain; refused before any product past a limit.
 
         <z,z> has e terms, one per nonzero entry of H, so <z,z>^k has at most
-        C(k+e-1, e-1) terms, exactly that many for a standard form.  The memo
+        C(k+e-1, e-1) terms, exactly that many for a standard form.  The chain
         keeps every power from 0 to k, at most C(k+e, e) terms in all, so a
-        power is refused when it passes MAX_POWER_TERMS, or when the memo
+        power is refused when it passes MAX_POWER_TERMS, or when the chain
         would pass MAX_MEMO_TERMS (n = 1 and 2 allow long chains of small powers).
         """
         if k < 0:
             raise ValueError("negative exponent")
-        powers = self.memo("inner_powers", lambda: [Poly.constant(self.n, 1)])
-        if len(powers) <= k:
-            e = len(self.inner_poly())
-            if comb(k + e - 1, e - 1) > MAX_POWER_TERMS:
-                raise ValueError(f"<z,z>^{k} has {comb(k + e - 1, e - 1)} terms, more than the "
-                                 f"limit of {MAX_POWER_TERMS}")
-            if comb(k + e, e) > MAX_MEMO_TERMS:
-                raise ValueError(f"the powers <z,z>^0..<z,z>^{k} hold {comb(k + e, e)} terms in "
-                                 f"all, more than the memo limit of {MAX_MEMO_TERMS}")
-            while len(powers) <= k:
-                powers.append(powers[-1] * self.inner_poly())
-        return powers[k]
+        e = len(self.inner_poly())
+        if comb(k + e - 1, e - 1) > MAX_POWER_TERMS:
+            raise ValueError(f"<z,z>^{k} has {comb(k + e - 1, e - 1)} terms, more than the "
+                             f"limit of {MAX_POWER_TERMS}")
+        if comb(k + e, e) > MAX_MEMO_TERMS:
+            raise ValueError(f"the powers <z,z>^0..<z,z>^{k} hold {comb(k + e, e)} terms in "
+                             f"all, more than the memo limit of {MAX_MEMO_TERMS}")
+        return self.memo("inner_powers", lambda: Powers(self.inner_poly())).power(k)
 
     def pair_polys(self, left: Sequence[Poly], right: Sequence[Poly],
                    max_weight: Optional[int] = None) -> Poly:
@@ -123,50 +119,27 @@ class HermitianForm(Frozen):
         total.add_form(self.matrix, left, [p.conjugate() for p in right])
         return total.poly()
 
-    def w_table(self, cap: int) -> WTable:
-        """The WTable of w = u + i<z,z> truncated at weight `cap`, memoized on the form per cap.
+    def w_table(self, cap: int) -> Powers:
+        """The powers of w = u + i<z,z> capped at weight `cap`, memoized on the form per cap.
 
-        On the hyperquadric v = <z,z>, w restricts to u + i<z,z>, so every
-        jet verified there at one weight reads one table (see
-        autgroup.verify_automorphism).
+        w restricts to u + i<z,z> on the hyperquadric v = <z,z>, and to it
+        in the weight identity (see autgroup).
         """
-        return self.memo(("w_table", cap), lambda: WTable(w_poly(self.inner_poly()), cap))
+        return self.memo(("w_table", cap), lambda: Powers(w_poly(self.inner_poly()), cap))
+
+
+def check_dimension(n: int) -> None:
+    """ValueError unless 1 <= n <= MAX_N, before anything n x n is built: a stabilizer
+    solve has 2n^2 unknowns, and a document states a large n in a few bytes."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the largest supported dimension {MAX_N}")
 
 
 def w_poly(v: Poly) -> Poly:
     """w = u + i v for a real polynomial v; on v = <z,z> + F, w is the surface's w."""
     return Poly.u(v.n) + v.scale(_I)
-
-
-class WTable:
-    """Powers W^e and blocks W^e conj(W)^e' of one polynomial W, truncated at weight `cap`.
-
-    Each entry is built on first read and kept, W^e from W^(e-1) and a
-    block from two powers, so the readers of one table build each entry
-    once.  W must have positive minimal weight.
-    """
-
-    __slots__ = ("base", "cap", "_powers", "_blocks")
-
-    def __init__(self, base: Poly, cap: int):
-        self.base = base.truncate_weight(cap)
-        self.cap = cap
-        self._powers = [Poly.constant(base.n, 1)]
-        self._blocks = {}
-
-    def power(self, e: int) -> Poly:
-        """W^e."""
-        powers = self._powers
-        while len(powers) <= e:
-            powers.append(powers[-1].mul(self.base, self.cap))
-        return powers[e]
-
-    def block(self, e: int, e2: int) -> Poly:
-        """W^e conj(W)^e2; conj of it is block(e2, e)."""
-        block = self._blocks.get((e, e2))
-        if block is None:
-            block = self._blocks[(e, e2)] = self.power(e).mul(self.power(e2).conjugate(), self.cap)
-        return block
 
 
 _STANDARD_FORMS = weakref.WeakValueDictionary()  # (n, m, kind) -> HermitianForm
@@ -179,6 +152,7 @@ def standard_form(n: int, m: int, kind: str) -> HermitianForm:
     reference to it lives; it is built and its inertia certified on first
     use only.
     """
+    check_dimension(n)
     if kind == DIAGONAL:
         if not 0 <= m <= n:
             raise ValueError("diagonal form needs 0 <= m <= n")

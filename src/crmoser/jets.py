@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from . import packed as pk
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix
-from .poly import Poly, linear_monos, term_list
+from .poly import Poly, Powers, linear_monos, term_list
 from .value import Frozen
 
 HoloMono = Tuple[Tuple[int, ...], int]
@@ -55,8 +55,9 @@ class HoloPoly(Poly):
 
     weight_truncate = Poly.truncate_weight
 
-    def substitute_w(self, wpoly: Poly, max_weight: Optional[int] = None) -> Poly:
-        """Evaluate with z_i kept and w replaced by a mixed polynomial."""
+    def substitute_w(self, wpoly: Poly | Powers, max_weight: Optional[int] = None) -> Poly:
+        """Evaluate with z_i kept and w replaced by a mixed polynomial or the chain of its
+        powers, which several substitutions share (see Poly.substitute)."""
         return self.substitute(usub=wpoly, max_weight=max_weight)
 
     def terms_to_json(self) -> list:

@@ -32,7 +32,9 @@ each access, not a view.  `len(p)` is the number of terms.  A weight cap
 reads a prefix of the packed keys, which keeps truncated series
 composition exact for every weight below it.  A sum of products
 (substitution, pairings) goes into one `ProductSum`, which sorts and
-reduces the sum once instead of once per product and per addition.
+reduces the sum once instead of once per product and per addition.  Every
+power in the kernel comes from one chain type, `Powers`: p^e, conj(p^e)
+and p^e conj(p)^e', each built once under a weight cap.
 Field widths are chosen in `crmoser.packed` alone: `product_plan` for
 products, `align` for everything else.
 
@@ -218,26 +220,22 @@ class Poly(Frozen):
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = type(self).constant(self.n, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self._combine(other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = type(self).constant(self.n, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self._combine(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _combine(self, other: "Poly", subtract: bool) -> "Poly":
-        """self + other, or self - other when `subtract`."""
+    def _combine(self, other, subtract: bool) -> "Poly":
+        """self + other, or self - other when `subtract`; other is a Poly or a scalar."""
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            other = type(self).constant(self.n, other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check_dim(other)
         cls = self._kind(other)
         if not other:
@@ -279,22 +277,13 @@ class Poly(Frozen):
             return cls.zero(self.n)
         return cls._from_packed(self.n, pk.product(self.n, *plan, max_weight))
 
-    def __pow__(self, exp: int):
-        return self.pow(exp)
-
     def pow(self, exp: int) -> "Poly":
+        """self^exp, the last power of a chain (see Powers)."""
         if exp < 0:
             raise ValueError("negative exponent")
-        result = type(self).constant(self.n, 1)
-        base = self
-        e = exp
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            e >>= 1
-            if e:
-                base = base.mul(base)
-        return result
+        return Powers(self).power(exp)
+
+    __pow__ = pow
 
     # -- conjugation and reality ---------------------------------------------------
 
@@ -433,17 +422,17 @@ class Poly(Frozen):
     ) -> "Poly":
         """Evaluate with z_a -> zsubs[a], conj(z_a) -> zbarsubs[a], u -> usub.
 
-        None keeps the corresponding variables.  Substituted polynomials
-        must share one target dimension, which must be n when a variable is
-        kept.  The caller is responsible for conjugation consistency when
-        reality matters (see substitute_real).  Terms of weight >
-        max_weight are dropped.
+        None keeps the corresponding variables.  A target is a polynomial
+        or the chain of its powers (a `Powers` capped at or above
+        max_weight, else ValueError).  Targets must share one target
+        dimension, which must be n when a variable is kept.  The caller is
+        responsible for conjugation consistency when reality matters (see
+        substitute_real).  Terms of weight > max_weight are dropped.
 
         Monomials are grouped by their exponents in the substituted
         variables.  Each group's kept part is multiplied by one power of
-        each substituted polynomial, powers are built incrementally
-        (p^e = p^(e-1) p, capped), and the last product of every group goes
-        into one ProductSum, which collects the sum once.
+        each target, read from its chain, and the last product of every
+        group goes into one ProductSum, which collects the sum once.
         """
         slots, n_out = _slots(self.n, zsubs, zbarsubs, usub)
         total = ProductSum(n_out, max_weight)
@@ -456,7 +445,7 @@ class Poly(Frozen):
 
         The value is real, so it is built from half of the monomials and
         mirrored (see ProductSum.add_real_substitution); the conj(z) powers
-        are read as conjugates of the z powers.
+        are read as the conjugates of the z chains.
         """
         total = ProductSum(zsubs[0].n if zsubs else self.n, max_weight)
         total.add_real_substitution(self, zsubs, usub)
@@ -618,10 +607,7 @@ class ProductSum:
     __slots__ = ("n", "max_weight", "bits", "den", "cells")
 
     def __init__(self, n: int, max_weight: Optional[int] = None):
-        self.n = n
-        self.max_weight = max_weight
-        self.bits = 1
-        self.den = 1
+        self.n, self.max_weight, self.bits, self.den = n, max_weight, 1, 1
         self.cells: Dict[int, List[int]] = {}
 
     def add(self, a: Poly, b: Optional[Poly] = None, c: GaussianLike = 1) -> None:
@@ -712,30 +698,70 @@ class ProductSum:
         return pk.mirror_is_zero(self.cells, self.n, self.bits)
 
 
+class Powers:
+    """The powers p^e of a polynomial p, capped at weight `cap` (None: exact), each built once.
+
+    p^e is p^(e-1) p by one capped `Poly.mul`; conj(p^e) and p^e conj(p)^e2
+    are kept on their first read too.  A capped chain truncates its base and
+    packs it once at the cap's field width (`packed.align`), the width of
+    each of its products, so no product re-packs it.  A capped power agrees
+    with the exact one on every weight up to the cap, so a sum capped at or
+    below it may read the chain (see `_chain`).
+    """
+
+    __slots__ = ("n", "base", "cap", "_powers", "_conj", "_mixed")
+
+    def __init__(self, base: Poly, cap: Optional[int] = None):
+        n = self.n = base.n
+        if cap is not None:
+            base = type(base)._from_packed(n, pk.align(n, [pk.truncate(base._packed, n, cap),
+                                                           pk.one(pk.field_bits(cap))])[0])
+        self.base, self.cap = base, cap
+        self._powers = [type(base).constant(n, 1), base]
+        self._conj, self._mixed = {}, {}
+
+    def power(self, e: int) -> Poly:
+        """p^e for e >= 0."""
+        while len(self._powers) <= e:
+            self._powers.append(self._powers[-1].mul(self.base, self.cap))
+        return self._powers[e]
+
+    def conjugate(self, e: int) -> Poly:
+        """conj(p^e)."""
+        if e not in self._conj:
+            self._conj[e] = self.power(e).conjugate()
+        return self._conj[e]
+
+    def mixed(self, e: int, e2: int) -> Poly:
+        """p^e conj(p)^e2; its conjugate is mixed(e2, e)."""
+        if (e, e2) not in self._mixed:
+            self._mixed[(e, e2)] = self.power(e).mul(self.conjugate(e2), self.cap)
+        return self._mixed[(e, e2)]
+
+
+def _chain(target, cap: Optional[int]) -> Powers:
+    """The chain of a target, a Poly or a Powers; ValueError for one capped below `cap`."""
+    if not isinstance(target, Powers):
+        return Powers(target, cap)
+    if target.cap is not None and (cap is None or target.cap < cap):
+        raise ValueError(f"powers capped at weight {target.cap} cannot serve a sum capped at "
+                         f"{'no weight' if cap is None else cap}")
+    return target
+
+
 def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: bool) -> None:
     """Add c p(slots) into total (see Poly.substitute).
 
+    Each moved slot is read through one chain of its powers (see Powers).
     With `real`, the z and conj(z) slots are substituted, the conj(z) slots
-    are read as the conjugates of the z slots, and a half is added (see
+    are read as the conjugates of the z chains, and a half is added (see
     ProductSum.add_real_substitution).
     """
     n, n_out, cap = p.n, total.n, total.max_weight
     cden, (cre,), (cim,) = _over_one_den([scalar_parts(c)])
     moved = [i for i, s in enumerate(slots) if s is not None]
-    powers = {i: [None] for i in moved}
-
-    def power(i: int, e: int) -> Poly:
-        got = powers[i]
-        while len(got) <= e:
-            k = len(got)
-            if real and n <= i < 2 * n:
-                got.append(power(i - n, k).conjugate())
-            elif k == 1:
-                got.append(slots[i])
-            else:
-                got.append(got[-1].mul(slots[i], cap))
-        return got[e]
-
+    chains = {i: _chain(slots[i], cap) for i in moved if not (real and n <= i < 2 * n)}
+    read = {i: chains[i].power if i in chains else chains[i - n].conjugate for i in moved}
     whole = len(moved) == len(slots)
     for exps, part in pk.split(p._packed, n, moved).items():
         den, re, im = cden, cre, cim  # the group's scalar (re + i*im) / den
@@ -745,7 +771,7 @@ def _add_groups(total: ProductSum, p: Poly, slots: list, c: GaussianLike, real: 
                 continue
             if z == zb:
                 den *= 2
-        factors = [power(i, e) for i, e in zip(moved, exps) if e]
+        factors = [read[i](e) for i, e in zip(moved, exps) if e]
         if whole:  # the part is the monomial's coefficient
             _keys, res, ims = pk.columns(part)
             den, re, im = den * part[1], re * res[0] - im * ims[0], re * ims[0] + im * res[0]

@@ -40,13 +40,12 @@ class Mutant(NamedTuple):
 GAP = "    return lo <= dim <= hi or (func and dim != n * n)"
 GAP_TESTS = ("tests/test_gap_verdict.py",)
 GOLDEN = "tests/test_samples.py::test_sample_reports_match_golden_bytes"
-PRODUCT_SUM = "tests/test_product_sum_properties.py::test_"
+POLY = "tests/test_poly.py::test_"
 
 MUTANTS = (
     Mutant("mirror_is_zero ignores the imaginary part", "src/crmoser/packed.py",
            "        if re + cre or im != cim:", "        if re + cre:",
-           (PRODUCT_SUM + "real_is_zero_equals_the_zero_test_of_real",
-            "tests/test_cli.py::test_verify_jet_checks_each_weight_up_to_the_cap"),
+           (POLY + "real_is_zero_sees_an_imaginary_coefficient_without_a_partner",),
            "jet verification's zero test would pass a residual with an imaginary part"),
     Mutant("the tr3F33 residual zeroed at n = 2", "src/crmoser/normal_form.py",
            '        ("tr3F33", trace_op(form, trace_op(form, trace_op(form, '
@@ -64,8 +63,7 @@ MUTANTS = (
     Mutant("m.den dropped in add_form", "src/crmoser/poly.py",
            "                self._add(a._packed, b._packed, m.den, mre[k], mim[k])",
            "                self._add(a._packed, b._packed, 1, mre[k], mim[k])",
-           (PRODUCT_SUM + "add_form_is_the_loop_of_adds_over_the_entries",
-            GOLDEN + "[stabdim_basis-explicit_2_1_mixed]"),
+           (POLY + "add_form_reads_the_matrix_denominator",),
            "a u(H) direction with denominator 2 would enter the stabilizer system doubled"),
     Mutant("an uncapped product's top weight read off the first keys", "src/crmoser/packed.py",
            "        top = weight(a, -1, n) + weight(b, -1, n)",
@@ -85,6 +83,16 @@ MUTANTS = (
            "        if self.nrows != other.nrows and self.ncols != other.ncols:",
            ("tests/test_linalg.py::test_sums_of_matrices_of_different_shapes_raise",),
            "a sum of matrices that differ in one dimension would be cut to the shorter one"),
+    Mutant("u^1 in Poly.__str__", "src/crmoser/poly.py",
+           '''                factors.append("u" + (f"^{u}" if u > 1 else ""))''',
+           '''                factors.append("u" + (f"^{u}" if u >= 1 else ""))''',
+           (POLY + "str_writes_an_exponent_only_above_one",),
+           "a polynomial would print u as u^1"),
+    Mutant("a chain's conjugate left unconjugated", "src/crmoser/poly.py",
+           "            self._conj[e] = self.power(e).conjugate()",
+           "            self._conj[e] = self.power(e)",
+           (POLY + "a_real_substitution_reads_the_conjugates_of_its_chains",),
+           "a real substitution would read p^e for conj(p)^e in its conj(z) slots"),
 )
 
 

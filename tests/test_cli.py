@@ -1,8 +1,9 @@
 import json
 import pathlib
+import time
 
 from crmoser.cli import main
-from crmoser.forms import HermitianForm
+from crmoser.forms import MAX_N, HermitianForm
 from crmoser.poly import Poly
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -236,6 +237,24 @@ def test_non_ascii_digits_exit_2_with_a_json_report(tmp_path, capsys):
         surf = write(tmp_path, "digits.json", {"n": 2, "m": 0, "kind": "diagonal", "F": text})
         code, report = run(capsys, "check", "--surface", surf)
         assert code == 2 and "unexpected character" in report["error"], report
+
+
+def test_a_form_past_the_largest_dimension_is_a_json_report(tmp_path, capsys):
+    """A few bytes that state n = 10^6 ask for 10^12 matrix entries: refused before any."""
+    n = 10 ** 6
+    error = f"n = {n} exceeds the largest supported dimension {MAX_N}"
+    standard = write(tmp_path, "standard.json", {"n": n, "m": 0, "kind": "diagonal", "F": "Q^4"})
+    explicit = write(tmp_path, "explicit.json", {"n": n, "m": 0, "kind": "explicit", "F": "Q^4",
+                                                 "matrix": [[{"re": "1", "im": "0"}]]})
+    spec = write(tmp_path, "model.json", {"family": "umbilic", "n": n, "m": 0,
+                                          "coeffs": [{"r": 0, "p": 0, "q": 4, "c": "1"}]})
+    for argv in (["check", "--surface", standard], ["stabdim", "--surface", explicit],
+                 ["model", "--spec", spec], ["census", "--n", str(n), "--m", "0"]):
+        start = time.perf_counter()
+        code, report = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and report["error"].endswith(error), argv
+
 
 def test_a_power_of_the_form_past_the_limit_is_a_json_report(tmp_path, monkeypatch, capsys):
     """57 bytes that ask for <z,z>^30 at n = 8, C(37, 7) terms: refused before any product.

@@ -186,6 +186,16 @@ def test_an_inner_power_past_the_limit_is_refused_before_any_product(monkeypatch
         plane.inner_power(706)
 
 
+def test_a_form_past_the_largest_dimension_is_refused():
+    assert forms.MAX_N == 24
+    assert standard_form(forms.MAX_N, 1, "antidiagonal").n == forms.MAX_N
+    for make in (lambda n: standard_form(n, 0, "diagonal"),
+                 lambda n: standard_form(n, 1, "antidiagonal"),
+                 lambda n: HermitianForm(n, 0, Matrix.identity(n))):
+        with pytest.raises(ValueError, match="n = 25 exceeds the largest supported dimension 24"):
+            make(forms.MAX_N + 1)
+
+
 def test_u_basis_is_solved_once_per_form(monkeypatch):
     solves = []
 

@@ -5,7 +5,7 @@ import pytest
 
 from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
-from crmoser.poly import Poly
+from crmoser.poly import Poly, Powers
 
 
 def random_holo(rng, n, terms=4, max_z=2, max_w=2):
@@ -66,6 +66,21 @@ def test_substitute_w_truncation_exact_below_cap():
         full = p.substitute_w(wmix)
         capped = p.substitute_w(wmix, 5)
         assert capped == full.truncate_weight(5)
+
+
+def test_substitute_w_reads_a_chain_capped_at_or_above_the_sum_and_refuses_one_below():
+    rng = random.Random(6)
+    n = 2
+    wmix = Poly.u(n) + Poly.monomial(n, (1, 0), (1, 0), 0).scale(GaussianRational(0, 1))
+    chain = Powers(wmix, 7)
+    for _ in range(5):
+        p = random_holo(rng, n, terms=5)
+        for cap in (5, 7):
+            assert p.substitute_w(chain, cap) == p.substitute_w(wmix).truncate_weight(cap)
+        for cap in (8, None):
+            with pytest.raises(ValueError, match="powers capped at weight 7 cannot serve"):
+                p.substitute_w(chain, cap)
+    assert HoloPoly.w(n).substitute_w(Powers(wmix), 3) == wmix.truncate_weight(3)  # exact
 
 
 def test_jetmap_origin_invariant():

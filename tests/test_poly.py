@@ -287,3 +287,50 @@ def test_zero_is_empty_term_map():
     p = Poly.monomial(2, (1, 0), (0, 1), 0)
     assert (p - p).terms == {}
     assert (p - p).is_zero()
+
+
+# -- display ---------------------------------------------------------------------------
+
+
+def test_str_writes_an_exponent_only_above_one():
+    n = 2
+    p = (Poly.u(n) + Poly.u(n).pow(2).scale(-3)
+         + Poly.z(n, 0).scale(GaussianRational(Fraction(1, 2), -1))
+         + Poly.zbar(n, 1).scale(GaussianRational(0, 2))
+         + Poly.monomial(n, (2, 0), (0, 1), 1, Fraction(-5, 3)))
+    assert str(p) == "(2i) ~z2 + (1/2-1i) z1 + (1) u + (-5/3) z1^2 ~z2 u + (-3) u^2"
+    assert str(Poly.zero(n)) == "0" and str(Poly.constant(n, 1)) == "(1) 1"
+
+
+# -- sums of products: small examples ----------------------------------------------------
+
+
+def test_real_is_zero_sees_an_imaginary_coefficient_without_a_partner():
+    """i z1 + conj(i z1) = i z1 - i ~z1: its cells differ only in their imaginary parts."""
+    total = ProductSum(1)
+    total.add(Poly.z(1, 0), c=GaussianRational(0, 1))
+    assert not total.real_is_zero()
+    assert total.real() == Poly.z(1, 0).scale(GaussianRational(0, 1)) - Poly.zbar(1, 0).scale(
+        GaussianRational(0, 1))
+
+
+def test_add_form_reads_the_matrix_denominator():
+    z, zb = Poly.z(1, 0), Poly.zbar(1, 0)
+    total = ProductSum(1)
+    total.add_form(Matrix([[Fraction(1, 2)]]), [z], [zb])
+    assert total.poly() == (z * zb).scale(Fraction(1, 2))
+
+
+# -- powers ------------------------------------------------------------------------------
+
+
+def test_a_real_substitution_reads_the_conjugates_of_its_chains():
+    """A non-real target z1 + i z2: conj(z) slots must read conj(p^e), not p^e."""
+    n = 2
+    z1, z2 = Poly.z(n, 0), Poly.z(n, 1)
+    zs = [z1 + z2.scale(GaussianRational(0, 1)), z2.scale(Fraction(1, 2)) + Poly.u(n)]
+    f = random_real_poly(random.Random(7), n, pairs=4)
+    u = Poly.u(n).scale(3)
+    for cap in (None, 6):
+        assert f.substitute_real(zs, u, cap) == f.substitute(zs, [p.conjugate() for p in zs], u,
+                                                             cap)

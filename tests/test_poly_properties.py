@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from crmoser.gaussrat import GaussianRational
 from crmoser.normal_form import trace_op
-from crmoser.poly import Poly, real_coefficient_rows
+from crmoser.poly import Poly, Powers, real_coefficient_rows
 
 from helpers import hermitian_forms, mono_weight, widened
 
@@ -67,6 +67,25 @@ def test_associativity_and_distributivity(abc):
 def test_capped_product_is_truncated_product(ab, cap):
     a, b = ab
     assert a.mul(b, cap) == (a * b).truncate_weight(cap)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(polys(2), st.one_of(st.none(), st.integers(0, 10)))
+def test_a_chain_is_repeated_capped_products_at_any_base_width(p, cap):
+    """Powers, conjugates and mixed powers of a chain against capped `mul` and `conjugate`,
+    for the base as drawn and packed wider."""
+    expect = [Poly.constant(2, 1)]
+    for _ in range(3):
+        expect.append(expect[-1].mul(p, cap))
+    chain, wide = Powers(p, cap), Powers(widened(p), cap)
+    for e, power in enumerate(expect):
+        got = [(c.power(e), c.conjugate(e)) for c in (chain, wide)]
+        assert got[0] == got[1] == (power, power.conjugate())
+        assert hash(got[0]) == hash(got[1])
+        for e2, other in enumerate(expect):
+            mixed = power.mul(other.conjugate(), cap)
+            assert chain.mixed(e, e2) == wide.mixed(e, e2) == mixed
+            assert hash(chain.mixed(e, e2)) == hash(wide.mixed(e, e2))
 
 
 @st.composite

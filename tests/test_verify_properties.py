@@ -146,13 +146,14 @@ def fresh(form: HermitianForm) -> HermitianForm:
 
 
 def w_tables(form: HermitianForm):
-    """The w-tables memoized on the form, by cap (see HermitianForm.w_table)."""
+    """The chains of the powers of w memoized on the form, by cap (see HermitianForm.w_table)."""
     return {key[1]: table for key, table in form._memo.items()
             if isinstance(key, tuple) and key[0] == "w_table"}
 
 
 def table_state(form: HermitianForm):
-    return {cap: (t, len(t._powers), dict(t._blocks)) for cap, t in w_tables(form).items()}
+    return {cap: (t, len(t._powers), dict(t._conj), dict(t._mixed))
+            for cap, t in w_tables(form).items()}
 
 
 def test_the_per_form_tables_give_the_fresh_form_results(monkeypatch):
