@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .forms import HermitianForm, invariance_columns, is_pseudounitary, u_basis, w_poly
-from .gaussrat import GaussianRational, rational_sqrt
+from .gaussrat import GaussianRational, as_fraction, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface
@@ -57,8 +57,8 @@ class AutoParams(Frozen):
     def __init__(self, U: Matrix, a: Tuple[GaussianRational, ...], lam: Fraction, sigma: int,
                  r: Fraction):
         a = tuple(GaussianRational.of(c) for c in a)
-        lam = Fraction(lam)
-        r = Fraction(r)
+        lam = as_fraction(lam)
+        r = as_fraction(r)
         _check_scale(lam, sigma)
         if len(a) != U.nrows:
             raise ValueError("a must have one entry per dimension")
@@ -157,7 +157,7 @@ def quadric_automorphism(params: AutoParams, form: HermitianForm, D: int) -> Jet
 def is_linear_automorphism(surface: Hypersurface, u_mat: Matrix,
                            lam: Fraction, sigma: int) -> bool:
     """Exact test of F(lambda U z, conj, sigma lambda^2 u) = sigma lambda^2 F."""
-    lam = Fraction(lam)
+    lam = as_fraction(lam)
     _check_scale(lam, sigma)
     if is_pseudounitary(u_mat, surface.form) != sigma:
         raise ValueError("U is not pseudounitary with the requested sigma")
@@ -347,18 +347,29 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
     The map is an automorphism of the hyperquadric, so the image is again
     v = <z,z> + F'; F' satisfies the implicit equation
 
-        F'(z, conj z, u) = |1 - q w|^2 F(z/(1-qw), conj, Re(w/(1-qw))),
-        w = u + i(<z,z> + F'),
+        F'(z, conj z, u) = |1 - q w|^2 F(z s, conj(z s), U),
+        s = 1/(1 - q w),  U = Re(w s),  w = u + i(<z,z> + F'),
 
-    which is solved by a weight-graded fixed-point iteration.  Let gamma >= 4
-    be the lowest weight of F (F has no harmonic terms).  A change of F' at
-    weight k moves the right side only at weight k + gamma - 2 or above:
-    through dF/du in the u slot, while the z-series and the prefactor move it
-    at weight k + gamma or above.  So once the lowest weight at which a round
-    changed F' satisfies k + gamma - 2 > max_w, the next round would return
-    the same truncation, and the iteration stops there without running it.
+    which is solved by a weight-graded fixed-point iteration.  Every z slot
+    is scaled by the same series s, so with F = sum F_abk(z, conj z) u^k over
+    its parts of bidegree (a, b),
+
+        F(z s, conj(z s), U) = sum s^a conj(s)^b U^k F_abk(z, conj z).
+
+    F_abk has weight a + b, so each s^a conj(s)^b U^k is needed only through
+    its weight room max_w - (a + b), where a capped product agrees with the
+    exact one.  s^a conj(s)^b is built once per (a, b) and round, from one
+    chain of the powers of s, and F's parts are read once per call.
+
+    Let gamma >= 4 be the lowest weight of F (F has no harmonic terms).  A
+    change of F' at weight k moves the right side only at weight k + gamma - 2
+    or above: through dF/du in the u slot, while the series and the prefactor
+    move it at weight k + gamma or above.  So once the lowest weight at which
+    a round changed F' satisfies k + gamma - 2 > max_w, the next round would
+    return the same truncation, and the iteration stops there without running
+    it.
     """
-    q = Fraction(q)
+    q = as_fraction(q)
     if max_w > surface.max_weight:
         raise ValueError("requested weight exceeds the surface truncation")
     form = surface.form
@@ -368,21 +379,27 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
         return Hypersurface(form, new_f, max_w)
     inner = form.inner_poly()
     one_qu = Poly.constant(n, 1) - Poly.u(n).scale(q)
-    zvars = [Poly.z(n, i) for i in range(n)]
+    parts = [(a, b, part.u_coefficients()) for (a, b), part
+             in surface.F.truncate_weight(max_w).bidegree_parts().items()]
     gamma = surface.F.min_weight()
     current = Poly.zero(n)
     while True:
         v = inner + current
         wmix = w_poly(v).truncate_weight(max_w)
-        series = _geometric(wmix.scale(q), max_w)       # 1/(1 - q w)
-        slot_u = ProductSum(n, max_w)                   # Re(w/(1 - q w))
+        series = _geometric(wmix.scale(q), max_w)       # s = 1/(1 - q w)
+        slot_u = ProductSum(n, max_w)                   # U = Re(w s)
         slot_u.add(wmix, series, _HALF)
         prefactor = ProductSum(n, max_w)                # |1 - q w|^2 = (1 - q u)^2 + q^2 v^2
         prefactor.add(one_qu, one_qu)
         prefactor.add(v, v, q * q)
-        zs = [zv.mul(series, max_w) for zv in zvars]
-        candidate = surface.F.substitute_real(zs, slot_u.real(), max_weight=max_w)
-        candidate = prefactor.poly().mul(candidate, max_w)
+        s_chain, u_chain = Powers(series, max_w), Powers(slot_u.real(), max_w)
+        total = ProductSum(n, max_w)
+        for a, b, by_k in parts:
+            room = max_w - a - b
+            mixed = s_chain.power(a).mul(s_chain.conjugate(b), room)
+            for k, f_abk in by_k.items():
+                total.add(f_abk, mixed.mul(u_chain.power(k), room) if k else mixed)
+        candidate = prefactor.poly().mul(total.poly(), max_w)
         changed = (candidate - current).min_weight()
         if changed is None or changed + gamma - 2 > max_w:
             return Hypersurface(form, candidate, max_w)

@@ -93,6 +93,11 @@ MUTANTS = (
            "            self._conj[e] = self.power(e)",
            (POLY + "a_real_substitution_reads_the_conjugates_of_its_chains",),
            "a real substitution would read p^e for conj(p)^e in its conj(z) slots"),
+    Mutant("the weight room of reparametrize one short", "src/crmoser/autgroup.py",
+           "            room = max_w - a - b", "            room = max_w - a - b - 1",
+           ("tests/test_reparametrize_properties.py::test_reparametrize_matches_the_fixed_point_"
+            "oracle_at_the_weight_room_edges[room-0]",),
+           "a reparametrized F' would lose its terms of top weight"),
 )
 
 

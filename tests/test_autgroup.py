@@ -648,3 +648,28 @@ def test_reparametrize_weight_cap_enforced():
     m = surface(form, Poly.monomial(2, (0, 2), (0, 2), 0), 8)
     with pytest.raises(ValueError):
         reparametrize(m, Fraction(1), 10)
+
+
+# -- exact scalars at the entry points -----------------------------------------------------
+
+
+def test_the_automorphism_entry_points_refuse_floats_and_read_ints_as_fractions():
+    form = standard_form(2, 1, "antidiagonal")
+    m = surface(form, Poly.monomial(2, (0, 2), (0, 2), 0), 8)
+    u_mat = Matrix([[2, 0], [0, Fraction(1, 2)]])
+    zero = (GaussianRational(0),) * 2
+    with pytest.raises(TypeError, match="exact rational"):
+        reparametrize(m, 0.5, 8)
+    with pytest.raises(TypeError, match="exact rational"):
+        AutoParams(U=Matrix.identity(2), a=zero, lam=0.5, sigma=1, r=0)
+    with pytest.raises(TypeError, match="exact rational"):
+        AutoParams(U=Matrix.identity(2), a=zero, lam=1, sigma=1, r=0.5)
+    with pytest.raises(TypeError, match="exact rational"):
+        is_linear_automorphism(m, u_mat, 0.5, 1)
+    assert reparametrize(m, 2, 8) == reparametrize(m, Fraction(2), 8)
+    params = AutoParams(U=Matrix.identity(2), a=zero, lam=2, sigma=-1, r=-3)
+    assert params == AutoParams(U=Matrix.identity(2), a=zero, lam=Fraction(2), sigma=-1,
+                                r=Fraction(-3))
+    assert type(params.lam) is type(params.r) is Fraction
+    assert is_linear_automorphism(m, u_mat, 4, 1)
+    assert is_linear_automorphism(m, u_mat, Fraction(4), 1)

@@ -88,6 +88,17 @@ def test_a_chain_is_repeated_capped_products_at_any_base_width(p, cap):
             assert hash(chain.mixed(e, e2)) == hash(wide.mixed(e, e2))
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(polys(2), st.integers(0, 10), st.integers(0, 10), st.integers(0, 3), st.integers(0, 3))
+def test_a_chain_read_below_its_cap_is_the_truncated_exact_product(p, c, c2, a, b):
+    """p^a conj(p)^b from a chain capped at c, multiplied under a lower cap c', agrees with
+    the exact product through weight c' (the weight room of `reparametrize`)."""
+    c, c2 = max(c, c2), min(c, c2)
+    chain = Powers(p, c)
+    exact = p ** a * p.conjugate() ** b
+    assert chain.power(a).mul(chain.conjugate(b), c2) == exact.truncate_weight(c2)
+
+
 @st.composite
 def outgrowing_pairs(draw):
     """(a, b), each 1 + c x^e + terms of weight <= 3 for one z or conj(z) x, e_a + e_b >= 4.

@@ -62,6 +62,33 @@ UNBALANCED = {
 }
 
 
+def with_conjugates(form, max_weight, terms):
+    """F = sum of c z^a conj(z)^b u^k + conj over the terms (a, b, k, c)."""
+    f = Poly.zero(form.n)
+    for zexp, zbexp, k, coeff in terms:
+        mono = Poly.monomial(form.n, zexp, zbexp, k, coeff)
+        f = f + mono + mono.conjugate()
+    return Hypersurface(form, f, max_weight)
+
+
+ROOM_EDGES = {  # parts at the edge of the weight room max_w - (a + b) of a part of bidegree (a, b)
+    # a part of bidegree (3, 5) at weight 8: room 0 at the top cap
+    "room-0": with_conjugates(FORMS[0], 8, [((2, 0), (2, 0), 0, 1),
+                                            ((2, 1), (1, 4), 0, GaussianRational(1, 1))]),
+    # a part of bidegree (3, 4) at weight 7: room 1 at the top cap
+    "room-1": with_conjugates(FORMS[1], 8, [((1, 1), (1, 1), 0, 1),
+                                            ((2, 1), (0, 4), 0, 2)]),
+    # n = 3, parts of bidegree (2, 3) times u
+    "n3-unbalanced-u": with_conjugates(FORMS[3], 8, [
+        ((1, 0, 1), (0, 2, 0), 0, 1), ((2, 0, 0), (1, 0, 2), 1, GaussianRational(-1, 2)),
+        ((0, 1, 1), (1, 1, 1), 1, Fraction(1, 2))]),
+    # one bidegree (2, 2) at k = 0, 1, 2, sharing one s^2 conj(s)^2
+    "shared-bidegree": with_conjugates(FORMS[0], 8, [
+        ((2, 0), (1, 1), 0, 1), ((2, 0), (1, 1), 1, GaussianRational(0, 1)),
+        ((1, 1), (1, 1), 2, -1)]),
+}
+
+
 def census_surfaces(count, seed):
     rng = random.Random(seed)
     return [random_normal_form_surface(rng, FORMS[i % len(FORMS)], CAP) for i in range(count)]
@@ -83,6 +110,11 @@ def test_reparametrize_matches_the_fixed_point_oracle_on_models(name):
 @pytest.mark.parametrize("name", sorted(UNBALANCED))
 def test_reparametrize_matches_the_fixed_point_oracle_on_unbalanced_surfaces(name):
     assert_matches_reference(UNBALANCED[name])
+
+
+@pytest.mark.parametrize("name", sorted(ROOM_EDGES))
+def test_reparametrize_matches_the_fixed_point_oracle_at_the_weight_room_edges(name):
+    assert_matches_reference(ROOM_EDGES[name])
 
 
 def test_reparametrize_matches_the_fixed_point_oracle_on_census_surfaces():
