@@ -356,20 +356,28 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
 
         F(z s, conj(z s), U) = sum s^a conj(s)^b U^k F_abk(z, conj z).
 
-    F_abk has weight a + b, so each s^a conj(s)^b U^k is needed only through
-    its weight room max_w - (a + b), where a capped product agrees with the
-    exact one.  s^a conj(s)^b is built once per (a, b) and round, from one
-    chain of the powers of s, and F's parts are read once per call.
+    The prefactor is |1 - q w|^2 = 1/(s conj(s)), and Hypersurface refuses
+    every bidegree with a < 2 or b < 2 (the harmonic terms), so it divides
+    exactly into the powers of s, each left with an exponent >= 1:
+
+        F' = sum s^(a-1) conj(s)^(b-1) U^k F_abk(z, conj z).
+
+    F_abk has weight a + b, so each s^(a-1) conj(s)^(b-1) U^k is needed only
+    through its weight room max_w - (a + b), where a capped product agrees
+    with the exact one.  s^(a-1) conj(s)^(b-1) is built once per (a, b) and
+    round, from one chain of the powers of s, and F's parts are read once
+    per call.
 
     Let gamma >= 4 be the lowest weight of F (F has no harmonic terms).  A
     change of F' at weight k moves the right side only at weight k + gamma - 2
-    or above: through dF/du in the u slot, while the series and the prefactor
-    move it at weight k + gamma or above.  So once the lowest weight at which
-    a round changed F' satisfies k + gamma - 2 > max_w, the next round would
-    return the same truncation, and the iteration stops there without running
-    it.
+    or above: through dF/du in the u slot, while the powers of s move it at
+    weight k + gamma or above.  So once the lowest weight at which a round
+    changed F' satisfies k + gamma - 2 > max_w, the next round would return
+    the same truncation, and the iteration stops there without running it.
     """
     q = as_fraction(q)
+    if max_w < 0:
+        raise ValueError(f"reparametrization weight must be non-negative, got {max_w}")
     if max_w > surface.max_weight:
         raise ValueError("requested weight exceeds the surface truncation")
     form = surface.form
@@ -378,28 +386,23 @@ def reparametrize(surface: Hypersurface, q: Fraction, max_w: int) -> Hypersurfac
         new_f = surface.F.truncate_weight(max_w)
         return Hypersurface(form, new_f, max_w)
     inner = form.inner_poly()
-    one_qu = Poly.constant(n, 1) - Poly.u(n).scale(q)
     parts = [(a, b, part.u_coefficients()) for (a, b), part
              in surface.F.truncate_weight(max_w).bidegree_parts().items()]
     gamma = surface.F.min_weight()
     current = Poly.zero(n)
     while True:
-        v = inner + current
-        wmix = w_poly(v).truncate_weight(max_w)
+        wmix = w_poly(inner + current).truncate_weight(max_w)
         series = _geometric(wmix.scale(q), max_w)       # s = 1/(1 - q w)
         slot_u = ProductSum(n, max_w)                   # U = Re(w s)
         slot_u.add(wmix, series, _HALF)
-        prefactor = ProductSum(n, max_w)                # |1 - q w|^2 = (1 - q u)^2 + q^2 v^2
-        prefactor.add(one_qu, one_qu)
-        prefactor.add(v, v, q * q)
         s_chain, u_chain = Powers(series, max_w), Powers(slot_u.real(), max_w)
         total = ProductSum(n, max_w)
         for a, b, by_k in parts:
             room = max_w - a - b
-            mixed = s_chain.power(a).mul(s_chain.conjugate(b), room)
+            mixed = s_chain.power(a - 1).mul(s_chain.conjugate(b - 1), room)
             for k, f_abk in by_k.items():
                 total.add(f_abk, mixed.mul(u_chain.power(k), room) if k else mixed)
-        candidate = prefactor.poly().mul(total.poly(), max_w)
+        candidate = total.poly()
         changed = (candidate - current).min_weight()
         if changed is None or changed + gamma - 2 > max_w:
             return Hypersurface(form, candidate, max_w)

@@ -427,7 +427,7 @@ class Poly(Frozen):
         max_weight, else ValueError).  Targets must share one target
         dimension, which must be n when a variable is kept.  The caller is
         responsible for conjugation consistency when reality matters (see
-        substitute_real).  Terms of weight > max_weight are dropped.
+        ProductSum.add_real_substitution).  Terms of weight > max_weight are dropped.
 
         Monomials are grouped by their exponents in the substituted
         variables.  Each group's kept part is multiplied by one power of
@@ -438,18 +438,6 @@ class Poly(Frozen):
         total = ProductSum(n_out, max_weight)
         _add_groups(total, self, slots, 1, real=False)
         return total.poly()
-
-    def substitute_real(self, zsubs: Sequence["Poly"], usub: Optional["Poly"],
-                        max_weight: Optional[int] = None) -> "Poly":
-        """substitute(zsubs, [conj(p) for p in zsubs], usub, max_weight) for real self and usub.
-
-        The value is real, so it is built from half of the monomials and
-        mirrored (see ProductSum.add_real_substitution); the conj(z) powers
-        are read as the conjugates of the z chains.
-        """
-        total = ProductSum(zsubs[0].n if zsubs else self.n, max_weight)
-        total.add_real_substitution(self, zsubs, usub)
-        return total.real()
 
     def substitute_linear(self, a_matrix: "Matrix", u_scale: Fraction) -> "Poly":
         """P(Az, conj(A) conj(z), u_scale*u), expanded exactly.

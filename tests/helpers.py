@@ -20,7 +20,7 @@ from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix, rational_nullspace
 from crmoser.models import SElement
 from crmoser.normal_form import Hypersurface
-from crmoser.poly import Poly
+from crmoser.poly import Poly, ProductSum
 
 RATIONAL_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                  Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3)]
@@ -30,6 +30,14 @@ def mono_weight(mono) -> int:
     """The weight of a monomial key (zexp, zbexp, uexp): z and conj(z) of weight 1, u of 2."""
     z, zb, u = mono
     return sum(z) + sum(zb) + 2 * u
+
+
+def real_substitution(p: Poly, zsubs, usub, max_weight=None) -> Poly:
+    """p(zsubs, conj(zsubs), usub) for real p and usub, through weight max_weight:
+    one ProductSum.add_real_substitution completed by `real`."""
+    total = ProductSum(zsubs[0].n if zsubs else p.n, max_weight)
+    total.add_real_substitution(p, zsubs, usub)
+    return total.real()
 
 
 def widened(p: Poly) -> Poly:

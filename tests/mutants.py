@@ -98,6 +98,10 @@ MUTANTS = (
            ("tests/test_reparametrize_properties.py::test_reparametrize_matches_the_fixed_point_"
             "oracle_at_the_weight_room_edges[room-0]",),
            "a reparametrized F' would lose its terms of top weight"),
+    Mutant("the prefactor left undivided on the z side of reparametrize", "src/crmoser/autgroup.py",
+           "s_chain.power(a - 1)", "s_chain.power(a)",
+           ("tests/test_autgroup.py::test_reparametrize_scales_a_bidegree_2_2_part_by_s_conj_s",),
+           "a reparametrized F' would carry an extra factor s on its z side"),
 )
 
 

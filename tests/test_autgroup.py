@@ -650,6 +650,25 @@ def test_reparametrize_weight_cap_enforced():
         reparametrize(m, Fraction(1), 10)
 
 
+def test_reparametrize_refuses_a_negative_weight_before_any_round():
+    form = standard_form(2, 1, "antidiagonal")
+    m = surface(form, Poly.monomial(2, (0, 2), (0, 2), 0), 8)
+    for q in (Fraction(0), Fraction(1, 2)):
+        with pytest.raises(ValueError, match="reparametrization weight must be non-negative"):
+            reparametrize(m, q, -1)
+
+
+def test_reparametrize_scales_a_bidegree_2_2_part_by_s_conj_s():
+    """F = |z1|^4: F' = F s conj(s), and s conj(s) = 1 + 2qu below weight 4, so
+    F' = F (1 + 2qu) through weight 6.  A prefactor left undivided on one
+    side, F s^2 conj(s), would add q w F, which is not real."""
+    form = standard_form(2, 0, "diagonal")
+    f = Poly.monomial(2, (2, 0), (2, 0), 0)
+    q = Fraction(1, 2)
+    moved = reparametrize(surface(form, f, 6), q, 6)
+    assert moved.F == f + f * Poly.u(2).scale(2 * q)
+
+
 # -- exact scalars at the entry points -----------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from crmoser.linalg import Matrix
 from crmoser.models import model_umbilic
 from crmoser.poly import Poly, ProductSum, real_coefficient_rows
 
-from helpers import mono_weight, poly_to_sympy, random_real_poly, sym_vars
+from helpers import mono_weight, poly_to_sympy, random_real_poly, real_substitution, sym_vars
 
 
 def naive_mul(a: Poly, b: Poly) -> Poly:
@@ -332,5 +332,5 @@ def test_a_real_substitution_reads_the_conjugates_of_its_chains():
     f = random_real_poly(random.Random(7), n, pairs=4)
     u = Poly.u(n).scale(3)
     for cap in (None, 6):
-        assert f.substitute_real(zs, u, cap) == f.substitute(zs, [p.conjugate() for p in zs], u,
-                                                             cap)
+        assert real_substitution(f, zs, u, cap) == f.substitute(zs, [p.conjugate() for p in zs],
+                                                                u, cap)

@@ -21,7 +21,7 @@ from crmoser.gaussrat import GaussianRational
 from crmoser.normal_form import trace_op
 from crmoser.poly import Poly, Powers, real_coefficient_rows
 
-from helpers import hermitian_forms, mono_weight, widened
+from helpers import hermitian_forms, mono_weight, real_substitution, widened
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -260,7 +260,7 @@ def test_capped_substitutions_do_not_depend_on_the_target_field_width(case):
     wide = p.substitute(wide_zs, [z.conjugate() for z in wide_zs], wide_us, max_weight=cap)
     assert got == wide and hash(got) == hash(wide)
     assert got == p.substitute(zs, [z.conjugate() for z in zs], us).truncate_weight(cap)
-    real, wide_real = p.substitute_real(zs, us, cap), p.substitute_real(wide_zs, wide_us, cap)
+    real, wide_real = real_substitution(p, zs, us, cap), real_substitution(p, wide_zs, wide_us, cap)
     assert real == wide_real == got and hash(real) == hash(wide_real)
 
 

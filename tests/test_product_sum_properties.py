@@ -19,7 +19,7 @@ from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix
 from crmoser.poly import Poly, ProductSum
 
-from helpers import widened
+from helpers import real_substitution, widened
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -223,9 +223,9 @@ def test_real_substitution_equals_the_general_substitution(case):
     zbars = [p.conjugate() for p in zs]
     for cap in range(gamma, top + 1):
         expected = f.substitute(zs, zbars, u, max_weight=cap)
-        assert f.substitute_real(zs, u, cap) == expected
+        assert real_substitution(f, zs, u, cap) == expected
         # u kept: it is real too
-        assert f.substitute_real(zs, None, cap) == f.substitute(zs, zbars, max_weight=cap)
+        assert real_substitution(f, zs, None, cap) == f.substitute(zs, zbars, max_weight=cap)
     assert expected
 
 
@@ -233,7 +233,7 @@ def test_real_substitution_needs_z_targets():
     f = Poly.z(2, 0) * Poly.zbar(2, 0) + Poly.u(2)
     u = Poly.u(2) + Poly.constant(2, 1)
     with pytest.raises(ValueError):
-        f.substitute_real(None, u)
+        real_substitution(f, None, u)
     with pytest.raises(ValueError):
         ProductSum(2).add_real_substitution(f, None, u)
 

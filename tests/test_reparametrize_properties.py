@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from crmoser.autgroup import _geometric, reparametrize
 from crmoser.census import random_normal_form_surface
-from crmoser.forms import standard_form
+from crmoser.forms import standard_form, w_poly
 from crmoser.gaussrat import GaussianRational
 from crmoser.models import model_corollary2, model_theorem1, model_theorem2, model_umbilic
 from crmoser.normal_form import Hypersurface
-from crmoser.poly import Poly
+from crmoser.poly import Poly, Powers
 
 from helpers import mono_weight, reparametrize_reference, widened
 
@@ -150,3 +150,15 @@ def test_geometric_series_does_not_depend_on_the_field_width(t, cap):
     wide = _geometric(widened(t), cap)
     assert series == wide and hash(series) == hash(wide)
     assert (1 - t).mul(series, cap) == 1  # (1 - t) sum_k t^k = 1 below the cap
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(series_ratios(), st.sampled_from(QS), st.integers(2, 4), st.integers(2, 4),
+       st.integers(4, 10))
+def test_the_prefactor_divides_into_the_powers_of_s(half, q, a, b, cap):
+    """|1 - q w|^2 s^a conj(s)^b = s^(a-1) conj(s)^(b-1) through the cap,
+    for s = 1/(1 - q w) and w = u + i v, v real: the identity reparametrize sums."""
+    w = w_poly(half + half.conjugate())
+    chain = Powers(_geometric(w.scale(q), cap), cap)
+    d = 1 - w.scale(q)
+    assert d.mul(d.conjugate(), cap).mul(chain.mixed(a, b), cap) == chain.mixed(a - 1, b - 1)
