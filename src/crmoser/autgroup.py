@@ -305,14 +305,18 @@ def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum
         A_ee' = sum_ab h_ab p_ae conj(p_be'),   A_e'e = conj(A_ee'),
 
     so a half of it is each block with e < e' once and half of each block
-    with e = e'.  g(z,W) = sum_e q_e W^e reads the same powers.  All of
-    them come from one chain of the powers of W (see Powers); when F = 0 it
-    depends on the form alone and is memoized on it per weight cap.
-    Otherwise f and g are also substituted for the F term, reading the same
-    chain, f only through weight max_w - 1:
-    f(0) = 0, so each f_a has no term below weight 1, and F has z- and
-    conj(z)-degree >= 2, so every product pairs a term of f with one more
-    factor of weight >= 1.
+    with e = e', and A_00 goes straight into the sum (W^0 conj(W)^0 is 1).
+    g(z,W) = sum_e q_e W^e reads the same powers.  All of them come from one
+    chain of the powers of W (see Powers); when F = 0 it depends on the form
+    alone and is memoized on it per weight cap.  Otherwise f and g are also
+    substituted for the F term, reading the same chain.
+
+    Every term of W has weight >= 2, that of w, and f(0) = 0, so the jet is
+    read only through the weights that reach max_w: the blocks read f through
+    max_w - 1 (a term meets a factor conj(f_b) of weight >= 1) and Im g reads
+    g through max_w.  F has z- and conj(z)-degree >= 2, so in the F term each
+    z slot meets at least 3 more factors of weight >= 1 and the u slot 4:
+    f is substituted through max_w - 3 and g through max_w - 4.
     """
     form, f_poly = surface.form, surface.F
     n = form.n
@@ -321,22 +325,26 @@ def _residual_half(surface: Hypersurface, jet: JetMap, max_w: int) -> ProductSum
     else:
         table = Powers(w_poly(form.inner_poly() + f_poly), max_w)
     total = ProductSum(n, max_w)
-    for e, q in jet.g.u_coefficients().items():
+    for e, q in jet.g.truncate_weight(max_w).u_coefficients().items():
         total.add(q, table.power(e), _MINUS_HALF_I)
-    parts = [fi.u_coefficients() for fi in jet.f]
-    grades = sorted({e for pa in parts for e in pa if 2 * e <= max_w})
-    bars = [{e: p.conjugate() for e, p in pa.items() if 2 * e <= max_w} for pa in parts]
+    parts = [fi.truncate_weight(max_w - 1).u_coefficients() for fi in jet.f]
+    grades = sorted({e for pa in parts for e in pa})
+    bars = [{e: p.conjugate() for e, p in pa.items()} for pa in parts]
     for i, e in enumerate(grades):
         for e2 in grades[i:]:
             cap = max_w - 2 * (e + e2)  # W^e conj(W)^e2 has weight >= 2(e + e2)
             if cap < 0:
                 break
+            left, right = [pa.get(e) for pa in parts], [pb.get(e2) for pb in bars]
+            if not e2:  # W^0 conj(W)^0 is 1, so A_00 goes straight into the sum
+                total.add_form(form.matrix.scale(_MINUS_HALF), left, right)
+                continue
             block = ProductSum(n, cap)  # A_{e e2}
-            block.add_form(form.matrix, [pa.get(e) for pa in parts], [pb.get(e2) for pb in bars])
+            block.add_form(form.matrix, left, right)
             total.add(block.poly(), table.mixed(e, e2), -1 if e < e2 else _MINUS_HALF)
     if not f_poly.is_zero():
-        fm = [fi.substitute_w(table, max_w - 1) for fi in jet.f]
-        gm = jet.g.substitute_w(table, max_w)
+        fm = [fi.substitute_w(table, max_w - 3) for fi in jet.f]
+        gm = jet.g.substitute_w(table, max_w - 4)
         total.add_real_substitution(f_poly, fm, gm.real_part(), -1)
     return total
 

@@ -450,24 +450,25 @@ def split(packed: Packed, n: int, fields: Sequence[int]) -> Dict[Tuple[int, ...]
     """The terms grouped by their exponents in `fields`, those exponents cleared.
 
     Field i < 2n holds a z or conj(z) exponent (weight 1), field 2n the u
-    exponent (weight 2).  Clearing fields subtracts one constant from every
-    key of a group, so each group's keys stay in order.
+    exponent (weight 2).  Terms are grouped by their key bits in the fields,
+    key & select, in order of first appearance; a group's exponents and the
+    one constant its keys drop are read off those bits once, so its keys stay in order.
     """
     bits, den, _data = packed
     mask = (1 << bits) - 1
     shift = bits * (2 * n + 1)
-    offsets = [bits * i for i in fields]
-    weights = [2 if i == 2 * n else 1 for i in fields]
-    groups: Dict[Tuple[int, ...], list] = {}
+    select = sum(mask << (bits * i) for i in fields)
+    groups: Dict[int, List[list]] = {}
     for key, re, im in zip(*columns(packed)):
-        exps = tuple([(key >> off) & mask for off in offsets])
-        group = groups.get(exps)
+        group = groups.get(key & select)
         if group is None:
-            drop = sum(e << off for e, off in zip(exps, offsets))
-            drop += sum(e * w for e, w in zip(exps, weights)) << shift
-            group = groups[exps] = [drop, [], [], []]
-        group[1].append(key - group[0])
-        group[2].append(re)
-        group[3].append(im)
-    return {exps: reduced(bits, den, keys, res, ims)
-            for exps, (_drop, keys, res, ims) in groups.items()}
+            group = groups[key & select] = [[], [], []]
+        group[0].append(key)
+        group[1].append(re)
+        group[2].append(im)
+    split_groups = {}
+    for selected, (keys, res, ims) in groups.items():
+        exps = tuple([(selected >> (bits * i)) & mask for i in fields])
+        drop = selected + (sum(e * (2 if i == 2 * n else 1) for e, i in zip(exps, fields)) << shift)
+        split_groups[exps] = reduced(bits, den, [key - drop for key in keys], res, ims)
+    return split_groups

@@ -102,6 +102,20 @@ MUTANTS = (
            "s_chain.power(a - 1)", "s_chain.power(a)",
            ("tests/test_autgroup.py::test_reparametrize_scales_a_bidegree_2_2_part_by_s_conj_s",),
            "a reparametrized F' would carry an extra factor s on its z side"),
+    Mutant("the blocks of the residual read f one weight short", "src/crmoser/autgroup.py",
+           "fi.truncate_weight(max_w - 1)", "fi.truncate_weight(max_w - 2)",
+           ("tests/test_autgroup.py::test_a_jet_term_of_weight_k_first_fails_at_k_plus_one_in_f_"
+            "and_at_k_in_g",),
+           "a jet with a wrong term of weight max_w - 1 in f would verify through max_w"),
+    Mutant("the F term of the residual reads f one weight short", "src/crmoser/autgroup.py",
+           "fi.substitute_w(table, max_w - 3)", "fi.substitute_w(table, max_w - 4)",
+           ("tests/test_verify_properties.py::test_the_F_term_reads_f_through_max_w_minus_3_and_"
+            "g_through_max_w_minus_4",),
+           "the residual would miss what a term of f of weight max_w - 3 adds through F"),
+    Mutant("split lowers the weight by 1 for a power of u", "src/crmoser/packed.py",
+           "(2 if i == 2 * n else 1)", "(1 if i == 2 * n else 1)",
+           (POLY + "u_coefficients_lower_the_weight_by_two_per_power_of_u",),
+           "each u-power slice of u_coefficients would keep weight that its keys no longer hold"),
 )
 
 

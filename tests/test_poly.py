@@ -289,6 +289,16 @@ def test_zero_is_empty_term_map():
     assert (p - p).is_zero()
 
 
+def test_u_coefficients_lower_the_weight_by_two_per_power_of_u():
+    # each u-power slice loses its u exponent from the u field and twice it from the weight
+    n = 2
+    z1 = Poly.z(n, 0)
+    p = Poly.u(n).pow(2).scale(3) + z1 * Poly.u(n) + z1 * z1
+    parts = p.u_coefficients()
+    assert parts == {0: z1 * z1, 1: z1, 2: Poly.constant(n, 3)}
+    assert [part.min_weight() for part in parts.values()] == [2, 1, 0]
+
+
 # -- display ---------------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crmoser import packed as pk
 from crmoser.gaussrat import GaussianRational
 from crmoser.normal_form import trace_op
 from crmoser.poly import Poly, Powers, real_coefficient_rows
@@ -382,6 +383,33 @@ def test_weight_and_u_selections_agree_with_the_terms(ab, cap):
         for j, part in p.u_coefficients().items():
             assert part == Poly(p.n, {(z, zb, 0): c for (z, zb, u), c in dict(p.terms).items()
                                       if u == j})
+
+
+@SETTINGS
+@given(st.data())
+def test_split_groups_terms_as_their_exponent_tuples_do(data):
+    # packed.split groups terms by the key bits of the fields; the reference groups
+    # them term by term by their exponents there, which it clears, in first-appearance order
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(polys(n))
+    bits = data.draw(st.integers(p._packed[0], p._packed[0] + 4))
+    packed = pk.align(n, [p._packed, pk.one(bits)])[0]
+    drawn = data.draw(st.lists(st.integers(0, 2 * n), unique=True))
+    for fields in (drawn, [2 * n], list(range(2 * n + 1))):
+        expected = {}
+        for (z, zb, u), c in pk.unpack(n, packed):
+            exps = [*z, *zb, u]
+            key = tuple(exps[i] for i in fields)
+            for i in fields:
+                exps[i] = 0
+            mono = (tuple(exps[:n]), tuple(exps[n:2 * n]), exps[2 * n])
+            expected.setdefault(key, []).append((mono, c))
+        groups = pk.split(packed, n, fields)
+        assert list(groups) == list(expected)
+        for key, part in groups.items():
+            assert part[0] == bits
+            assert list(pk.unpack(n, part)) == expected[key]
+            assert list(pk.weights(part, n)) == [mono_weight(mono) for mono, _c in expected[key]]
 
 
 @SETTINGS

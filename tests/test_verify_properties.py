@@ -11,6 +11,7 @@ with the conjugate targets written out.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +125,39 @@ def test_quadric_jets_verify_through_every_weight_on_every_form():
         for w in range(D):
             assert verify_automorphism(surface, jet, w), (form, w)
             assert verification_residual(surface, jet, w).is_zero()
+
+
+def z1_term(k: int, c) -> HoloPoly:
+    """c z1^a w^b with a + 2b = k >= 1 and a = 1 or 2, at n = 2."""
+    a = 2 - k % 2
+    return HoloPoly(2, {((a, 0), (k - a) // 2): c})
+
+
+def gamma_4_surface() -> Hypersurface:
+    """F = |z1|^4 (1 + u) at n = 2: lowest weight 4, and a u slot."""
+    quartic = Poly.monomial(2, (2, 0), (2, 0), 0)
+    return Hypersurface(standard_form(2, 1, "diagonal"), quartic + quartic * Poly.u(2), 10)
+
+
+@pytest.mark.parametrize("max_w", range(5, 10))
+def test_the_F_term_reads_f_through_max_w_minus_3_and_g_through_max_w_minus_4(max_w):
+    # F has z- and conj(z)-degree 2, so a term of f of weight max_w - 3 meets 3 more
+    # factors of weight 1 in it, and a term of g of weight max_w - 4 in the u slot 4
+    surface = gamma_4_surface()
+    f = (HoloPoly.z(2, 0) + z1_term(max_w - 3, GaussianRational(1, 2)), HoloPoly.z(2, 1))
+    jet = JetMap(f, HoloPoly.w(2) + z1_term(max_w - 4, GaussianRational(-3, 1)), 10)
+    assert verification_residual(surface, jet, max_w) == direct_residual(surface, jet, max_w)
+
+
+def test_below_weight_4_the_F_term_caps_are_negative_and_raise_nothing():
+    surface = gamma_4_surface()
+    f = (HoloPoly.z(2, 0) + z1_term(2, GaussianRational(1, 2)), HoloPoly.z(2, 1))
+    jet = JetMap(f, HoloPoly.w(2) + z1_term(1, I), 10)
+    identity = JetMap.identity(2, 10)
+    for max_w in range(4):
+        assert verification_residual(surface, jet, max_w) == direct_residual(surface, jet, max_w)
+        assert verify_automorphism(surface, identity, max_w)
+    assert not verify_automorphism(surface, jet, 3)
 
 
 def memo_cases(form: HermitianForm):
