@@ -12,24 +12,25 @@ and that every sample that is a function of <z,z> and u has dimension
 exactly n^2.  A slice of the samples are deliberate <z,z>^k u^r surfaces:
 they are retained as positive controls and must classify as FULL.
 
-The generator runs sequentially off a single seeded RNG, so a fixed seed
-reproduces the census bit for bit.
+Each sample is judged by `models.classify`, the call behind `crmoser
+classify`; the report tallies its dimensions, function controls and gap
+verdicts per (n, m) pair.  The generator runs sequentially off a single
+seeded RNG, so a fixed seed reproduces the census bit for bit.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .autgroup import stabilizer_algebra
 from .forms import ANTIDIAGONAL, DIAGONAL, HermitianForm, standard_form
 from .gaussrat import GaussianRational
-from .models import gap_violated
-from .normal_form import Hypersurface, check_normal_form, is_function_of_form_and_u
+from .models import classify
+from .normal_form import Hypersurface, check_normal_form
 from .poly import Poly
 from .surface_io import surface_to_json
-from .value import Frozen, Value
+from .value import Frozen
 
 DEFAULT_POOL: Tuple[Fraction, ...] = (
     Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -115,56 +116,39 @@ def random_normal_form_surface(rng: random.Random, form: HermitianForm,
     raise RuntimeError("rejection sampling failed to produce a normal-form surface")
 
 
-class PairReport(Value):
-    __slots__ = ("n", "m", "samples", "dims", "gap_violations", "function_controls",
-                 "control_failures")
-
-    def __init__(self, n: int, m: int, samples: int = 0, dims: Optional[Dict[int, int]] = None,
-                 gap_violations: Optional[List[dict]] = None, function_controls: int = 0,
-                 control_failures: Optional[List[dict]] = None):
-        self._fill(n, m, samples, {} if dims is None else dims,
-                   [] if gap_violations is None else gap_violations, function_controls,
-                   [] if control_failures is None else control_failures)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "samples": self.samples,
-            "dims": {str(d): c for d, c in sorted(self.dims.items())},
-            "gap_violations": len(self.gap_violations),
-            "gap_violation_surfaces": self.gap_violations,
-            "function_controls": self.function_controls,
-            "control_failures": self.control_failures,
-        }
-
-
 def run_census(config: CensusConfig) -> dict:
     rng = random.Random(config.seed)
-    reports = []
-    total_violations = 0
+    pairs = []
     for n, m in config.pairs():
-        kind = DIAGONAL if m == 0 else ANTIDIAGONAL
-        form = standard_form(n, m, kind)
-        pair = PairReport(n=n, m=m)
+        form = standard_form(n, m, DIAGONAL if m == 0 else ANTIDIAGONAL)
+        dims: Dict[int, int] = {}
+        violations: List[dict] = []
+        failures: List[dict] = []
+        controls = 0
         for _ in range(config.samples):
             surface = random_normal_form_surface(rng, form, config.max_weight)
-            dim = stabilizer_algebra(surface).dim
-            pair.samples += 1
-            pair.dims[dim] = pair.dims.get(dim, 0) + 1
-            func = is_function_of_form_and_u(surface)
-            if func:
-                pair.function_controls += 1
-                if dim != n * n:
-                    pair.control_failures.append(surface_to_json(surface))
-            if gap_violated(n, m, dim, func):
-                pair.gap_violations.append(surface_to_json(surface))
-        total_violations += len(pair.gap_violations)
-        reports.append(pair)
+            result = classify(surface)
+            dims[result.dim] = dims.get(result.dim, 0) + 1
+            if result.function_of_form_and_u:
+                controls += 1
+                if result.dim != n * n:
+                    failures.append(surface_to_json(surface))
+            if not result.gap_ok:
+                violations.append(surface_to_json(surface))
+        pairs.append({
+            "n": n,
+            "m": m,
+            "samples": config.samples,
+            "dims": {str(d): c for d, c in sorted(dims.items())},
+            "gap_violations": len(violations),
+            "gap_violation_surfaces": violations,
+            "function_controls": controls,
+            "control_failures": failures,
+        })
     return {
         "seed": config.seed,
         "samples_per_pair": config.samples,
         "max_weight": config.max_weight,
-        "pairs": [p.to_json() for p in reports],
-        "gap_violations": total_violations,
+        "pairs": pairs,
+        "gap_violations": sum(pair["gap_violations"] for pair in pairs),
     }

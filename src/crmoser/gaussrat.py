@@ -90,13 +90,7 @@ def format_rational(value: Fraction) -> str:
 
 def rational_sqrt(value: Fraction) -> Optional[Fraction]:
     """Exact square root of a non-negative rational, or None if irrational."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    return Fraction(0) if value == 0 else rational_root(value, 2)
 
 
 def rational_root(value: Fraction, k: int) -> Optional[Fraction]:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from . import packed as pk
 from .gaussrat import GaussianLike, GaussianRational, parse_int
 from .linalg import Matrix
-from .poly import Poly, Powers, linear_monos, term_list
+from .poly import Poly, Powers, linear_monos
 from .value import Frozen
 
 HoloMono = Tuple[Tuple[int, ...], int]
@@ -66,10 +66,11 @@ class HoloPoly(Poly):
 
     @classmethod
     def terms_from_json(cls, n: int, items) -> "HoloPoly":
-        """Poly's term-list parser with w in the u slot; other keys are ignored."""
-        kept = [{key: value for key, value in item.items() if key in ("z", "w", "re", "im")}
-                for item in term_list(items)]
-        return Poly.terms_from_json(n, kept, u_field="w")._as(cls)
+        """Poly's term-list parser with w in the u slot; a conj(z) term is a ValueError."""
+        poly = Poly.terms_from_json(n, items, u_field="w")
+        if any(l for _k, l in poly.key_bidegrees()):
+            raise ValueError("a holomorphic polynomial has no conj(z) variable")
+        return poly._as(cls)
 
 
 class JetMap(Frozen):
@@ -84,10 +85,12 @@ class JetMap(Frozen):
             raise ValueError("jet components have mismatched dimensions")
         if len(f) != n:
             raise ValueError(f"jet must have {n} z-components")
-        # a HoloPoly holds no conj(z) term, since its constructors refuse one
+        # a HoloPoly holds no conj(z) term, since its constructors refuse one; any other
+        # Poly is checked, then viewed as a HoloPoly for substitute_w
         for name, p in [*((f"f{i + 1}", fi) for i, fi in enumerate(f)), ("g", g)]:
             if not isinstance(p, HoloPoly) and any(l for _k, l in p.key_bidegrees()):
                 raise ValueError(f"jet component {name} has a conj(z) term")
+        f, g = tuple([fi._as(HoloPoly) for fi in f]), g._as(HoloPoly)
         if any(p.min_weight() == 0 for p in (*f, g)):  # only a constant has weight 0
             raise ValueError("jet must preserve the origin")
         if D < 1:

@@ -354,18 +354,14 @@ def rational_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[
         for pc, prow in pivots.items():
             if row[pc]:
                 row = _combine(prow[pc], row, row[pc], prow)
-        g = gcd(*row)
-        if not g:
+        row = _primitive_row(row)
+        if row is None:
             continue
         lead = next(c for c, x in enumerate(row) if x)
-        if row[lead] < 0:
-            g = -g
-        row = [x // g for x in row]
         for pc, prow in pivots.items():
             if prow[lead]:
-                prow = _combine(row[lead], prow, prow[lead], row)
-                g = gcd(*prow)
-                pivots[pc] = [x // g for x in prow]
+                # prow leads at pc < lead with a positive entry, which the combination keeps
+                pivots[pc] = _primitive_row(_combine(row[lead], prow, prow[lead], row))
         pivots[lead] = row
     basis = []
     for fc in range(ncols):

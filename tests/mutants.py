@@ -116,6 +116,10 @@ MUTANTS = (
            "(2 if i == 2 * n else 1)", "(1 if i == 2 * n else 1)",
            (POLY + "u_coefficients_lower_the_weight_by_two_per_power_of_u",),
            "each u-power slice of u_coefficients would keep weight that its keys no longer hold"),
+    Mutant("a jet term's conj(z) exponent accepted from JSON", "src/crmoser/jets.py",
+           "        if any(l for _k, l in poly.key_bidegrees()):", "        if False:",
+           ("tests/test_cli.py::test_a_jet_term_with_a_conj_z_exponent_is_refused",),
+           "a jet document with a conj(z) term would verify as a holomorphic map"),
 )
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from crmoser.census import (
     run_census,
 )
 from crmoser.forms import standard_form
+from crmoser.models import classify
 from crmoser.normal_form import check_normal_form
 
 
@@ -52,6 +54,20 @@ def test_census_controls_classify_full():
     assert pair["function_controls"] > 0
     full_dim = 4
     assert pair["dims"].get(str(full_dim), 0) >= pair["function_controls"]
+
+
+@pytest.mark.parametrize("n,m", [(2, 0), (2, 1), (3, 1)])
+def test_census_tallies_classify_over_its_own_draws(n, m):
+    config = CensusConfig(ns=(n,), ms=(m,), samples=12, seed=20240604)
+    (pair,) = run_census(config)["pairs"]
+    # the same draws off the same seeded RNG, each judged by classify on its own
+    rng = random.Random(config.seed)
+    form = standard_form(n, m, "diagonal" if m == 0 else "antidiagonal")
+    results = [classify(random_normal_form_surface(rng, form, config.max_weight))
+               for _ in range(config.samples)]
+    assert pair["dims"] == Counter(str(r.dim) for r in results)
+    assert pair["function_controls"] == sum(r.function_of_form_and_u for r in results)
+    assert pair["gap_violations"] == sum(not r.gap_ok for r in results)
 
 
 def test_census_runs_a_repeated_pair_once():

@@ -423,6 +423,20 @@ def test_jet_term_errors_name_the_w_field(tmp_path, capsys):
     assert code == 0 and report["verified"]
 
 
+def test_a_jet_term_with_a_conj_z_exponent_is_refused(tmp_path, capsys):
+    # f and g are holomorphic: a 'zbar' exponent is refused, not dropped to verify w -> w
+    surf = write(tmp_path, "z1.json", {"n": 2, "m": 0, "kind": "diagonal", "F": "|z1|^4"})
+    zbar = str(FIXTURES / "map_jet_zbar.json")
+    code, report = run(capsys, "verify", "--surface", surf, "--map", zbar)
+    assert code == 2 and "conj(z)" in report["error"] and "verified" not in report
+    # an all-zero 'zbar' is no conj(z) term
+    doc = json.loads(pathlib.Path(zbar).read_text())
+    doc["g"][0]["zbar"] = [0, 0]
+    holomorphic = write(tmp_path, "g.json", doc)
+    code, report = run(capsys, "verify", "--surface", surf, "--map", holomorphic)
+    assert code == 0 and report["verified"] is True
+
+
 def test_integer_fields_still_accept_digit_strings(tmp_path, capsys):
     surf = write(tmp_path, "q4.json",
                  {"n": "2", "m": "0", "kind": "diagonal", "F": "Q^4", "maxWeight": "8"})

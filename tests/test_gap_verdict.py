@@ -1,9 +1,9 @@
 """The gap verdict at the ends of the forbidden band.
 
-`classify` and `run_census` share one verdict, `models.gap_violated`.  The
-random surfaces of the census never reach the band (ROADMAP, census
-probe), so here the stabilizer solve is replaced by a stub that reports a
-chosen dimension: each end of a non-empty band must be a violation, and the
+`run_census` judges each sample with `classify`, whose verdict is
+`models.gap_violated`.  The random surfaces of the census never reach the
+band (ROADMAP, census probe), so here the stabilizer solve that `classify`
+calls is replaced by a stub that reports a chosen dimension: each end of a non-empty band must be a violation, and the
 dimensions just outside it must not.  (3,0) has the band [6, 8] and (3,1)
 has [7, 8]; (2,1) has none.
 """
@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from crmoser import census, models
+from crmoser import models
 from crmoser.census import CensusConfig, run_census
 from crmoser.models import classify, forbidden_band, gap_violated, model_corollary2, model_theorem1
 
@@ -56,7 +56,7 @@ def test_classify_flags_both_ends_of_the_band(n, m, monkeypatch):
 def test_census_counts_both_ends_of_the_band(n, m, monkeypatch):
     lo, hi = forbidden_band(n, m)
     for dim, violations in ((lo, 1), (hi, 1), (lo - 1, 0)):
-        stub_dimension(monkeypatch, census, dim)
+        stub_dimension(monkeypatch, models, dim)
         report = run_census(CensusConfig(ns=(n,), ms=(m,), samples=1, seed=3))
         (pair,) = report["pairs"]
         # the one sample is no <z,z>^k u^r control, so only the band can flag it

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from crmoser.autgroup import moser_weight_identity, verify_automorphism
 from crmoser.gaussrat import GaussianRational
 from crmoser.jets import HoloPoly, JetMap
+from crmoser.models import model_umbilic
+from crmoser.normal_form import Hypersurface
 from crmoser.poly import Poly, Powers
 
 
@@ -110,7 +113,31 @@ def test_jet_components_with_a_conj_z_term_are_refused():
         HoloPoly.zbar(n, 0)
     with pytest.raises(ValueError, match="no conj"):
         HoloPoly.monomial(n, (1, 0), (0, 1), 0)
-    assert HoloPoly.monomial(n, (1, 0), (0, 0), 1, 2) == HoloPoly(n, {((1, 0), 1): 2})
+    with pytest.raises(ValueError, match="no conj"):
+        HoloPoly.terms_from_json(n, [{"z": [0, 0], "w": 1, "zbar": [1, 0], "re": "1"}])
+    assert HoloPoly.monomial(n, (1, 0), (0, 0), 1, 2) == HoloPoly(n, {((1, 0), 1): 2}) == \
+        HoloPoly.terms_from_json(n, [{"z": [1, 0], "w": 1, "zbar": [0, 0], "re": "2"}])
+
+
+def test_a_jet_of_plain_poly_components_verifies_as_its_holopoly_twin():
+    n = 2
+    surface = model_umbilic(n, 0, "diagonal", {(4, 0): Fraction(1)})
+    surface = Hypersurface(surface.form, surface.F, 10)
+    i = GaussianRational(0, 1)
+    verdicts = []
+    for extra in (0, 1):  # a rotation, and one whose f1 gains z1^2 w^3 at F's weight 8
+        holo = JetMap((HoloPoly.z(n, 0).scale(i) + HoloPoly.monomial(n, (2, 0), (0, 0), 3, extra),
+                       HoloPoly.z(n, 1)), HoloPoly.w(n), 10)
+        plain = JetMap((Poly.z(n, 0).scale(i) + Poly.monomial(n, (2, 0), (0, 0), 3, extra),
+                        Poly.z(n, 1)), Poly.u(n), 10)
+        assert plain == holo
+        verdicts.append(verify_automorphism(surface, plain, 9))
+        assert verdicts[-1] is verify_automorphism(surface, holo, 9)
+        residual = moser_weight_identity(surface, plain)
+        assert residual == moser_weight_identity(surface, holo)
+        assert residual.is_zero() == (extra == 0)
+        assert all(type(p) is HoloPoly for p in (*plain.f, plain.g))
+    assert verdicts == [True, False]
 
 
 def test_holopoly_and_jet_json_round_trips_on_random_polynomials():

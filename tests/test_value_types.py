@@ -10,7 +10,7 @@ import pytest
 
 import crmoser
 from crmoser.autgroup import AutoParams, InfSym
-from crmoser.census import CensusConfig, PairReport
+from crmoser.census import CensusConfig
 from crmoser.cli import main
 from crmoser.forms import standard_form
 from crmoser.gaussrat import GaussianRational
@@ -35,7 +35,6 @@ def build(name):
         "ScaledSAuto": lambda: ScaledSAuto(Fraction(-1, 2), element),
         "ClassifyResult": lambda: ClassifyResult("FULL", 4, 2, 0, True, True),
         "CensusConfig": lambda: CensusConfig(ns=(2,), ms=(0, 1)),
-        "PairReport": lambda: PairReport(2, 0),
         "Poly": lambda: Poly(2, {((1, 0), (0, 1), 2): GaussianRational(1, -2)}),
         "HoloPoly": lambda: HoloPoly.z(2, 1) + HoloPoly.w(2),
         "Matrix": lambda: Matrix([[1, Fraction(1, 2)], [GaussianRational(0, 3), -1]]),
@@ -60,7 +59,7 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("name", FROZEN + ["PairReport"])
+@pytest.mark.parametrize("name", FROZEN)
 def test_value_types_have_slots_and_no_instance_dict(name):
     value = build(name)
     assert not hasattr(value, "__dict__")
@@ -113,20 +112,6 @@ def test_constructors_keep_their_keywords_defaults_and_conversions():
     assert ScaledSAuto(0, build("SElement")).s == Fraction(0)
     assert repr(InfSym(Matrix.identity(1), Fraction(1))) == \
         f"InfSym(X={Matrix.identity(1)!r}, rho=Fraction(1, 1))"
-
-
-def test_pair_reports_share_no_mutable_state():
-    first, second = PairReport(2, 0), PairReport(2, 0)
-    assert first == second
-    first.samples += 1
-    first.dims[4] = 1
-    first.gap_violations.append({})
-    first.control_failures.append({})
-    assert (second.samples, second.dims, second.gap_violations, second.control_failures) == \
-        (0, {}, [], [])
-    assert first != second
-    with pytest.raises(TypeError):
-        hash(first)
 
 
 def test_validation_messages_are_unchanged():
