@@ -20,12 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .forms import HermitianForm, invariance_columns, is_pseudounitary, u_basis, w_poly
+from .forms import HermitianForm, invariance_rows, is_pseudounitary, u_basis, w_poly
 from .gaussrat import GaussianRational, as_fraction, rational_sqrt
 from .jets import HoloPoly, JetMap
 from .linalg import Matrix, rational_nullspace
 from .normal_form import Hypersurface
-from .poly import Poly, Powers, ProductSum, real_coefficient_rows
+from .poly import Poly, Powers, ProductSum
 from .value import Frozen
 
 _HALF = Fraction(1, 2)
@@ -175,22 +175,17 @@ def stabilizer_algebra(surface: Hypersurface) -> StabilizerResult:
 
         2 Re sum_j ((rho E + X) z)_j dF/dz_j + 2 rho u dF/du - 2 rho F = 0
 
-    collected coefficientwise.  It is the equation of `u_basis` with P = F
-    and a rho column added.  Its X columns are `invariance_columns` over the
-    u(H) basis.  By the weighted Euler identity, 2 Re sum_j z_j dF/dz_j +
-    2 u dF/du = sum_w w F_w for the weight parts F_w of the real F, so the
-    rho column is sum_w (w - 2) F_w.  The spherical surface (F = 0) gives
-    no rows, so every unknown is free: dimension n^2 + 1.  The result keeps
+    collected coefficientwise: `invariance_rows` over P = F and the directions
+    (X, 0) for the u(H) basis and (0, 1), whose column is sum_w (w - 2) F_w by
+    the weighted Euler identity.  The spherical surface (F = 0) gives no
+    rows, so every unknown is free: dimension n^2 + 1.  The result keeps
     the kernel vectors and builds its `basis` on first read, so callers
     that need only `dim` pay for no recombination.
     """
-    f_poly = surface.F
+    f_poly, n = surface.F, surface.n
     basis = u_basis(surface.form)
-    rho = ProductSum(f_poly.n)
-    for w, part in f_poly.weight_decompose().items():
-        rho.add(part, c=w - 2)
-    columns = [*invariance_columns(f_poly, basis), rho.poly()]
-    kernel = rational_nullspace(real_coefficient_rows(columns), len(columns))
+    directions = [*((x_mat, 0) for x_mat in basis), (Matrix.zeros(n, n), 1)]
+    kernel = rational_nullspace(invariance_rows(f_poly, directions), len(directions))
     return StabilizerResult(kernel, basis, spherical=f_poly.is_zero())
 
 

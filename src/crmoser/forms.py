@@ -20,12 +20,13 @@ entry by entry.
 from __future__ import annotations
 
 import weakref
-from math import comb
-from typing import List, Optional, Sequence
+from fractions import Fraction
+from math import comb, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gaussrat import GaussianRational, parse_int
 from .linalg import Matrix, hermitian_inertia, rational_nullspace
-from .poly import Poly, Powers, ProductSum, real_coefficient_rows
+from .poly import Poly, Powers, ProductSum
 from .value import Frozen
 
 DIAGONAL = "diagonal"
@@ -207,30 +208,51 @@ def is_pseudounitary(u_mat: Matrix, form: HermitianForm) -> Optional[int]:
     return None
 
 
-def invariance_columns(p: Poly, directions: Sequence[Matrix]) -> List[Poly]:
-    """The column 2 Re sum_jk X_jk z_k dP/dz_j of each direction X, for real P.
+def invariance_rows(p: Poly, directions: Sequence[Tuple[Matrix, Fraction]]) -> List[List[int]]:
+    """Integer rows of sum_j x_j C_j = 0 in real unknowns x_j, one per direction (X, rho):
 
-    It is the derivative at t = 0 of P(e^{tX} z, conj, u), so the directions
-    whose real combinations make the columns vanish are those that keep P.
-    Each column is one `add_form` of X's numerators against dP/dz_j and z_k,
-    completed by `real`.
+        C = 2 Re sum_jk X_jk z_k dP/dz_j + rho sum_w (w - 2) P_w   (P real, weight parts P_w),
+
+    the derivative at t = 0 of e^{-2 rho t} P(e^{rho t} e^{tX} z, conj, e^{2 rho t} u) by the
+    weighted Euler identity, so the kernel is the directions that keep P.  Each half of C
+    (`add_form` of X against dP/dz_j and z_k, plus rho/2 times the Euler sum) goes into one
+    ProductSum capped at P's top weight, so all share one field width, and is mirrored and
+    folded into a key -> (real row, imaginary row) table before the next is built.  The
+    columns are brought to one denominator at the end, which keeps the kernel.
     """
-    n = p.n
+    n, ncols = p.n, len(directions)
     dpz = [p.partial("z", j) for j in range(n)]
     zvars = [Poly.z(n, k) for k in range(n)]
-    columns = []
-    for x_mat in directions:
-        half = ProductSum(n)
+    table: Dict[int, Tuple[List[int], List[int]]] = {}
+    dens = []
+    for j, (x_mat, rho) in enumerate(directions):
+        half = ProductSum(n, p.max_weight())
         half.add_form(x_mat, dpz, zvars)
-        columns.append(half.real())
-    return columns
+        if rho:
+            for w, part in p.weight_decompose().items():
+                half.add(part, c=Fraction(w - 2, 2) * rho)
+        den, cells = half.real_cells()
+        dens.append(den)
+        for key, (re, im) in cells.items():
+            if re or im:
+                cell = table.get(key)
+                if cell is None:
+                    cell = table[key] = ([0] * ncols, [0] * ncols)
+                cell[0][j], cell[1][j] = re, im
+    common = lcm(*dens)
+    factors = [(j, common // den) for j, den in enumerate(dens) if den != common]
+    rows = [row for cell in table.values() for row in cell]
+    for row in rows:
+        for j, f in factors:
+            row[j] *= f
+    return rows
 
 
 def u_basis(form: HermitianForm) -> List[Matrix]:
     """Real basis of u(H): the directions X whose flow keeps <z,z>.
 
-    The kernel of `invariance_columns` over P = <z,z> and the 2n^2 real
-    directions E_ab, i E_ab (in that order, a*n + b ascending) always has
+    The kernel of `invariance_rows` over P = <z,z> and the 2n^2 real
+    directions (E_ab, 0), (i E_ab, 0) (in that order, a*n + b ascending) always has
     real dimension n^2; there the columns say X^t H + H conj(X) = 0.  The
     even and odd numerators of each kernel vector are the real and
     imaginary numerators of its matrix in row-major order, over the
@@ -243,10 +265,9 @@ def u_basis(form: HermitianForm) -> List[Matrix]:
     def solve():
         zero = (0,) * (n * n)
         units = [zero[:e] + (1,) + zero[e + 1:] for e in range(n * n)]
-        directions = [Matrix.from_numerators(n, n, 1, *parts)
+        directions = [(Matrix.from_numerators(n, n, 1, *parts), 0)
                       for unit in units for parts in ((unit, zero), (zero, unit))]
-        columns = invariance_columns(form.inner_poly(), directions)
+        rows = invariance_rows(form.inner_poly(), directions)
         return tuple(Matrix.from_numerators(n, n, den, nums[0::2], nums[1::2])
-                     for den, nums in rational_nullspace(real_coefficient_rows(columns),
-                                                         len(columns)))
+                     for den, nums in rational_nullspace(rows, len(directions)))
     return list(form.memo("u_basis", solve))

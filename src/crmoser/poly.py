@@ -550,29 +550,6 @@ def _slots(n: int, zsubs, zbarsubs, usub) -> Tuple[list, int]:
     return slots, n_out
 
 
-def real_coefficient_rows(polys: Sequence[Poly]) -> List[List[int]]:
-    """The system sum_j x_j polys[j] = 0 in real unknowns x_j, as integer rows.
-
-    Each monomial of some polys[j] gives the row of its real parts and the
-    row of its imaginary parts.  All rows are scaled by one common
-    denominator, which keeps the kernel.  Monomials come in order of first
-    appearance, poly by poly in key order.
-    """
-    forms = pk.align(polys[0].n if polys else 0, [p._packed for p in polys])
-    den = lcm(*[form[1] for form in forms])
-    width = len(polys)
-    cells: Dict[int, Tuple[List[int], List[int]]] = {}
-    for j, form in enumerate(forms):
-        f = den // form[1]
-        for key, re, im in zip(*pk.columns(form)):
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = ([0] * width, [0] * width)
-            cell[0][j] = re * f
-            cell[1][j] = im * f
-    return [row for cell in cells.values() for row in cell]
-
-
 class ProductSum:
     """A sum of products c a b of polynomials, built in one accumulator.
 
@@ -678,8 +655,13 @@ class ProductSum:
 
     def real(self) -> Poly:
         """The sum plus its conjugate; the accumulator is used up."""
-        pk.mirror(self.cells, self.n, self.bits)
+        self.real_cells()
         return self.poly()
+
+    def real_cells(self) -> Tuple[int, Dict[int, List[int]]]:
+        """The sum plus its conjugate as (den, key -> [re, im]), unreduced; used up as `real`."""
+        pk.mirror(self.cells, self.n, self.bits)
+        return self.den, self.cells
 
     def real_is_zero(self) -> bool:
         """Whether `real` is zero, read off the accumulator without collecting it."""

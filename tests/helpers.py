@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List
 
 import sympy
@@ -278,8 +279,13 @@ def stabilizer_residual(m, x_mat, rho):
 
         2 Re sum_j ((rho E + X) z)_j dF/dz_j + 2 rho u dF/du - 2 rho F.
     """
-    n = m.n
-    f_poly = m.F
+    return invariance_residual(m.F, x_mat, rho)
+
+
+def invariance_residual(f_poly: Poly, x_mat, rho):
+    """The invariance equation of stabilizer_residual for a real polynomial F, by Poly
+    sums, scalings, products and conjugates."""
+    n = f_poly.n
     acc = Poly.zero(n)
     for j in range(n):
         lin = Poly.z(n, j).scale(rho)
@@ -301,6 +307,24 @@ def stabilizer_columns_reference(surface: Hypersurface):
     n = surface.n
     columns = [stabilizer_residual(surface, x_mat, 0) for x_mat in u_basis(surface.form)]
     return columns + [stabilizer_residual(surface, Matrix.zeros(n, n), 1)]
+
+
+def coefficient_rows(columns):
+    """The system sum_j x_j columns[j] = 0 in real unknowns x_j as integer rows, read off
+    `coeff`: per monomial of some column, the row of its real parts and the row of its
+    imaginary parts, all over the least common denominator."""
+    monos = dict.fromkeys(mono for column in columns for mono in column.terms)
+    rows = [[getattr(column.coeff(mono), part) for column in columns]
+            for mono in monos for part in ("re", "im")]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * den) for x in row] for row in rows]
+
+
+def up_to_one_scale(rows):
+    """Integer rows divided by the gcd of all their entries, sorted: equal for two systems
+    exactly when their rows are one multiset up to one positive common factor."""
+    g = gcd(*(x for row in rows for x in row)) or 1
+    return sorted(tuple(x // g for x in row) for row in rows)
 
 
 def eager_stabilizer_basis(form: HermitianForm, kernel):

@@ -41,6 +41,8 @@ GAP = "    return lo <= dim <= hi or (func and dim != n * n)"
 GAP_TESTS = ("tests/test_gap_verdict.py",)
 GOLDEN = "tests/test_samples.py::test_sample_reports_match_golden_bytes"
 POLY = "tests/test_poly.py::test_"
+INVARIANCE = ("tests/test_forms.py::test_invariance_rows_are_the_reference_columns_over_one_"
+              "denominator",)
 
 MUTANTS = (
     Mutant("mirror_is_zero ignores the imaginary part", "src/crmoser/packed.py",
@@ -65,6 +67,18 @@ MUTANTS = (
            "                self._add(a._packed, b._packed, 1, mre[k], mim[k])",
            (POLY + "add_form_reads_the_matrix_denominator",),
            "a u(H) direction with denominator 2 would enter the stabilizer system doubled"),
+    Mutant("a key's imaginary parts dropped from the invariance rows", "src/crmoser/forms.py",
+           "                cell[0][j], cell[1][j] = re, im", "                cell[0][j] = re",
+           INVARIANCE, "the stabilizer system would keep no equation on imaginary parts"),
+    Mutant("the rho part of an invariance column not halved", "src/crmoser/forms.py",
+           "Fraction(w - 2, 2)", "Fraction(w - 2)", INVARIANCE,
+           "the rho column would be doubled, so each stabilizer element would carry half its rho"),
+    Mutant("the invariance columns left over their own denominators", "src/crmoser/forms.py",
+           "            row[j] *= f", "            row[j] *= 1",
+           (GOLDEN + "[stabdim_basis-explicit_2_1]",
+            GOLDEN + "[stabdim_basis-explicit_2_1_mixed]"),
+           "a column over a smaller denominator would be scaled down against the others, which "
+           "moves the stabilizer basis off its u(H) coordinates"),
     Mutant("an uncapped product's top weight read off the first keys", "src/crmoser/packed.py",
            "        top = weight(a, -1, n) + weight(b, -1, n)",
            "        top = weight(a, 0, n) + weight(b, 0, n)",

@@ -12,21 +12,25 @@ from crmoser import forms
 from crmoser.forms import (
     EXPLICIT,
     HermitianForm,
-    invariance_columns,
+    invariance_rows,
     is_pseudounitary,
     standard_form,
     u_basis,
 )
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix, hermitian_inertia, rational_nullspace
-from crmoser.poly import Poly, real_coefficient_rows
+from crmoser.poly import Poly
 
 from helpers import (
     cayley_pseudounitary,
+    coefficient_rows,
+    invariance_residual,
     is_in_lie_algebra,
+    random_real_poly,
     sympy_pseudounitary_sign,
     sympy_real_rank,
     u_basis_reference,
+    up_to_one_scale,
 )
 
 I = GaussianRational(0, 1)
@@ -267,15 +271,30 @@ def congruent_forms(draw):
 @given(congruent_forms())
 def test_u_basis_of_explicit_congruent_forms(form):
     n = form.n
-    directions = [Matrix([[c if (j, k) == (a, b) else 0 for k in range(n)] for j in range(n)])
-                  for a in range(n) for b in range(n) for c in (1, I)]
-    rows = real_coefficient_rows(invariance_columns(form.inner_poly(), directions))
+    directions = [(Matrix([[c if (j, k) == (a, b) else 0 for k in range(n)] for j in range(n)]),
+                   0) for a in range(n) for b in range(n) for c in (1, I)]
+    rows = invariance_rows(form.inner_poly(), directions)
     assert all(type(x) is int for row in rows for x in row)
     basis = u_basis(form)
     assert basis == u_basis_reference(form)
     assert len(basis) == n * n
     assert all(is_in_lie_algebra(x, form) for x in basis)
     assert sympy_real_rank(basis) == n * n
+
+
+def test_invariance_rows_are_the_reference_columns_over_one_denominator():
+    # u(H) of this form has denominators 2, 2, 2 and 1, next to (0, 1) and (i E_11, 1/3)
+    form = forms.form_from_json({"n": 2, "m": 1, "kind": "explicit", "matrix": [
+        [{"re": "5"}, {"re": "2", "im": "3"}], [{"re": "2", "im": "-3"}, {"re": "-7"}]]})
+    directions = [*((x, 0) for x in u_basis(form)), (Matrix.zeros(2, 2), 1),
+                  (Matrix([[I, 0], [0, 0]]), Fraction(1, 3))]
+    rng = random.Random(5)
+    for _ in range(5):
+        p = random_real_poly(rng, 2, pairs=3, max_u=2)
+        columns = [invariance_residual(p, x_mat, rho) for x_mat, rho in directions]
+        rows = invariance_rows(p, directions)
+        assert up_to_one_scale(rows) == up_to_one_scale(coefficient_rows(columns))
+        assert rows and any(row[-2] for row in rows) and any(row[-1] for row in rows)
 
 
 @pytest.mark.parametrize("n,m,kind", [(n, m, kind) for n in range(1, 7)

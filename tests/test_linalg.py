@@ -351,3 +351,8 @@ def test_entries_are_built_on_read_and_checked_against_the_shape():
     for i, j in ((2, 0), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(IndexError):
             m[i, j]
+
+
+def test_a_matrix_times_a_fraction_is_scaled():
+    half = Fraction(1, 2)
+    assert Matrix([[1, 2], [3, 4]]) * half == Matrix([[half, 1], [3 * half, 2]])

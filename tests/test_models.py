@@ -383,3 +383,18 @@ def test_the_kernel_builds_no_gaussian_rational(monkeypatch):
         assert models.classify(surface).dim == stabilizer_algebra(surface).dim
     assert reparametrize(model, Fraction(1, 3), model.max_weight).F.min_weight() == 8
     assert not trace_op(explicit.form, explicit.F).is_zero()
+
+
+def test_a_model_coefficient_may_be_a_real_gaussian_rational_only():
+    assert models._as_coeff(GaussianRational(Fraction(3, 2))) == Fraction(3, 2)
+    assert (model_theorem1(3, {(2, 2, 0): GaussianRational(2)}).F
+            == model_theorem1(3, {(2, 2, 0): 2}).F)
+    with pytest.raises(ModelError, match="real rationals"):
+        models._as_coeff(GaussianRational(1, 1))
+    with pytest.raises(ModelError, match="real rationals"):
+        model_theorem1(3, {(2, 2, 0): GaussianRational(1, 1)})
+
+
+def test_s_decompose_refuses_a_matrix_not_square_or_below_2x2():
+    for rows in ([[1]], [[1, 0], [0, 1], [0, 0]], []):
+        assert s_decompose(Matrix(rows), 0) is None

@@ -8,7 +8,7 @@ from crmoser.forms import standard_form
 from crmoser.gaussrat import GaussianRational
 from crmoser.linalg import Matrix
 from crmoser.models import model_umbilic
-from crmoser.poly import Poly, ProductSum, real_coefficient_rows
+from crmoser.poly import Poly, ProductSum
 
 from helpers import mono_weight, poly_to_sympy, random_real_poly, real_substitution, sym_vars
 
@@ -267,7 +267,6 @@ def test_operands_keep_their_stored_field_width():
         total.add(p)
         total.add(p, p.conjugate(), Fraction(1, 2))
         total.real()
-        real_coefficient_rows([far, p])
         assert p._packed is stored
 
 
@@ -344,3 +343,15 @@ def test_a_real_substitution_reads_the_conjugates_of_its_chains():
     for cap in (None, 6):
         assert real_substitution(f, zs, u, cap) == f.substitute(zs, [p.conjugate() for p in zs],
                                                                 u, cap)
+
+
+def test_only_zero_is_a_real_u_multiple_of_zero():
+    zero = Poly.zero(2)
+    assert zero.is_real_u_multiple(zero)
+    assert not Poly.u(2).is_real_u_multiple(zero)
+
+
+def test_coeff_of_a_monomial_of_another_dimension_is_zero():
+    p = Poly.z(2, 0) + Poly.constant(2, 3)
+    assert p.coeff(((0, 0, 0), (0, 0, 0), 0)) == 0
+    assert p.coeff(((1,), (0,), 0)) == 0

@@ -11,18 +11,27 @@ packed form keeps in tuples instead of machine-integer arrays.
 """
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crmoser import packed as pk
+from crmoser.forms import invariance_rows
 from crmoser.gaussrat import GaussianRational
+from crmoser.linalg import Matrix
 from crmoser.normal_form import trace_op
-from crmoser.poly import Poly, Powers, real_coefficient_rows
+from crmoser.poly import Poly, Powers
 
-from helpers import hermitian_forms, mono_weight, real_substitution, widened
+from helpers import (
+    coefficient_rows,
+    hermitian_forms,
+    invariance_residual,
+    mono_weight,
+    real_substitution,
+    up_to_one_scale,
+    widened,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -445,12 +454,22 @@ def test_equal_polynomials_at_different_field_widths_hash_equal(a):
     assert other != wide and wide != other
 
 
+@st.composite
+def invariance_cases(draw):
+    """A real P and one to three directions (X, rho), entries over denominators 1 to 4."""
+    n = draw(st.integers(1, 3))
+    p = draw(polys(n))
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    entries = st.builds(GaussianRational, small, small)
+    directions = [(Matrix([[draw(entries) for _ in range(n)] for _ in range(n)]), draw(small))
+                  for _ in range(draw(st.integers(1, 3)))]
+    return p + p.conjugate(), directions
+
+
 @SETTINGS
-@given(poly_tuples(3))
-def test_real_coefficient_rows_are_the_coefficients_over_one_denominator(abc):
-    monos = list(dict.fromkeys(mono for p in abc for mono in p.terms))
-    expected = [[getattr(p.coeff(mono), part) for p in abc]
-                for mono in monos for part in ("re", "im")]
-    rows = real_coefficient_rows(abc)
-    den = lcm(*(e.denominator for row in expected for e in row))
-    assert rows == [[e * den for e in row] for row in expected]
+@given(invariance_cases())
+def test_invariance_rows_are_the_coefficients_over_one_denominator(case):
+    p, directions = case
+    columns = [invariance_residual(p, x_mat, rho) for x_mat, rho in directions]
+    rows = invariance_rows(p, directions)
+    assert up_to_one_scale(rows) == up_to_one_scale(coefficient_rows(columns))

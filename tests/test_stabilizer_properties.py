@@ -2,12 +2,13 @@
 
 `helpers.stabilizer_columns_reference` builds the columns of the invariance
 system by the chain of Poly sums, scalings, products and conjugates that
-stabilizer_algebra ran before it collected each column in one ProductSum.
-The kernel of the rows of those columns must be the kernel the solve
-keeps.  The surfaces are census draws over the standard forms, F with
-u-terms, F over explicit forms with complex off-diagonal entries, whose
-u(H) bases have complex entries, and F whose top weight fills its packed
-fields, where the products z_k dF/dz_j are key shifts that reach that top.
+stabilizer_algebra ran before it collected each column in one ProductSum,
+and `helpers.coefficient_rows` reads them into rows through `coeff`.  The
+kernel of those rows must be the kernel the solve keeps.  The surfaces are
+census draws over the standard forms, F with u-terms, F over explicit forms
+with complex off-diagonal entries, whose u(H) bases have complex entries,
+and F whose top weight fills its packed fields, where the products
+z_k dF/dz_j are key shifts that reach that top.
 """
 
 import random
@@ -21,10 +22,11 @@ from crmoser.census import random_normal_form_surface
 from crmoser.forms import standard_form
 from crmoser.linalg import rational_nullspace
 from crmoser.normal_form import Hypersurface
-from crmoser.poly import Poly, real_coefficient_rows
+from crmoser.poly import Poly
 
 from helpers import (
     cayley_pseudounitary,
+    coefficient_rows,
     hermitian_forms,
     random_fraction,
     random_gauss,
@@ -42,7 +44,7 @@ seeds = st.integers(0, 2**32)
 
 def assert_matches_reference(surface):
     columns = stabilizer_columns_reference(surface)
-    expected = rational_nullspace(real_coefficient_rows(columns), len(columns))
+    expected = rational_nullspace(coefficient_rows(columns), len(columns))
     assert stabilizer_algebra(surface)._kernel == expected
 
 

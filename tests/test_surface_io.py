@@ -104,3 +104,15 @@ def test_surface_json_missing_body():
 def test_surface_json_bad_form():
     with pytest.raises(SurfaceParseError):
         surface_from_json({"n": 3, "m": 2, "kind": "antidiagonal", "F": "Q^4"})
+
+
+def test_a_rational_after_a_star_multiplies_the_coefficient():
+    form = standard_form(2, 0, "diagonal")
+    assert parse_surface_text("2 * 3/4 Q^4", form) == parse_surface_text("3/2 Q^4", form)
+
+
+def test_a_dangling_star_is_refused_at_the_end_of_the_text():
+    form = standard_form(2, 0, "diagonal")
+    with pytest.raises(SurfaceParseError, match="position 5") as err:
+        parse_surface_text("Q^4 *", form)
+    assert err.value.pos == 5
